@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Sweep the (N, K) grid with the iterative probe.
 
-Reduced to 5 seeds and 3000 iterations per cell so it finishes in about a
-minute; the acceptance suite runs the full 20 x 5000 version. Cells with
+Reduced to 5 seeds and 3000 iterations per cell so it finishes in a few
+seconds; the acceptance suite runs the full 20 x 5000 version. Cells with
 K <= 2N - 1 converge; the clearly over-packed cells stall above the
 infeasibility threshold, and the marginal cells (K = 2N for N >= 3)
 plateau in between, which the table reports as inconclusive.

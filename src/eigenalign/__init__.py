@@ -26,7 +26,8 @@ from .errors import (ConfigMismatch, DimensionMismatch, EigenalignError,
                      RankDeficientSolution, ShapeMismatch, SingularChannel,
                      SingularMatrix, UnverifiedSolution)
 from .iterative import (IterativeConfig, LeakageTrace, WarmStartReport,
-                        iterate, trace_table, warm_start_check)
+                        iterate, iterate_batch, trace_table,
+                        warm_start_check)
 from .linalg import (EigenPair, eig_general, inverse, null_space_orthonormal,
                      solve)
 
@@ -43,9 +44,10 @@ __all__ = [
     "UnverifiedSolution", "VerificationReport", "WarmStartReport",
     "build_stacked", "coupling_mask", "cube_relation_check", "deserialize",
     "eig_general", "feasibility_sweep", "generate", "infeasibility_demo",
-    "inverse", "iterate", "loop_matrix", "null_space_orthonormal",
-    "predicted_feasible", "records_table", "render_feasibility_table",
-    "serialize", "solution_from_document", "solution_to_document", "solve",
-    "solve_eigen_method", "solve_loop_method", "sum_rate_curve",
-    "trace_table", "unit_couplings", "verify", "warm_start_check",
+    "inverse", "iterate", "iterate_batch", "loop_matrix",
+    "null_space_orthonormal", "predicted_feasible", "records_table",
+    "render_feasibility_table", "serialize", "solution_from_document",
+    "solution_to_document", "solve", "solve_eigen_method",
+    "solve_loop_method", "sum_rate_curve", "trace_table", "unit_couplings",
+    "verify", "warm_start_check",
 ]

@@ -21,7 +21,7 @@ from .channel import NetworkDims, generate
 from .closed_form import ALIGN_TOL, RANK_TOL, _channel_scale
 from .errors import (DimensionMismatch, ShapeMismatch, SingularChannel,
                      UnverifiedSolution)
-from .iterative import IterativeConfig, iterate
+from .iterative import IterativeConfig, iterate_batch
 
 #: Chordal distance above which the two eigenbases count as incompatible.
 INCOMPATIBILITY_TOL = 1e-2
@@ -257,12 +257,25 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
     at the iteration cap, inconclusive otherwise; a cell verdict needs a
     ``quorum`` fraction of its runs to agree. Records are produced in
     sorted (n, k, seed) order, so the result does not depend on how the
-    work is scheduled.
+    work is scheduled. Each cell runs all its seeds as one
+    ``iterate_batch``; ``progress`` is called once per record, in record
+    order, in a burst after each cell's batch.
+
+    Raises
+    ------
+    ValueError
+        If ``seeds`` is a ``bool``, names no seed, or repeats one.
     """
+    if isinstance(seeds, bool):
+        raise ValueError(f"seeds must be a count or a list, got {seeds!r}")
     if isinstance(seeds, int):
         seeds = list(range(seeds))
     else:
         seeds = sorted(int(s) for s in seeds)
+    if not seeds:
+        raise ValueError("the sweep needs at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds must be distinct, got {seeds}")
     n_values = sorted(int(n) for n in n_values)
     k_values = sorted(int(k) for k in k_values)
 
@@ -271,12 +284,12 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
     cells = {}
     for n in n_values:
         for k in k_values:
+            nets = [generate(NetworkDims(k, n, n), seed) for seed in seeds]
+            cfgs = [IterativeConfig(d=(1,) * k, max_iters=max_iters,
+                                    leakage_tol=feasible_tol, seed=seed)
+                    for seed in seeds]
             counts = {"feasible": 0, "infeasible": 0, "inconclusive": 0}
-            for seed in seeds:
-                net = generate(NetworkDims(k, n, n), seed)
-                cfg = IterativeConfig(d=(1,) * k, max_iters=max_iters,
-                                      leakage_tol=feasible_tol, seed=seed)
-                trace = iterate(net, cfg)
+            for seed, trace in zip(seeds, iterate_batch(nets, cfgs)):
                 final = float(trace.leakage[-1])
                 if final <= feasible_tol:
                     verdict = "feasible"

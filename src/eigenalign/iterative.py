@@ -12,8 +12,21 @@ Per-stream transmit power is 1/d_j (unit total power per transmitter);
 degrees-of-freedom questions are power-scale-free so nothing else is
 needed. Initial precoders are Haar-random truncated-unitary matrices drawn
 from PCG64 streams ``SeedSequence(seed, spawn_key=(i,))``, one per user.
+
+One engine runs S independent runs of one (K, n_t, n_r, d) setting at once.
+Channels carry a leading run axis, ``(S, K, K, n_r, n_t)``, and so do the
+filters, ``(S, K, n, max(d))``; the columns past user i's ``d_i`` are held
+at zero, so mixed stream counts share the one layout. Each half-iteration
+is one batched matmul and one batched ``eigh`` over all runs. After every
+iteration a per-run convergence mask takes the runs whose leakage reached
+the tolerance out of the batch, so each run stops where it would alone.
+Every operation acts on each run's matrices separately, so a run's trace
+and filters are bitwise the same in any batch. ``iterate`` and
+``warm_start_check`` are batches of one; ``iterate_batch`` (used by the
+feasibility sweep) runs many networks or seeds together.
 """
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,58 +84,87 @@ def _haar_columns(rng, rows, cols):
 
 
 def _random_precoders(dims, d, seed):
-    out = []
+    """Seeded Haar precoders, zero-padded to ``(K, n_t, max(d))``."""
+    out = np.zeros((dims.k, dims.n_t, max(d)), dtype=np.complex128)
     for i in range(dims.k):
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
-        out.append(_haar_columns(rng, dims.n_t, d[i]))
+        out[i, :, :d[i]] = _haar_columns(rng, dims.n_t, d[i])
     return out
 
 
-def _min_leakage_filters(h, filters, d):
-    """One half-iteration: for every receiver of the (possibly reversed)
-    channel tensor ``h``, stack the interference covariance of the given
-    transmit filters and keep its weakest eigenvectors.
+def _half_iteration(links, filters, weights, columns):
+    """One half-iteration for every run and every receiver at once.
 
-    Returns the new per-receiver filters and the total (unnormalized)
-    leakage they admit.
+    ``links[s, j]`` stacks transmitter ``j``'s channels ``H_ij`` to all
+    receivers ``i``. Receiver ``i``'s interference covariance is
+    ``W_i W_i^H``, where ``W_i`` lines up the blocks ``H_ij V_j`` of all
+    transmitters and ``weights`` scales block ``j`` by ``1/sqrt(d_j)`` (by
+    0 for ``j = i``, which is no interference). Returns the new receive
+    filters, the weakest eigenvectors of each covariance with the columns
+    past ``d_i`` zeroed by ``columns``, and the eigenvalues in ascending
+    order.
     """
-    k = h.shape[0]
-    cov = np.zeros((k, h.shape[2], h.shape[2]), dtype=np.complex128)
-    for j in range(k):
-        g = h[:, j] @ filters[j]                      # (k, n_r, d_j)
-        c = (g @ g.conj().transpose(0, 2, 1)) / d[j]  # (k, n_r, n_r)
-        c[j] = 0.0                                    # no self-interference
-        cov += c
-    vals, vecs = np.linalg.eigh(cov)
-    new_filters = [vecs[i][:, :d[i]] for i in range(k)]
-    leakage = float(sum(vals[i, :d[i]].sum() for i in range(k)))
-    return new_filters, max(leakage, 0.0)
+    s, k, _, width = filters.shape
+    g = links @ filters                   # (S, K_tx, K_rx * n_out, width)
+    n_out = g.shape[2] // k
+    w = np.multiply(g.reshape(s, k, k, n_out, width).transpose(0, 2, 3, 1, 4),
+                    weights, order="C").reshape(s, k, n_out, k * width)
+    vals, vecs = np.linalg.eigh(w @ w.conj().swapaxes(-1, -2))
+    return vecs[..., :width] * columns[:, None, :], vals
 
 
-def _run(net, d, max_iters, tol, seed, init_precoders):
-    h = net.h
-    h_rev = h.conj().transpose(1, 0, 3, 2)
-    if init_precoders is None:
-        v = _random_precoders(net.dims, d, seed)
-    else:
-        v = [np.array(p, dtype=np.complex128, copy=True) for p in init_precoders]
+def _run_batch(h, d, max_iters, tol, v):
+    """The iteration engine: ``S`` independent runs of one setting.
 
-    cross_energy = float(sum(np.linalg.norm(h[i, j]) ** 2
-                             for i in range(net.dims.k)
-                             for j in range(net.dims.k) if i != j))
-    denom = cross_energy if cross_energy > 0 else 1.0
+    ``h`` stacks the runs' channels, ``(S, K, K, n_r, n_t)``, and ``v``
+    their initial precoders, ``(S, K, n_t, max(d))`` zero-padded past each
+    ``d_i``. Returns one ``LeakageTrace`` per run, in input order.
+    """
+    s, k, _, n_r, n_t = h.shape
+    width = max(d)
+    cross = 1.0 - np.eye(k)
+    energy = (np.linalg.norm(h, axis=(3, 4)) ** 2 * cross).sum(axis=(1, 2))
+    denom = np.where(energy > 0, energy, 1.0)
+    # the links of the forward network (forward[s, j] stacks H_ij over i)
+    # and of the reciprocal one (reverse[s, i] stacks H_ij^H over j)
+    forward = np.ascontiguousarray(h.transpose(0, 2, 1, 3, 4)).reshape(
+        s, k, k * n_r, n_t)
+    reverse = np.conjugate(h.swapaxes(3, 4), order="C").reshape(
+        s, k, k * n_t, n_r)
+    weights = np.repeat(cross / np.sqrt(d), width, axis=1).reshape(
+        k, 1, k, width)
+    columns = (np.arange(width) < np.array(d)[:, None]).astype(float)
 
-    u, raw = _min_leakage_filters(h, v, d)
-    trace = [raw / denom]
+    runs = list(range(s))                 # input index of each active run
+    leakages = [array("d") for _ in runs]
+    traces = [None] * len(runs)
+    u, vals = _half_iteration(forward, v, weights, columns)
     it = 0
-    while trace[-1] > tol and it < max_iters:
-        v, _ = _min_leakage_filters(h_rev, u, d)
-        u, raw = _min_leakage_filters(h, v, d)
+    while True:
+        raw = (vals[..., :width] * columns).sum(axis=(1, 2))
+        leakage = np.maximum(raw, 0.0) / denom
+        for r, value in zip(runs, leakage.tolist()):
+            leakages[r].append(value)
+        # the convergence mask: a run leaves the batch once its leakage
+        # reaches ``tol`` (or is NaN), and every run leaves at the cap
+        active = (leakage > tol) & (it < max_iters)
+        if not active.all():
+            for pos in np.flatnonzero(~active):
+                r = runs[pos]
+                traces[r] = LeakageTrace(
+                    np.array(leakages[r]),
+                    [v[pos, i, :, :d[i]] for i in range(k)],
+                    [u[pos, i, :, :d[i]] for i in range(k)],
+                    converged=leakages[r][-1] <= tol, iterations=it)
+            if not active.any():
+                return traces
+            forward, reverse, v, u, denom = (
+                a[active] for a in (forward, reverse, v, u, denom))
+            runs = [r for r, kept in zip(runs, active) if kept]
+        v, _ = _half_iteration(reverse, u, weights, columns)
+        u, vals = _half_iteration(forward, v, weights, columns)
         it += 1
-        trace.append(raw / denom)
-    return LeakageTrace(np.array(trace), v, u,
-                        converged=trace[-1] <= tol, iterations=it)
 
 
 def _check_config(net, cfg):
@@ -156,19 +198,54 @@ def iterate(net, cfg, init_precoders=None):
         warm-start shapes do not match.
     """
     _check_config(net, cfg)
-    if init_precoders is not None:
+    if init_precoders is None:
+        v = _random_precoders(net.dims, cfg.d, cfg.seed)
+    else:
         if len(init_precoders) != net.dims.k:
             raise ConfigMismatch(
                 f"{len(init_precoders)} warm-start precoders for"
                 f" {net.dims.k} users")
+        v = np.zeros((net.dims.k, net.dims.n_t, max(cfg.d)),
+                     dtype=np.complex128)
         for i, p in enumerate(init_precoders):
             p = np.asarray(p)
             if p.shape != (net.dims.n_t, cfg.d[i]):
                 raise ConfigMismatch(
                     f"warm-start precoder {i} has shape {p.shape},"
                     f" expected {(net.dims.n_t, cfg.d[i])}")
-    return _run(net, cfg.d, cfg.max_iters, cfg.leakage_tol, cfg.seed,
-                init_precoders)
+            v[i, :, :cfg.d[i]] = p
+    return _run_batch(net.h[None], cfg.d, cfg.max_iters, cfg.leakage_tol,
+                      v[None])[0]
+
+
+def iterate_batch(nets, cfgs):
+    """Run ``iterate(nets[s], cfgs[s])`` for every ``s`` as one batch.
+
+    The networks must share their dimensions, and the configs everything
+    but the seed. Each trace is bitwise equal to the one ``iterate`` gives
+    for its pair alone.
+
+    Raises
+    ------
+    ValueError
+        If the batch is empty or the two lists differ in length.
+    ConfigMismatch
+        If the networks or the configs differ in more than channels and
+        seed, or the config does not fit the networks.
+    """
+    if not nets or len(nets) != len(cfgs):
+        raise ValueError(f"a batch needs one config per network, got"
+                         f" {len(nets)} networks and {len(cfgs)} configs")
+    if (len({net.dims for net in nets}) != 1
+            or len({(c.d, c.max_iters, c.leakage_tol) for c in cfgs}) != 1):
+        raise ConfigMismatch("a batch needs one network size and one"
+                             " stream count and stopping rule")
+    cfg = cfgs[0]
+    _check_config(nets[0], cfg)
+    v = np.stack([_random_precoders(net.dims, c.d, c.seed)
+                  for net, c in zip(nets, cfgs)])
+    return _run_batch(np.stack([net.h for net in nets]), cfg.d,
+                      cfg.max_iters, cfg.leakage_tol, v)
 
 
 @dataclass
@@ -198,8 +275,9 @@ def warm_start_check(net, cfg, sol, iterations=100,
         raise ConfigMismatch(
             f"solution precoders have shape {sol.precoders.shape}, expected"
             f" {(net.dims.k, net.dims.n_t)}")
-    init = [sol.precoders[i][:, None] for i in range(net.dims.k)]
-    trace = _run(net, cfg.d, iterations, 0.0, cfg.seed, init)
+    # no leakage falls below -inf, so every run makes all ``iterations``
+    init = np.array(sol.precoders, dtype=np.complex128)[None, :, :, None]
+    trace = _run_batch(net.h[None], cfg.d, iterations, -np.inf, init)[0]
     initial = float(trace.leakage[0])
     peak = float(trace.leakage.max())
     return WarmStartReport(

@@ -6,6 +6,7 @@ from eigenalign.channel import InterferenceNetwork, NetworkDims, generate
 from eigenalign.closed_form import AlignmentSolution, SolutionDiagnostics
 from eigenalign.errors import (DimensionMismatch, RankDeficientSolution,
                                ShapeMismatch, UnverifiedSolution)
+from eigenalign.iterative import IterativeConfig, iterate
 
 
 def manual_solution(precoders, combiners):
@@ -182,6 +183,31 @@ class TestFeasibilitySweep:
         assert len(result.traces) == len(result.records)
         for trace in result.traces:
             assert np.all(np.diff(trace) <= 1e-12)
+
+    def test_records_equal_single_runs(self):
+        result = analysis.feasibility_sweep([2], [3, 4], seeds=[2, 0, 1],
+                                            max_iters=200, keep_traces=True)
+        assert {r.iterations for r in result.records} > {200}
+        for rec, trace in zip(result.records, result.traces):
+            net = generate(NetworkDims(rec.k, rec.n_t, rec.n_r), rec.seed)
+            alone = iterate(net, IterativeConfig(
+                d=rec.d, max_iters=200, leakage_tol=1e-6, seed=rec.seed))
+            assert rec.iterations == alone.iterations
+            assert rec.final_leakage == float(alone.leakage[-1])
+            assert np.array_equal(trace, alone.leakage)
+
+    def test_progress_once_per_record_in_order(self):
+        seen = []
+        result = analysis.feasibility_sweep([2], [3, 4], seeds=[3, 1],
+                                            max_iters=100,
+                                            progress=seen.append)
+        assert len(seen) == len(result.records) == 4
+        assert all(a is b for a, b in zip(seen, result.records))
+
+    @pytest.mark.parametrize("seeds", [0, [], [4, 4], True])
+    def test_rejects_bad_seed_sets(self, seeds):
+        with pytest.raises(ValueError):
+            analysis.feasibility_sweep([2], [3], seeds, max_iters=10)
 
     def test_render_table(self):
         result = analysis.feasibility_sweep([2], [3, 4], seeds=2,

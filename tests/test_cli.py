@@ -207,3 +207,10 @@ class TestSweep:
         code, _, err = run(capsys, ["sweep", "--n-range", "4:2",
                                     "--k-range", "3"])
         assert code == 2
+
+    def test_no_seeds_exits_2(self, capsys):
+        code, out, err = run(capsys, ["sweep", "--n-range", "2",
+                                      "--k-range", "3", "--seeds", "0"])
+        assert code == 2
+        assert out == ""
+        assert "seed" in err

@@ -4,7 +4,8 @@ import pytest
 from eigenalign import closed_form, iterative
 from eigenalign.channel import InterferenceNetwork, NetworkDims, generate
 from eigenalign.errors import ConfigMismatch
-from eigenalign.iterative import IterativeConfig, iterate, warm_start_check
+from eigenalign.iterative import (IterativeConfig, iterate, iterate_batch,
+                                  warm_start_check)
 
 
 def zero_cross_network(k, n, seed=0):
@@ -100,6 +101,44 @@ class TestIterate:
         assert np.all(np.diff(trace.leakage) <= 1e-12)
 
 
+class TestBatch:
+    @pytest.mark.parametrize("dims,d,cap", [((3, 2, 2), (1, 1, 1), 60),
+                                            ((3, 4, 4), (2, 1, 2), 30)])
+    def test_runs_equal_single_runs(self, dims, d, cap):
+        seeds = range(8)
+        nets = [generate(NetworkDims(*dims), s) for s in seeds]
+        cfgs = [IterativeConfig(d=d, max_iters=cap, leakage_tol=1e-6, seed=s)
+                for s in seeds]
+        batch = iterate_batch(nets, cfgs)
+        stops = [t.iterations for t in batch]
+        # runs leave the batch at different iterations, some at the cap
+        assert cap in stops and min(stops) < cap
+        for net, cfg, got in zip(nets, cfgs, batch):
+            alone = iterate(net, cfg)
+            assert got.iterations == alone.iterations
+            assert got.converged == alone.converged
+            assert np.array_equal(got.leakage, alone.leakage)
+            for a, b in zip(got.precoders + got.combiners,
+                            alone.precoders + alone.combiners):
+                assert a.shape == b.shape
+                assert np.array_equal(a, b)
+
+    def test_validation(self):
+        net = generate(NetworkDims(3, 2, 2), 0)
+        cfg = IterativeConfig(d=(1, 1, 1))
+        with pytest.raises(ValueError):
+            iterate_batch([], [])
+        with pytest.raises(ValueError):
+            iterate_batch([net], [cfg, cfg])
+        with pytest.raises(ConfigMismatch):
+            iterate_batch([net, generate(NetworkDims(3, 3, 3), 1)], [cfg, cfg])
+        with pytest.raises(ConfigMismatch):
+            iterate_batch([net, net],
+                          [cfg, IterativeConfig(d=(1, 1, 1), max_iters=10)])
+        with pytest.raises(ConfigMismatch):
+            iterate_batch([net], [IterativeConfig(d=(1, 1))])
+
+
 class TestWarmStart:
     def test_closed_form_is_fixed_point(self):
         net = generate(NetworkDims(3, 2, 2), 42)
@@ -109,6 +148,9 @@ class TestWarmStart:
         assert report.initial_leakage < 1e-12
         assert report.max_leakage < 1e-10
         assert report.passed
+        # a leakage of exactly 0.0 must not end the check early
+        assert report.iterations == 100
+        assert len(report.trace) == 101
 
     def test_initial_value_against_direct_functional(self):
         # upper-bound oracle: leakage of the closed-form combiners
@@ -128,9 +170,11 @@ class TestWarmStart:
     def test_larger_network_fixed_point(self):
         net = generate(NetworkDims(4, 3, 3), 7)
         sol = closed_form.solve_eigen_method(net)
-        report = warm_start_check(net, IterativeConfig(d=(1,) * 4, seed=7), sol)
+        cfg = IterativeConfig(d=(1,) * 4, seed=7)
+        report = warm_start_check(net, cfg, sol, iterations=37)
         assert report.initial_leakage < 1e-12
         assert report.max_leakage < 1e-10
+        assert report.iterations == 37
 
     def test_random_precoders_leak(self):
         net = generate(NetworkDims(3, 2, 2), 15)
