@@ -28,8 +28,7 @@ from .errors import (ConfigMismatch, DimensionMismatch, EigenalignError,
 from .iterative import (IterativeConfig, LeakageTrace, WarmStartReport,
                         iterate, iterate_batch, trace_table,
                         warm_start_check)
-from .linalg import (EigenPair, eig_general, inverse, null_space_orthonormal,
-                     solve)
+from .linalg import EigenPair, eig_general, null_space_orthonormal, solve
 
 __version__ = "0.1.0"
 
@@ -44,7 +43,7 @@ __all__ = [
     "UnverifiedSolution", "VerificationReport", "WarmStartReport",
     "build_stacked", "coupling_mask", "cube_relation_check", "deserialize",
     "eig_general", "feasibility_sweep", "generate", "infeasibility_demo",
-    "inverse", "iterate", "iterate_batch", "loop_matrix",
+    "iterate", "iterate_batch", "loop_matrix",
     "null_space_orthonormal", "predicted_feasible", "records_table",
     "render_feasibility_table", "serialize", "solution_from_document",
     "solution_to_document", "solve", "solve_eigen_method",

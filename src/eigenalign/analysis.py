@@ -12,15 +12,16 @@ by fixed leakage thresholds, next to the dimension-count prediction that
 single-stream alignment works iff ``n_r + n_t - 1 >= k``.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
 from .channel import NetworkDims, generate
-from .closed_form import ALIGN_TOL, RANK_TOL, _channel_scale
-from .errors import (DimensionMismatch, ShapeMismatch, SingularChannel,
-                     UnverifiedSolution)
+from .closed_form import (ALIGN_TOL, RANK_TOL, _channel_ratios,
+                          _channel_scale, _interference_columns, _link_gains)
+from .errors import DimensionMismatch, ShapeMismatch, UnverifiedSolution
 from .iterative import IterativeConfig, iterate_batch
 
 #: Chordal distance above which the two eigenbases count as incompatible.
@@ -56,17 +57,11 @@ def verify(net, sol, align_tol=ALIGN_TOL, rank_tol=RANK_TOL):
         raise ShapeMismatch(
             f"combiners have shape {np.shape(sol.combiners)},"
             f" expected {(k, net.dims.n_r)}")
-    residuals = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                residuals[i, j] = abs(
-                    sol.combiners[i].conj() @ net.h[i, j] @ sol.precoders[j])
-    rank_metrics = np.array([
-        abs(sol.combiners[i].conj() @ net.h[i, i] @ sol.precoders[i])
-        for i in range(k)])
+    gains = _link_gains(net, sol.precoders, sol.combiners)
+    residuals = np.where(np.eye(k, dtype=bool), 0.0, gains)
+    rank_metrics = np.diagonal(gains).copy()
     scale = _channel_scale(net)
-    direct_norms = np.array([np.linalg.norm(net.h[i, i]) for i in range(k)])
+    direct_norms = np.linalg.norm(net.h[range(k), range(k)], axis=(1, 2))
     passed = bool(residuals.max() <= align_tol * scale
                   and np.all(rank_metrics >= rank_tol * direct_norms))
     return VerificationReport(residuals, rank_metrics, passed,
@@ -124,19 +119,6 @@ class InfeasibilityReport:
     incompatible: bool
 
 
-def _product_of_ratios(net, pairs):
-    out = None
-    for l, den, num in pairs:
-        cond = linalg.condition_estimate(net.h[l, den])
-        if not cond < linalg.CONDITION_CAP:
-            raise SingularChannel(
-                f"cross channel ({l}, {den}) has condition estimate {cond:.3e}",
-                pair=(l, den))
-        factor = linalg.solve(net.h[l, den], net.h[l, num])
-        out = factor if out is None else out @ factor
-    return out
-
-
 def infeasibility_demo(net, incompatibility_tol=INCOMPATIBILITY_TOL):
     """The 4-user, 2x2 counterexample, made quantitative.
 
@@ -153,11 +135,12 @@ def infeasibility_demo(net, incompatibility_tol=INCOMPATIBILITY_TOL):
             f"the demonstrator is specific to K=4 users with 2x2 channels,"
             f" got K={net.dims.k}, {net.dims.n_r}x{net.dims.n_t}")
 
+    def ratio(l, den, num):
+        return _channel_ratios(net, l, den, [num])[0]
+
     # Loop A: receivers 1, 4, 2, 3 (1-based); loop B: receivers 1, 3, 2, 4.
-    prod_a = _product_of_ratios(
-        net, [(0, 1, 2), (3, 2, 0), (1, 0, 3), (2, 3, 1)])
-    prod_b = _product_of_ratios(
-        net, [(0, 1, 3), (2, 3, 0), (1, 0, 2), (3, 1, 2)])
+    prod_a = ratio(0, 1, 2) @ ratio(3, 2, 0) @ ratio(1, 0, 3) @ ratio(2, 3, 1)
+    prod_b = ratio(0, 1, 3) @ ratio(2, 3, 0) @ ratio(1, 0, 2) @ ratio(3, 1, 2)
 
     vecs_a = [p.vector for p in linalg.eig_general(prod_a)]
     vecs_b = [p.vector for p in linalg.eig_general(prod_b)]
@@ -178,31 +161,27 @@ def infeasibility_demo(net, incompatibility_tol=INCOMPATIBILITY_TOL):
     v2 = v2 / np.linalg.norm(v2)
 
     # Back-substitute the remaining precoders along one consistent chain.
-    v3 = linalg.solve(net.h[3, 2], net.h[3, 1]) @ v2
+    v3 = ratio(3, 2, 1) @ v2
     v3 = v3 / np.linalg.norm(v3)
-    v1 = linalg.solve(net.h[1, 0], net.h[1, 2]) @ v3
+    v1 = ratio(1, 0, 2) @ v3
     v1 = v1 / np.linalg.norm(v1)
-    v4 = linalg.solve(net.h[2, 3], net.h[2, 0]) @ v1
+    v4 = ratio(2, 3, 0) @ v1
     v4 = v4 / np.linalg.norm(v4)
     precoders = np.stack([v1, v2, v3, v4])
 
     # Best least-squares combiners: weakest left singular direction of the
     # interference each receiver sees.
-    scale = _channel_scale(net)
-    worst = 0.0
-    for i in range(4):
-        cols = np.column_stack([net.h[i, j] @ precoders[j]
-                                for j in range(4) if j != i])
-        u = np.linalg.svd(cols)[0][:, -1]
-        for j in range(4):
-            if j != i:
-                worst = max(worst, abs(u.conj() @ net.h[i, j] @ precoders[j]))
+    combiners = np.stack([
+        np.linalg.svd(_interference_columns(net, precoders, i))[0][:, -1]
+        for i in range(4)])
+    worst = np.max(_link_gains(net, precoders, combiners),
+                   where=~np.eye(4, dtype=bool), initial=0.0)
 
     return InfeasibilityReport(
         distances=distances,
         min_chordal_distance=min_dist,
         closest_pair=(int(closest[0]), int(closest[1])),
-        joint_residual=worst / scale,
+        joint_residual=float(worst / _channel_scale(net)),
         incompatible=min_dist > incompatibility_tol,
     )
 
@@ -251,26 +230,33 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
                       keep_traces=False, progress=None):
     """Run the iterative probe over an (N, K) grid of square networks.
 
-    ``seeds`` may be an integer count (seeds 0..count-1) or an explicit
-    list. A run is feasible when its final leakage drops below
-    ``feasible_tol``, infeasible when it still exceeds ``infeasible_tol``
-    at the iteration cap, inconclusive otherwise; a cell verdict needs a
-    ``quorum`` fraction of its runs to agree. Records are produced in
-    sorted (n, k, seed) order, so the result does not depend on how the
-    work is scheduled. Each cell runs all its seeds as one
-    ``iterate_batch``; ``progress`` is called once per record, in record
-    order, in a burst after each cell's batch.
+    ``seeds`` may be an integer count (seeds 0..count-1, any integral
+    type but ``bool``) or an explicit list of integers. A run is feasible
+    when its final leakage drops below ``feasible_tol``, infeasible when
+    it still exceeds ``infeasible_tol`` at the iteration cap, inconclusive
+    otherwise; a cell verdict needs a ``quorum`` fraction of its runs to
+    agree. Records are produced in sorted (n, k, seed) order, so the
+    result does not depend on how the work is scheduled. Each cell runs
+    all its seeds as one ``iterate_batch``; ``progress`` is called once
+    per record, in record order, in a burst after each cell's batch.
 
     Raises
     ------
     ValueError
-        If ``seeds`` is a ``bool``, names no seed, or repeats one.
+        If ``seeds`` is a ``bool`` or a non-integral count, holds a
+        non-integral seed, names no seed, or repeats one.
     """
-    if isinstance(seeds, bool):
+    def integral(x):
+        return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+    if integral(seeds):
+        seeds = list(range(int(seeds)))
+    elif isinstance(seeds, (bool, numbers.Number)):
         raise ValueError(f"seeds must be a count or a list, got {seeds!r}")
-    if isinstance(seeds, int):
-        seeds = list(range(seeds))
     else:
+        seeds = list(seeds)
+        if not all(integral(s) for s in seeds):
+            raise ValueError(f"seeds must be integers, got {seeds}")
         seeds = sorted(int(s) for s in seeds)
     if not seeds:
         raise ValueError("the sweep needs at least one seed")

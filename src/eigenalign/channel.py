@@ -112,11 +112,76 @@ def serialize(net):
     return (json.dumps(doc, indent=1) + "\n").encode("utf-8")
 
 
-def _parse_entry(entry, where):
-    if (not isinstance(entry, list) or len(entry) != 2
-            or not all(isinstance(x, (int, float)) for x in entry)):
-        raise MalformedDocument("entry must be a [re, im] pair", where)
-    return complex(entry[0], entry[1])
+#: Exact types a JSON number parses to; ``bool`` (``true``/``false``) is
+#: a subclass of ``int`` and is refused by comparing types, not instances.
+_REAL = (int, float)
+
+
+def _read_document(data, fmt, kind):
+    """Decode and parse a versioned JSON document and check its header.
+
+    Shared by the channel and the solution documents: UTF-8 bytes (or
+    text), a top-level object, ``"format": fmt`` and integer ``k/nt/nr``
+    that make valid :class:`NetworkDims`. Returns ``(doc, dims)``.
+    """
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedDocument(f"not UTF-8 text: {exc.reason}",
+                                    f"byte {exc.start}") from None
+    try:
+        doc = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise MalformedDocument(f"invalid JSON: {exc.msg}",
+                                f"line {exc.lineno}") from exc
+    except RecursionError:
+        raise MalformedDocument("JSON nested too deeply",
+                                "document root") from None
+    if not isinstance(doc, dict):
+        raise MalformedDocument("top level must be an object", "document root")
+    if type(doc.get("format")) is not int or doc["format"] != fmt:
+        raise MalformedDocument(
+            f"unsupported {kind} format {doc.get('format')!r}", "format")
+    for key in ("k", "nt", "nr"):
+        if type(doc.get(key)) is not int:
+            raise MalformedDocument(f"field '{key}' must be an integer", key)
+    try:
+        dims = NetworkDims(doc["k"], doc["nt"], doc["nr"])
+    except ValueError as exc:
+        raise MalformedDocument(str(exc), "k/nt/nr") from exc
+    return doc, dims
+
+
+def _real(value, where):
+    """A finite JSON number as a float."""
+    try:
+        out = float(value) if type(value) in _REAL else None
+    except OverflowError:
+        out = None
+    if out is None or not np.isfinite(out):
+        raise MalformedDocument("expected a finite number", where)
+    return out
+
+
+def _parse_vector(items, length, where):
+    """A length-``length`` list of ``[re, im]`` pairs of finite numbers as
+    a complex vector holding exactly the numbers read."""
+    if type(items) is not list or len(items) != length:
+        raise MalformedDocument(
+            f"expected a length-{length} list of [re, im] pairs", where)
+    for c, e in enumerate(items):
+        if (type(e) is not list or len(e) != 2
+                or type(e[0]) not in _REAL or type(e[1]) not in _REAL):
+            raise MalformedDocument("entry must be a [re, im] pair",
+                                    f"{where}[{c}]")
+    try:
+        out = np.array(items, dtype=np.float64)
+    except OverflowError:
+        raise MalformedDocument("number out of range", where) from None
+    if not np.isfinite(out).all():
+        raise MalformedDocument("entries must be finite", where)
+    return out.view(np.complex128)[:, 0]
 
 
 def _parse_matrix(m, n_r, n_t, where):
@@ -126,10 +191,8 @@ def _parse_matrix(m, n_r, n_t, where):
         raise ShapeMismatch(
             f"matrix at {where} is {len(m)}x{len(m[0]) if m and isinstance(m[0], list) else '?'},"
             f" expected {n_r}x{n_t}")
-    return np.array(
-        [[_parse_entry(m[r][c], f"{where}[{r}][{c}]") for c in range(n_t)]
-         for r in range(n_r)],
-        dtype=np.complex128)
+    return np.stack([_parse_vector(row, n_t, f"{where}[{r}]")
+                     for r, row in enumerate(m)])
 
 
 def deserialize(data):
@@ -138,34 +201,16 @@ def deserialize(data):
     Raises
     ------
     MalformedDocument
-        On syntax errors, missing fields or wrong field types; the message
-        names the offending location.
+        On bytes that are not UTF-8, syntax errors, missing fields, wrong
+        field types (``true``/``false`` are not numbers) or non-finite
+        entries; the message names the offending location.
     ShapeMismatch
         When a matrix disagrees with the declared dimensions.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"invalid JSON: {exc.msg}",
-                                f"line {exc.lineno}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedDocument("top level must be an object", "document root")
-    if doc.get("format") != CHANNEL_FORMAT:
-        raise MalformedDocument(
-            f"unsupported format {doc.get('format')!r}", "format")
-    for key in ("k", "nt", "nr"):
-        if not isinstance(doc.get(key), int):
-            raise MalformedDocument(f"field '{key}' must be an integer", key)
+    doc, dims = _read_document(data, CHANNEL_FORMAT, "channel")
     seed = doc.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and type(seed) is not int:
         raise MalformedDocument("field 'seed' must be an integer or null", "seed")
-    try:
-        dims = NetworkDims(doc["k"], doc["nt"], doc["nr"])
-    except ValueError as exc:
-        raise MalformedDocument(str(exc), "k/nt/nr") from exc
-
     grid = doc.get("h")
     if (not isinstance(grid, list) or len(grid) != dims.k
             or any(not isinstance(row, list) or len(row) != dims.k for row in grid)):

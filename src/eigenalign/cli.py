@@ -82,10 +82,9 @@ def _parse_snr_range(text):
 def _solution_summary(sol, method):
     lam = sol.eigenvalue
     lam_text = "-" if lam is None else f"{lam.real:.12g}{lam.imag:+.12g}j"
-    rank = (float("nan") if sol.diagnostics.rank_metrics is None
-            else float(np.min(sol.diagnostics.rank_metrics)))
     return (f"method={method} residual={sol.diagnostics.alignment_residual:.6e}"
-            f" rank_metric={rank:.6e} lambda={lam_text}")
+            f" rank_metric={np.min(sol.diagnostics.rank_metrics):.6e}"
+            f" lambda={lam_text}")
 
 
 def cmd_gen(args):
@@ -99,46 +98,31 @@ def cmd_gen(args):
     return EXIT_OK
 
 
-def _solution_from_trace(trace, dims):
-    precoders = np.stack([v[:, 0] for v in trace.precoders])
-    combiners = np.stack([u[:, 0] for u in trace.combiners])
-    sol = closed_form.AlignmentSolution(
-        precoders, combiners, np.ones(dims.k, dtype=int), None,
-        closed_form.SolutionDiagnostics(0.0, None, None, True))
-    return sol
-
-
 def cmd_solve(args):
     net = _load_network(args.infile)
     if args.method in ("eigen", "loop"):
         solver = (closed_form.solve_eigen_method if args.method == "eigen"
                   else closed_form.solve_loop_method)
         try:
-            sol = solver(net)
+            sol, failure = solver(net), None
         except RankDeficientSolution as exc:
-            sol = exc.solution
-            if args.out and sol is not None:
-                _write_bytes(args.out, closed_form.solution_to_document(
-                    sol, net.dims, args.method))
-            print(_solution_summary(sol, args.method))
-            print(f"FAIL rank condition: {exc}")
-            return EXIT_NEGATIVE
+            sol, failure = exc.solution, exc
         if args.out:
             _write_bytes(args.out, closed_form.solution_to_document(
                 sol, net.dims, args.method))
         print(_solution_summary(sol, args.method))
+        if failure is not None:
+            print(f"FAIL rank condition: {failure}")
+            return EXIT_NEGATIVE
         return EXIT_OK
 
     cfg = iterative.IterativeConfig(
         d=(1,) * net.dims.k, max_iters=args.max_iters,
         leakage_tol=args.tol, seed=args.seed)
     trace = iterative.iterate(net, cfg)
-    sol = _solution_from_trace(trace, net.dims)
-    report = analysis.verify(net, sol)
-    sol.diagnostics.alignment_residual = float(
-        report.residuals.max() / report.channel_scale)
-    direct = np.array([np.linalg.norm(net.h[i, i]) for i in range(net.dims.k)])
-    sol.diagnostics.rank_metrics = report.rank_metrics / direct
+    sol = closed_form._diagnosed_solution(
+        net, np.stack([v[:, 0] for v in trace.precoders]),
+        np.stack([u[:, 0] for u in trace.combiners]))
     if args.out:
         _write_bytes(args.out, closed_form.solution_to_document(
             sol, net.dims, "iterative"))

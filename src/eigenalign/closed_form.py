@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .channel import InterferenceNetwork, NetworkDims
+from .channel import NetworkDims, _parse_vector, _read_document, _real
 from .errors import (DimensionMismatch, MalformedDocument, NoUsableEigenpair,
-                     RankDeficientSolution, SingularChannel)
+                     RankDeficientSolution, SingularChannel, SingularMatrix)
 
 #: Version tag written into every solution document.
 SOLUTION_FORMAT = 1
@@ -56,27 +56,18 @@ def unit_couplings(k):
 
 @dataclass(frozen=True)
 class StackedSystem:
-    """The assembled block matrices of the eigenvalue construction.
+    """The compensated matrix of the eigenvalue construction.
 
-    ``stacked`` collects every weighted cross channel with zero diagonal
-    blocks; ``permutation`` is the cyclic block-row shift that moves one
-    invertible block per row onto the diagonal; ``block_diagonal`` holds
-    those diagonal blocks; ``compensated`` is the matrix whose eigenvectors
-    encode the precoders. ``couplings`` is the per-block scale grid,
-    ``dependency_weights`` the equivalent per-receiver combination weights,
-    and ``shift`` the free nonzero parameter of the parametrization
-    (fixed to -1 here), tied together by
-    ``compensated == -shift * (inv(block_diagonal) @ permutation @ stacked - I)``.
+    Block ``(r, c)`` of ``compensated`` is ``couplings[r, c]`` times
+    ``inv(h[r-1, r]) @ h[r-1, c]``, zero on the diagonal and in column
+    ``r - 1``; its eigenvectors encode the precoders. It equals
+    ``-shift * (inv(D) @ P @ S - I)`` with shift -1, where ``S`` stacks
+    the weighted cross channels, ``P`` is the cyclic block-row shift and
+    ``D`` the shifted diagonal blocks; the tests rebuild it that way.
     """
 
     dims: NetworkDims
-    stacked: np.ndarray = field(repr=False)
-    permutation: np.ndarray = field(repr=False)
-    block_diagonal: np.ndarray = field(repr=False)
     compensated: np.ndarray = field(repr=False)
-    couplings: np.ndarray = field(repr=False)
-    dependency_weights: np.ndarray = field(repr=False)
-    shift: complex = -1.0
 
 
 @dataclass
@@ -105,33 +96,43 @@ class AlignmentSolution:
     diagnostics: SolutionDiagnostics
 
 
-def _require_invertible_cross_channels(net):
-    for i, j in net.cross_pairs():
-        cond = linalg.condition_estimate(net.h[i, j])
-        if not cond < linalg.CONDITION_CAP:
-            raise SingularChannel(
-                f"cross channel ({i}, {j}) has condition estimate {cond:.3e}",
-                pair=(i, j))
+def _channel_ratios(net, l, den, nums):
+    """The ratios ``inv(h[l, den]) @ h[l, c]`` for each ``c`` in ``nums``.
+
+    One condition-capped solve with the numerators side by side; an empty
+    ``nums`` only checks ``h[l, den]``. Every route that inverts a cross
+    channel goes through here.
+
+    Raises
+    ------
+    SingularChannel
+        Naming ``(l, den)`` when ``h[l, den]`` fails the condition cap.
+    """
+    n_r, n_t = net.dims.n_r, net.dims.n_t
+    rhs = net.h[l, list(nums)].transpose(1, 0, 2).reshape(n_r, len(nums) * n_t)
+    try:
+        out = linalg.solve(net.h[l, den], rhs)
+    except SingularMatrix as exc:
+        raise SingularChannel(f"cross channel ({l}, {den}): {exc}",
+                              pair=(l, den)) from None
+    return [out[:, m * n_t:(m + 1) * n_t] for m in range(len(nums))]
 
 
 def _compensated_matrix(net, couplings):
-    """Assemble only the compensated matrix; no dimension gate, so the
-    K = 3 spectral check can reuse it for any square N."""
+    """Assemble the compensated matrix, one checked solve per block row;
+    no dimension gate, so the K = 3 routes can reuse it for any square N."""
     k, n = net.dims.k, net.dims.n_t
     out = np.zeros((k * n, k * n), dtype=np.complex128)
     for r in range(k):
         l = (r - 1) % k
-        lu = linalg.as_complex_matrix(net.h[l, r])
-        for c in range(k):
-            if c == r or c == l:
-                continue
-            block = linalg.solve(lu, net.h[l, c])
+        cols = [c for c in range(k) if c not in (r, l)]
+        for c, block in zip(cols, _channel_ratios(net, l, r, cols)):
             out[r * n:(r + 1) * n, c * n:(c + 1) * n] = couplings[r, c] * block
     return out
 
 
 def build_stacked(net, couplings=None):
-    """Assemble the full stacked system for a K = N + 1 square network.
+    """Assemble the compensated matrix for a K = N + 1 square network.
 
     Parameters
     ----------
@@ -155,7 +156,6 @@ def build_stacked(net, couplings=None):
     if k != n_t + 1:
         raise DimensionMismatch(
             f"the construction needs K = N + 1 users, got K={k}, N={n_t}")
-    n = n_t
     if couplings is None:
         couplings = unit_couplings(k)
     couplings = np.asarray(couplings, dtype=np.complex128)
@@ -166,36 +166,11 @@ def build_stacked(net, couplings=None):
         raise ValueError(
             "couplings must be nonzero exactly on the off-diagonal blocks"
             " the compensated matrix keeps")
-    _require_invertible_cross_channels(net)
-
-    # One consistent choice of per-receiver dependency weights: row l keeps
-    # weight 1 on its successor column and inherits the couplings elsewhere,
-    # which realizes the compensated matrix with shift -1.
-    weights = np.zeros((k, k), dtype=np.complex128)
-    for l in range(k):
-        succ = (l + 1) % k
-        weights[l, succ] = 1.0
-        for j in range(k):
-            if j != l and j != succ:
-                weights[l, j] = couplings[succ, j]
-
-    stacked = np.zeros((k * n, k * n), dtype=np.complex128)
-    permutation = np.zeros((k * n, k * n), dtype=np.complex128)
-    block_diagonal = np.zeros((k * n, k * n), dtype=np.complex128)
-    eye = np.eye(n, dtype=np.complex128)
-    for r in range(k):
-        l = (r - 1) % k
-        permutation[r * n:(r + 1) * n, l * n:(l + 1) * n] = eye
-        block_diagonal[r * n:(r + 1) * n, r * n:(r + 1) * n] = (
-            weights[l, r] * net.h[l, r])
-        for c in range(k):
-            if c != r:
-                stacked[r * n:(r + 1) * n, c * n:(c + 1) * n] = (
-                    weights[r, c] * net.h[r, c])
-
-    compensated = _compensated_matrix(net, couplings)
-    return StackedSystem(net.dims, stacked, permutation, block_diagonal,
-                         compensated, couplings, weights, shift=-1.0)
+    # The K(K-1) gate: every cross channel must pass the cap, not only the
+    # K blocks h[r-1, r] that the compensated matrix inverts.
+    for i, j in net.cross_pairs():
+        _channel_ratios(net, i, j, ())
+    return StackedSystem(net.dims, _compensated_matrix(net, couplings))
 
 
 def _fix_phase(v):
@@ -215,33 +190,46 @@ def _channel_scale(net):
     return float(norms.max())
 
 
-def _finish_solution(net, precoders, eigenvalue, eigen_residual):
-    """Combiners, residual summary and the rank gate, shared by both
-    construction routes. Raises RankDeficientSolution (with the otherwise
-    complete solution attached) when a direct link is zero-forced away."""
+def _link_gains(net, precoders, combiners):
+    """The (K, K) grid of ``|u_i^H H_ij v_j|``, receiver i by transmitter j:
+    cross links off the diagonal, direct links on it."""
+    return np.abs(np.einsum("ia,ijab,jb->ij", np.conj(combiners), net.h,
+                            precoders))
+
+
+def _diagnosed_solution(net, precoders, combiners, eigenvalue=None,
+                        eigen_residual=None):
+    """One stream per user: wrap the filters in an
+    :class:`AlignmentSolution` with its :class:`SolutionDiagnostics`.
+    Every route builds its solution here, closed-form and iterative."""
     k = net.dims.k
-    combiners = np.empty((k, net.dims.n_r), dtype=np.complex128)
-    for i in range(k):
-        basis = linalg.null_space_orthonormal(_interference_columns(net, precoders, i))
-        combiners[i] = _fix_phase(basis[:, 0])
-
-    scale = _channel_scale(net)
-    worst = 0.0
-    for i, j in net.cross_pairs():
-        worst = max(worst, abs(combiners[i].conj() @ net.h[i, j] @ precoders[j]))
-    rank_metrics = np.array([
-        abs(combiners[i].conj() @ net.h[i, i] @ precoders[i])
-        / np.linalg.norm(net.h[i, i]) for i in range(k)])
-
+    gains = _link_gains(net, precoders, combiners)
+    direct = np.linalg.norm(net.h[range(k), range(k)], axis=(1, 2))
+    rank_metrics = np.diagonal(gains) / direct
     diag = SolutionDiagnostics(
-        alignment_residual=worst / scale,
+        alignment_residual=float(
+            np.max(gains, where=~np.eye(k, dtype=bool), initial=0.0)
+            / _channel_scale(net)),
         rank_metrics=rank_metrics,
         eigen_residual=eigen_residual,
         rank_ok=bool(np.all(rank_metrics >= RANK_TOL)),
     )
-    sol = AlignmentSolution(np.asarray(precoders), combiners,
-                            np.ones(k, dtype=int), eigenvalue, diag)
-    if not diag.rank_ok:
+    return AlignmentSolution(np.asarray(precoders), combiners,
+                             np.ones(k, dtype=int), eigenvalue, diag)
+
+
+def _finish_solution(net, precoders, eigenvalue, eigen_residual):
+    """Zero-forcing combiners, diagnostics and the rank gate of both
+    closed-form routes. Raises RankDeficientSolution (with the otherwise
+    complete solution attached) when a direct link is zero-forced away."""
+    combiners = np.stack([
+        _fix_phase(linalg.null_space_orthonormal(
+            _interference_columns(net, precoders, i))[:, 0])
+        for i in range(net.dims.k)])
+    sol = _diagnosed_solution(net, precoders, combiners, eigenvalue,
+                              eigen_residual)
+    if not sol.diagnostics.rank_ok:
+        rank_metrics = sol.diagnostics.rank_metrics
         user = int(np.argmin(rank_metrics))
         raise RankDeficientSolution(
             f"direct link of user {user} is confined to the interference"
@@ -292,28 +280,25 @@ def solve_eigen_method(net):
         " residual, or a vanishing per-user block")
 
 
-def _loop_factors(net):
-    """The three inverse-product factors of the 3-user loop, receiver by
-    receiver: returns (inv(h31) h32, inv(h12) h13, inv(h23) h21)."""
-    def ratio(l, num_col, den_col):
-        cond = linalg.condition_estimate(net.h[l, den_col])
-        if not cond < linalg.CONDITION_CAP:
-            raise SingularChannel(
-                f"cross channel ({l}, {den_col}) has condition estimate {cond:.3e}",
-                pair=(l, den_col))
-        return linalg.solve(net.h[l, den_col], net.h[l, num_col])
-
-    return ratio(2, 1, 0), ratio(0, 2, 1), ratio(1, 0, 2)
+def _loop_system(net, what):
+    """The K = 3 gate, then the compensated matrix and the three loop
+    factors ``(inv(h31) h32, inv(h12) h13, inv(h23) h21)``, which are its
+    nonzero blocks ``(r, r + 1)``; ``what`` names the caller in errors."""
+    if net.dims.k != 3:
+        raise DimensionMismatch(f"{what} needs K = 3, got K={net.dims.k}")
+    if net.dims.n_t != net.dims.n_r:
+        raise DimensionMismatch(
+            f"{what} needs square channels, got {net.dims.n_r}x{net.dims.n_t}")
+    n = net.dims.n_t
+    compensated = _compensated_matrix(net, unit_couplings(3))
+    blocks = compensated.reshape(3, n, 3, n)
+    factors = [blocks[r, :, (r + 1) % 3] for r in range(3)]
+    return compensated, factors
 
 
 def loop_matrix(net):
     """The N x N product matrix of the 3-user loop equations."""
-    if net.dims.k != 3:
-        raise DimensionMismatch(f"loop method needs K = 3, got K={net.dims.k}")
-    if net.dims.n_t != net.dims.n_r:
-        raise DimensionMismatch(
-            f"loop method needs square channels, got {net.dims.n_r}x{net.dims.n_t}")
-    first, second, third = _loop_factors(net)
+    _, (first, second, third) = _loop_system(net, "loop method")
     return first @ second @ third
 
 
@@ -326,12 +311,7 @@ def solve_loop_method(net):
     through the receivers they interfere at, and combiners are built as in
     the stacked route.
     """
-    if net.dims.k != 3:
-        raise DimensionMismatch(f"loop method needs K = 3, got K={net.dims.k}")
-    if net.dims.n_t != net.dims.n_r:
-        raise DimensionMismatch(
-            f"loop method needs square channels, got {net.dims.n_r}x{net.dims.n_t}")
-    first, second, third = _loop_factors(net)
+    _, (first, second, third) = _loop_system(net, "loop method")
     pairs = linalg.eig_general(first @ second @ third)
     lead = pairs[0]
     v1 = lead.vector
@@ -377,16 +357,11 @@ def cube_relation_check(net, rel_tol=1e-6):
     worst relative mismatch; the report's ``passed`` flag applies
     ``rel_tol``.
     """
-    if net.dims.k != 3:
-        raise DimensionMismatch(
-            f"cube relation check needs K = 3, got K={net.dims.k}")
-    if net.dims.n_t != net.dims.n_r:
-        raise DimensionMismatch(
-            f"cube relation check needs square channels,"
-            f" got {net.dims.n_r}x{net.dims.n_t}")
-    compensated = _compensated_matrix(net, unit_couplings(3))
+    compensated, (first, second, third) = _loop_system(
+        net, "cube relation check")
     stacked_vals = np.array([p.value for p in linalg.eig_general(compensated)])
-    loop_vals = np.array([p.value for p in linalg.eig_general(loop_matrix(net))])
+    loop_vals = np.array([p.value
+                          for p in linalg.eig_general(first @ second @ third)])
 
     nonzero_floor = 1e-8 * np.abs(stacked_vals).max()
     matches = []
@@ -428,31 +403,18 @@ def solution_to_document(sol, dims, method=""):
     return (json.dumps(doc, indent=1) + "\n").encode("utf-8")
 
 
-def _parse_vector(doc, length, where):
-    if (not isinstance(doc, list) or len(doc) != length
-            or any(not isinstance(e, list) or len(e) != 2
-                   or not all(isinstance(x, (int, float)) for x in e)
-                   for e in doc)):
-        raise MalformedDocument(
-            f"expected a length-{length} list of [re, im] pairs", where)
-    return np.array([complex(e[0], e[1]) for e in doc], dtype=np.complex128)
-
-
 def solution_from_document(data):
-    """Parse a solution document; returns (solution, dims, method)."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"invalid JSON: {exc.msg}",
-                                f"line {exc.lineno}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != SOLUTION_FORMAT:
-        raise MalformedDocument("unsupported solution format", "format")
-    for key in ("k", "nt", "nr"):
-        if not isinstance(doc.get(key), int):
-            raise MalformedDocument(f"field '{key}' must be an integer", key)
-    dims = NetworkDims(doc["k"], doc["nt"], doc["nr"])
+    """Parse a solution document; returns (solution, dims, method).
+
+    Raises
+    ------
+    MalformedDocument
+        On anything :func:`eigenalign.channel.deserialize` refuses in the
+        shared header (bytes, JSON, ``format``, ``k/nt/nr``) and entries,
+        and on a bad ``users`` list, ``lambda``, ``residual`` or
+        ``method``.
+    """
+    doc, dims = _read_document(data, SOLUTION_FORMAT, "solution")
     users = doc.get("users")
     if (not isinstance(users, list) or len(users) != dims.k
             or any(not isinstance(u, dict) for u in users)):
@@ -464,17 +426,19 @@ def solution_from_document(data):
         _parse_vector(u.get("u"), dims.n_r, f"users[{i}].u")
         for i, u in enumerate(users)])
     lam = doc.get("lambda")
-    if lam is not None and (not isinstance(lam, list) or len(lam) != 2):
-        raise MalformedDocument("'lambda' must be [re, im] or null", "lambda")
-    eigenvalue = None if lam is None else complex(lam[0], lam[1])
+    eigenvalue = (None if lam is None
+                  else complex(_parse_vector([lam], 1, "lambda")[0]))
     residual = doc.get("residual")
+    method = doc.get("method", "")
+    if type(method) is not str:
+        raise MalformedDocument("field 'method' must be a string", "method")
     diag = SolutionDiagnostics(
-        alignment_residual=(float(residual) if isinstance(residual, (int, float))
-                            else float("nan")),
+        alignment_residual=(float("nan") if residual is None
+                            else _real(residual, "residual")),
         rank_metrics=None,
         eigen_residual=None,
         rank_ok=True,
     )
     sol = AlignmentSolution(precoders, combiners,
                             np.ones(dims.k, dtype=int), eigenvalue, diag)
-    return sol, dims, doc.get("method", "")
+    return sol, dims, method

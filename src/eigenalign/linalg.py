@@ -158,10 +158,3 @@ def solve(a, b):
             f"condition estimate {cond:.3e} exceeds cap {CONDITION_CAP:.0e}")
     return np.linalg.solve(a, b)
 
-
-def inverse(a):
-    """Inverse of ``a`` under the same condition cap as :func:`solve`."""
-    a = as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise NonSquare(f"inverse needs a square matrix, got {a.shape}")
-    return solve(a, np.eye(a.shape[0], dtype=np.complex128))

@@ -37,6 +37,15 @@ class TestVerify:
         assert not report.passed
         bound = report.align_tol * report.channel_scale
         assert report.residuals[0, 1] > bound or report.residuals[2, 1] > bound
+        # the gain kernel against the link-by-link products
+        gains = np.array([[abs(broken.combiners[i].conj() @ net.h[i, j]
+                               @ broken.precoders[j]) for j in range(3)]
+                          for i in range(3)])
+        np.testing.assert_allclose(report.residuals,
+                                   gains * (1 - np.eye(3)), rtol=1e-12,
+                                   atol=1e-14)
+        np.testing.assert_allclose(report.rank_metrics, np.diag(gains),
+                                   rtol=1e-12)
 
     def test_degenerate_identity_network_fails_rank(self):
         h = np.tile(np.eye(2, dtype=complex), (3, 3, 1, 1))
@@ -204,7 +213,7 @@ class TestFeasibilitySweep:
         assert len(seen) == len(result.records) == 4
         assert all(a is b for a, b in zip(seen, result.records))
 
-    @pytest.mark.parametrize("seeds", [0, [], [4, 4], True])
+    @pytest.mark.parametrize("seeds", [0, [], [4, 4], True, [1.5, 2.7], 2.5])
     def test_rejects_bad_seed_sets(self, seeds):
         with pytest.raises(ValueError):
             analysis.feasibility_sweep([2], [3], seeds, max_iters=10)
@@ -225,6 +234,10 @@ class TestFeasibilitySweep:
         lines = text.strip().splitlines()
         assert lines[0] == "n k seed final_leakage iterations verdict"
         assert lines[1].startswith("2 3 0 ")
+        # any integral count but bool, NumPy integers included
+        again = analysis.feasibility_sweep([2], [3], seeds=np.int64(1),
+                                           max_iters=500)
+        assert again.records == result.records
 
     def test_prediction_rule(self):
         assert analysis.predicted_feasible(2, 2, 3)

@@ -79,6 +79,11 @@ class TestSerialization:
     def test_invalid_json(self):
         with pytest.raises(MalformedDocument):
             channel.deserialize(b"{not json")
+        data = channel.serialize(channel.generate(channel.NetworkDims(2, 1, 1), 0))
+        with pytest.raises(MalformedDocument, match="UTF-8"):
+            channel.deserialize(data.replace(b'"seed"', b'"se\xffed"'))
+        with pytest.raises(MalformedDocument, match="nested"):
+            channel.deserialize("[" * 100000)
 
     def test_missing_field(self):
         with pytest.raises(MalformedDocument, match="nr"):
@@ -103,6 +108,28 @@ class TestSerialization:
                "h": [[[[1.0, 0.0]]]]}
         with pytest.raises(MalformedDocument, match="'h'"):
             channel.deserialize(json.dumps(doc))
+
+
+def _set_entry(doc, value):
+    doc["h"][0][1][0][0] = value
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.update(nt=True),
+    lambda d: d.update(format=True),
+    lambda d: d.update(seed=False),
+    lambda d: _set_entry(d, [True, False]),
+    lambda d: _set_entry(d, [float("nan"), 0.0]),
+    lambda d: _set_entry(d, [0.0, float("inf")]),
+    lambda d: _set_entry(d, [10 ** 400, 0]),
+], ids=["bool-nt", "bool-format", "bool-seed", "bool-entry",
+        "nan-entry", "inf-entry", "huge-entry"])
+def test_malformed_values_rejected(mutate):
+    doc = json.loads(channel.serialize(
+        channel.generate(channel.NetworkDims(2, 2, 2), 0)))
+    mutate(doc)
+    with pytest.raises(MalformedDocument):
+        channel.deserialize(json.dumps(doc))
 
 
 class TestNetworkValidation:

@@ -153,6 +153,23 @@ class TestVerifyAndRates:
                                     "--solution", str(sol)])
         assert code == 2
 
+    def test_malformed_documents_exit_2(self, channel_file, tmp_path, capsys):
+        import json
+        sol = tmp_path / "sol.json"
+        run(capsys, ["solve", "--method", "eigen", "--in", str(channel_file),
+                     "--out", str(sol)])
+        doc = json.loads(sol.read_bytes())
+        doc["lambda"] = ["a", "b"]
+        sol.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["verify", "--channel", str(channel_file),
+                                    "--solution", str(sol)])
+        assert code == 2 and "lambda" in err
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        code, _, err = run(capsys, ["solve", "--method", "eigen",
+                                    "--in", str(bad)])
+        assert code == 2 and "UTF-8" in err
+
     def test_rates_rows_and_monotonicity(self, channel_file, tmp_path, capsys):
         sol = tmp_path / "sol.json"
         run(capsys, ["solve", "--method", "eigen", "--in", str(channel_file),

@@ -35,6 +35,47 @@ def identity_cross_network(k, n, direct_seed=None):
     return InterferenceNetwork(NetworkDims(k, n, n), h)
 
 
+#: The free nonzero parameter of the parametrization, fixed to -1.
+SHIFT = -1.0
+
+
+def stacked_oracle(net, couplings):
+    """Independent derivation of the compensated matrix.
+
+    Returns the stacked cross channels ``S`` (weighted, zero diagonal
+    blocks), the cyclic block-row shift ``P`` and the shifted diagonal
+    blocks ``D``, built from one choice of per-receiver dependency
+    weights: row l keeps weight 1 on its successor column and inherits the
+    couplings elsewhere. Then ``compensated == -SHIFT * (inv(D) P S - I)``.
+    """
+    k, n = net.dims.k, net.dims.n_t
+    weights = np.zeros((k, k), dtype=complex)
+    for l in range(k):
+        succ = (l + 1) % k
+        weights[l, succ] = 1.0
+        for j in range(k):
+            if j != l and j != succ:
+                weights[l, j] = couplings[succ, j]
+    stacked, permutation, block_diagonal = (
+        np.zeros((k * n, k * n), dtype=complex) for _ in range(3))
+    for r in range(k):
+        l = (r - 1) % k
+        permutation[r * n:(r + 1) * n, l * n:(l + 1) * n] = np.eye(n)
+        block_diagonal[r * n:(r + 1) * n, r * n:(r + 1) * n] = (
+            weights[l, r] * net.h[l, r])
+        for c in range(k):
+            if c != r:
+                stacked[r * n:(r + 1) * n, c * n:(c + 1) * n] = (
+                    weights[r, c] * net.h[r, c])
+    return stacked, permutation, block_diagonal
+
+
+def rebuilt_compensated(net, couplings):
+    stacked, permutation, block_diagonal = stacked_oracle(net, couplings)
+    return -SHIFT * (np.linalg.inv(block_diagonal) @ permutation @ stacked
+                     - np.eye(len(stacked)))
+
+
 class TestBuildStacked:
     def test_identity_channels_block_cyclic(self):
         net = identity_cross_network(3, 2)
@@ -83,16 +124,12 @@ class TestBuildStacked:
         # compensated == -shift (inv(block_diagonal) permutation stacked - I)
         net = generate(NetworkDims(n + 1, n, n), seed)
         system = closed_form.build_stacked(net)
-        kn = (n + 1) * n
-        rebuilt = -system.shift * (
-            np.linalg.inv(system.block_diagonal) @ system.permutation
-            @ system.stacked - np.eye(kn))
+        rebuilt = rebuilt_compensated(net, closed_form.unit_couplings(n + 1))
         assert np.abs(system.compensated - rebuilt).max() < 1e-10
 
     def test_permutation_structure(self):
         net = generate(NetworkDims(4, 3, 3), 0)
-        system = closed_form.build_stacked(net)
-        p = system.permutation
+        _, p, _ = stacked_oracle(net, closed_form.unit_couplings(4))
         assert np.array_equal(p @ p.conj().T, np.eye(12).astype(complex))
         n = 3
         for r in range(4):
@@ -131,10 +168,7 @@ class TestBuildStacked:
         couplings = closed_form.unit_couplings(3)
         couplings[couplings != 0] *= np.array([2.0, 0.5 + 1j, -3.0])
         system = closed_form.build_stacked(net, couplings)
-        kn = 6
-        rebuilt = -system.shift * (
-            np.linalg.inv(system.block_diagonal) @ system.permutation
-            @ system.stacked - np.eye(kn))
+        rebuilt = rebuilt_compensated(net, couplings)
         assert np.abs(system.compensated - rebuilt).max() < 1e-10
 
 
@@ -283,6 +317,19 @@ class TestCubeRelation:
         with pytest.raises(DimensionMismatch):
             closed_form.cube_relation_check(generate(NetworkDims(4, 3, 3), 0))
 
+    def test_singular_channel_named(self):
+        # the same error, naming the same pair, as the two solve routes
+        net = generate(NetworkDims(3, 2, 2), 1)
+        h = net.h.copy()
+        h[0, 1] = np.array([[1.0, 2.0], [2.0, 4.0]])
+        broken = InterferenceNetwork(net.dims, h)
+        for route in (closed_form.cube_relation_check,
+                      closed_form.solve_eigen_method,
+                      closed_form.solve_loop_method):
+            with pytest.raises(SingularChannel) as err:
+                route(broken)
+            assert err.value.pair == (0, 1)
+
 
 class TestSolutionDocument:
     def test_round_trip(self):
@@ -324,3 +371,23 @@ class TestSolutionDocument:
         parsed, _, _ = closed_form.solution_from_document(
             json.dumps(null_residual))
         assert np.isnan(parsed.diagnostics.alignment_residual)
+
+        # booleans are not numbers; NaN, Infinity, dimensions NetworkDims
+        # refuses and a non-string method are malformed too
+        def entry(value):
+            return {"users": [doc["users"][0],
+                              dict(doc["users"][1], v=[value, [0.0, 0.0]]),
+                              doc["users"][2]]}
+        for edit in ({"lambda": ["a", "b"]}, {"lambda": [True, False]},
+                     {"lambda": [float("nan"), 0.0]}, {"k": 1}, {"nt": 0},
+                     {"k": True}, {"format": True}, {"residual": False},
+                     {"residual": float("inf")}, entry([True, False]),
+                     entry([float("nan"), 0.0]), entry([0.0, -float("inf")]),
+                     {"method": 3}, {"method": None}):
+            with pytest.raises(MalformedDocument):
+                closed_form.solution_from_document(json.dumps(dict(doc, **edit)))
+        data = closed_form.solution_to_document(sol, net.dims, "eigen")
+        with pytest.raises(MalformedDocument, match="UTF-8"):
+            closed_form.solution_from_document(
+                data.replace(b'"eigen"', b'"\xe9igen"'))
+
