@@ -16,7 +16,7 @@ for n in (2, 3):
     net = ea.generate(ea.NetworkDims(3, n, n), seed=11)
     print(f"== {n}x{n} channels ==")
     mat = ea.loop_matrix(net)
-    values = [p.value for p in ea.eig_general(mat)]
+    values = ea.eig_general(mat)[0]
     print("loop matrix eigenvalues:", np.round(values, 4))
 
     sol = ea.solve_loop_method(net)

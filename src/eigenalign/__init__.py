@@ -18,35 +18,34 @@ from .closed_form import (AlignmentSolution, CubeRelationReport,
                           SolutionDiagnostics, StackedSystem, build_stacked,
                           coupling_mask, cube_relation_check, loop_matrix,
                           solution_from_document, solution_to_document,
-                          solve_eigen_method, solve_loop_method,
-                          unit_couplings)
+                          solve_eigen_method, solve_loop_method)
 from .errors import (ConfigMismatch, DimensionMismatch, EigenalignError,
                      EmptyNullSpace, MalformedDocument, NonSquare,
                      NoUsableEigenpair, NumericalFailure,
                      RankDeficientSolution, ShapeMismatch, SingularChannel,
-                     SingularMatrix, UnverifiedSolution)
+                     UnverifiedSolution)
 from .iterative import (IterativeConfig, LeakageTrace, WarmStartReport,
                         iterate, iterate_batch, trace_table,
                         warm_start_check)
-from .linalg import EigenPair, eig_general, null_space_orthonormal, solve
+from .linalg import eig_general, null_space_orthonormal
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlignmentSolution", "ConfigMismatch", "CubeRelationReport",
-    "DimensionMismatch", "EigenPair", "EigenalignError", "EmptyNullSpace",
+    "DimensionMismatch", "EigenalignError", "EmptyNullSpace",
     "FeasibilityRecord", "InfeasibilityReport", "InterferenceNetwork",
     "IterativeConfig", "LeakageTrace", "MalformedDocument", "NetworkDims",
     "NonSquare", "NoUsableEigenpair", "NumericalFailure",
     "RankDeficientSolution", "RatePoint", "ShapeMismatch", "SingularChannel",
-    "SingularMatrix", "SolutionDiagnostics", "StackedSystem", "SweepResult",
+    "SolutionDiagnostics", "StackedSystem", "SweepResult",
     "UnverifiedSolution", "VerificationReport", "WarmStartReport",
     "build_stacked", "coupling_mask", "cube_relation_check", "deserialize",
     "eig_general", "feasibility_sweep", "generate", "infeasibility_demo",
     "iterate", "iterate_batch", "loop_matrix",
     "null_space_orthonormal", "predicted_feasible", "records_table",
     "render_feasibility_table", "serialize", "solution_from_document",
-    "solution_to_document", "solve", "solve_eigen_method",
-    "solve_loop_method", "sum_rate_curve", "trace_table", "unit_couplings",
+    "solution_to_document", "solve_eigen_method",
+    "solve_loop_method", "sum_rate_curve", "trace_table",
     "verify", "warm_start_check",
 ]

@@ -135,25 +135,26 @@ def infeasibility_demo(net, incompatibility_tol=INCOMPATIBILITY_TOL):
             f"the demonstrator is specific to K=4 users with 2x2 channels,"
             f" got K={net.dims.k}, {net.dims.n_r}x{net.dims.n_t}")
 
+    # Every ratio inv(h[l, den]) h[l, num] used below, by denominator.
+    dens = [(0, 1), (3, 2), (1, 0), (2, 3), (3, 1)]
+    ratios = dict(zip(dens, _channel_ratios(net, dens)))
+
     def ratio(l, den, num):
-        return _channel_ratios(net, l, den, [num])[0]
+        return ratios[l, den][num]
 
     # Loop A: receivers 1, 4, 2, 3 (1-based); loop B: receivers 1, 3, 2, 4.
     prod_a = ratio(0, 1, 2) @ ratio(3, 2, 0) @ ratio(1, 0, 3) @ ratio(2, 3, 1)
     prod_b = ratio(0, 1, 3) @ ratio(2, 3, 0) @ ratio(1, 0, 2) @ ratio(3, 1, 2)
 
-    vecs_a = [p.vector for p in linalg.eig_general(prod_a)]
-    vecs_b = [p.vector for p in linalg.eig_general(prod_b)]
-    distances = np.zeros((len(vecs_a), len(vecs_b)))
-    for ia, a in enumerate(vecs_a):
-        for ib, b in enumerate(vecs_b):
-            overlap = abs(np.vdot(a, b))
-            distances[ia, ib] = np.sqrt(max(0.0, 1.0 - overlap ** 2))
+    vecs_a = linalg.eig_general(prod_a)[1]
+    vecs_b = linalg.eig_general(prod_b)[1]
+    overlaps = np.abs(vecs_a.conj().T @ vecs_b)
+    distances = np.sqrt(np.maximum(0.0, 1.0 - overlaps ** 2))
     closest = np.unravel_index(int(np.argmin(distances)), distances.shape)
     min_dist = float(distances[closest])
 
-    a = vecs_a[closest[0]]
-    b = vecs_b[closest[1]]
+    a = vecs_a[:, closest[0]]
+    b = vecs_b[:, closest[1]]
     overlap = np.vdot(a, b)
     if abs(overlap) > 0:
         b = b * np.conj(overlap / abs(overlap))

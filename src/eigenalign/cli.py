@@ -19,8 +19,7 @@ import numpy as np
 from . import analysis, channel, closed_form, iterative
 from .errors import (ConfigMismatch, DimensionMismatch, EigenalignError,
                      MalformedDocument, NoUsableEigenpair,
-                     RankDeficientSolution, ShapeMismatch, SingularChannel,
-                     SingularMatrix, UnverifiedSolution)
+                     RankDeficientSolution, ShapeMismatch)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -30,7 +29,12 @@ EXIT_IO = 4
 
 
 def _default_seed():
-    return int(os.environ.get("EIGENALIGN_SEED", "0"))
+    text = os.environ.get("EIGENALIGN_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"EIGENALIGN_SEED must be an integer, got {text!r}") from None
 
 
 def _read_bytes(path):
@@ -67,10 +71,12 @@ def _parse_int_range(text, flag):
 
 
 def _parse_snr_range(text):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"--snr-db expects A:STEP:B, got {text!r}")
-    start, step, stop = (float(p) for p in parts)
+    try:
+        start, step, stop = (float(p) for p in text.split(":"))
+    except ValueError:
+        raise ValueError(f"--snr-db expects A:STEP:B, got {text!r}") from None
+    if not np.all(np.isfinite([start, step, stop])):
+        raise ValueError(f"--snr-db needs finite A, STEP and B, got {text!r}")
     if step <= 0:
         raise ValueError("--snr-db step must be positive")
     if stop < start:
@@ -278,9 +284,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
@@ -292,8 +297,7 @@ def main(argv=None):
             ConfigMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SingularChannel, SingularMatrix, UnverifiedSolution,
-            EigenalignError) as exc:
+    except EigenalignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import linalg
 from .channel import NetworkDims, _parse_vector, _read_document, _real
 from .errors import (DimensionMismatch, MalformedDocument, NoUsableEigenpair,
-                     RankDeficientSolution, SingularChannel, SingularMatrix)
+                     RankDeficientSolution, SingularChannel)
 
 #: Version tag written into every solution document.
 SOLUTION_FORMAT = 1
@@ -39,6 +39,9 @@ ALIGN_TOL = 1e-8
 #: Minimum direct-link gain |u^H H_ii v| relative to ||H_ii||_F.
 RANK_TOL = 1e-6
 
+#: 2-norm condition estimate at or above which a cross channel is refused.
+CONDITION_CAP = 1e12
+
 
 def coupling_mask(k):
     """Boolean (k, k) grid marking the nonzero blocks of the compensated
@@ -49,21 +52,16 @@ def coupling_mask(k):
     return mask
 
 
-def unit_couplings(k):
-    """The all-ones coupling grid (zeros off the mask), the default choice."""
-    return coupling_mask(k).astype(np.complex128)
-
-
 @dataclass(frozen=True)
 class StackedSystem:
     """The compensated matrix of the eigenvalue construction.
 
-    Block ``(r, c)`` of ``compensated`` is ``couplings[r, c]`` times
-    ``inv(h[r-1, r]) @ h[r-1, c]``, zero on the diagonal and in column
-    ``r - 1``; its eigenvectors encode the precoders. It equals
+    Block ``(r, c)`` of ``compensated`` is ``inv(h[r-1, r]) @ h[r-1, c]``
+    on :func:`coupling_mask`, zero on the diagonal and in column ``r - 1``;
+    its eigenvectors encode the precoders. It equals
     ``-shift * (inv(D) @ P @ S - I)`` with shift -1, where ``S`` stacks
-    the weighted cross channels, ``P`` is the cyclic block-row shift and
-    ``D`` the shifted diagonal blocks; the tests rebuild it that way.
+    the cross channels, ``P`` is the cyclic block-row shift and ``D`` the
+    shifted diagonal blocks; the tests rebuild it that way.
     """
 
     dims: NetworkDims
@@ -96,51 +94,59 @@ class AlignmentSolution:
     diagnostics: SolutionDiagnostics
 
 
-def _channel_ratios(net, l, den, nums):
-    """The ratios ``inv(h[l, den]) @ h[l, c]`` for each ``c`` in ``nums``.
-
-    One condition-capped solve with the numerators side by side; an empty
-    ``nums`` only checks ``h[l, den]``. Every route that inverts a cross
-    channel goes through here.
+def _check_channels(net, pairs):
+    """Refuse the first cross channel ``h[l, den]``, in the order of
+    ``pairs``, whose 2-norm condition estimate is not below
+    :data:`CONDITION_CAP`; one batched SVD checks them all.
 
     Raises
     ------
     SingularChannel
-        Naming ``(l, den)`` when ``h[l, den]`` fails the condition cap.
+        Naming that ``(l, den)``; an exactly singular block reports inf.
     """
-    n_r, n_t = net.dims.n_r, net.dims.n_t
-    rhs = net.h[l, list(nums)].transpose(1, 0, 2).reshape(n_r, len(nums) * n_t)
-    try:
-        out = linalg.solve(net.h[l, den], rhs)
-    except SingularMatrix as exc:
-        raise SingularChannel(f"cross channel ({l}, {den}): {exc}",
-                              pair=(l, den)) from None
-    return [out[:, m * n_t:(m + 1) * n_t] for m in range(len(nums))]
+    s = np.linalg.svd(net.h[tuple(np.transpose(pairs))], compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(s[:, -1] == 0.0, np.inf, s[:, 0] / s[:, -1])
+    bad = np.flatnonzero(cond >= CONDITION_CAP)
+    if bad.size:
+        l, den = pairs[bad[0]]
+        raise SingularChannel(
+            f"cross channel ({l}, {den}): condition estimate"
+            f" {cond[bad[0]]:.3e} exceeds cap {CONDITION_CAP:.0e}",
+            pair=(l, den))
 
 
-def _compensated_matrix(net, couplings):
-    """Assemble the compensated matrix, one checked solve per block row;
-    no dimension gate, so the K = 3 routes can reuse it for any square N."""
+def _channel_ratios(net, pairs):
+    """The ratios ``inv(h[l, den]) @ h[l, c]`` for every ``(l, den)`` in
+    ``pairs`` and every column ``c``, as a (len(pairs), K, n, n) array.
+
+    :func:`_check_channels` first, then one batched solve against the whole
+    channel rows. Every route that inverts a cross channel goes through
+    here.
+    """
+    _check_channels(net, pairs)
+    l, den = np.transpose(pairs)
+    k, n_r, n_t = net.dims.k, net.dims.n_r, net.dims.n_t
+    rows = net.h[l].transpose(0, 2, 1, 3).reshape(len(pairs), n_r, k * n_t)
+    out = np.linalg.solve(net.h[l, den], rows)
+    return out.reshape(len(pairs), n_t, k, n_t).transpose(0, 2, 1, 3)
+
+
+def _compensated_matrix(net):
+    """Assemble the compensated matrix from one ratio call; no dimension
+    gate, so the K = 3 routes can reuse it for any square N."""
     k, n = net.dims.k, net.dims.n_t
-    out = np.zeros((k * n, k * n), dtype=np.complex128)
-    for r in range(k):
-        l = (r - 1) % k
-        cols = [c for c in range(k) if c not in (r, l)]
-        for c, block in zip(cols, _channel_ratios(net, l, r, cols)):
-            out[r * n:(r + 1) * n, c * n:(c + 1) * n] = couplings[r, c] * block
-    return out
+    blocks = _channel_ratios(net, [((r - 1) % k, r) for r in range(k)])
+    blocks[~coupling_mask(k)] = 0.0
+    return blocks.transpose(0, 2, 1, 3).reshape(k * n, k * n)
 
 
-def build_stacked(net, couplings=None):
+def build_stacked(net):
     """Assemble the compensated matrix for a K = N + 1 square network.
 
-    Parameters
-    ----------
-    net : InterferenceNetwork
-        Square channels with K = N + 1 users and invertible cross links.
-    couplings : array_like, optional
-        (K, K) complex grid, nonzero exactly on :func:`coupling_mask`.
-        Defaults to all-ones, the choice that keeps results deterministic.
+    Every one of the K(K-1) cross channels must pass the condition cap,
+    not only the K blocks ``h[r-1, r]`` that the compensated matrix
+    inverts; they are checked in row-major order.
 
     Raises
     ------
@@ -156,21 +162,8 @@ def build_stacked(net, couplings=None):
     if k != n_t + 1:
         raise DimensionMismatch(
             f"the construction needs K = N + 1 users, got K={k}, N={n_t}")
-    if couplings is None:
-        couplings = unit_couplings(k)
-    couplings = np.asarray(couplings, dtype=np.complex128)
-    mask = coupling_mask(k)
-    if couplings.shape != (k, k):
-        raise ValueError(f"couplings must be {k}x{k}, got {couplings.shape}")
-    if np.any(couplings[~mask] != 0) or np.any(couplings[mask] == 0):
-        raise ValueError(
-            "couplings must be nonzero exactly on the off-diagonal blocks"
-            " the compensated matrix keeps")
-    # The K(K-1) gate: every cross channel must pass the cap, not only the
-    # K blocks h[r-1, r] that the compensated matrix inverts.
-    for i, j in net.cross_pairs():
-        _channel_ratios(net, i, j, ())
-    return StackedSystem(net.dims, _compensated_matrix(net, couplings))
+    _check_channels(net, net.cross_pairs())
+    return StackedSystem(net.dims, _compensated_matrix(net))
 
 
 def _fix_phase(v):
@@ -260,24 +253,18 @@ def solve_eigen_method(net):
     system = build_stacked(net)
     k, n = net.dims.k, net.dims.n_t
     scale = float(np.linalg.norm(system.compensated))
-    pairs = linalg.eig_general(system.compensated)
-    block_tol = BLOCK_TOL / np.sqrt(k)
-
-    for pair in pairs:
-        if abs(pair.value) <= 1e-8 * scale:
-            continue
-        if pair.residual > 1e-8 * scale:
-            continue
-        blocks = pair.vector.reshape(k, n)
-        norms = np.linalg.norm(blocks, axis=1)
-        if np.any(norms < block_tol):
-            continue
-        precoders = blocks / norms[:, None]
-        return _finish_solution(net, precoders, pair.value, pair.residual)
-
-    raise NoUsableEigenpair(
-        "every eigenpair has a near-zero eigenvalue, an out-of-bound"
-        " residual, or a vanishing per-user block")
+    values, vectors, residuals = linalg.eig_general(system.compensated)
+    norms = np.linalg.norm(vectors.T.reshape(-1, k, n), axis=2)
+    usable = ((np.abs(values) > 1e-8 * scale) & (residuals <= 1e-8 * scale)
+              & np.all(norms >= BLOCK_TOL / np.sqrt(k), axis=1))
+    if not usable.any():
+        raise NoUsableEigenpair(
+            "every eigenpair has a near-zero eigenvalue, an out-of-bound"
+            " residual, or a vanishing per-user block")
+    i = int(np.argmax(usable))
+    precoders = vectors[:, i].reshape(k, n) / norms[i][:, None]
+    return _finish_solution(net, precoders, complex(values[i]),
+                            float(residuals[i]))
 
 
 def _loop_system(net, what):
@@ -290,7 +277,7 @@ def _loop_system(net, what):
         raise DimensionMismatch(
             f"{what} needs square channels, got {net.dims.n_r}x{net.dims.n_t}")
     n = net.dims.n_t
-    compensated = _compensated_matrix(net, unit_couplings(3))
+    compensated = _compensated_matrix(net)
     blocks = compensated.reshape(3, n, 3, n)
     factors = [blocks[r, :, (r + 1) % 3] for r in range(3)]
     return compensated, factors
@@ -312,9 +299,8 @@ def solve_loop_method(net):
     the stacked route.
     """
     _, (first, second, third) = _loop_system(net, "loop method")
-    pairs = linalg.eig_general(first @ second @ third)
-    lead = pairs[0]
-    v1 = lead.vector
+    values, vectors, residuals = linalg.eig_general(first @ second @ third)
+    v1 = vectors[:, 0]
 
     v3 = third @ v1
     if np.linalg.norm(v3) < 1e-12:
@@ -330,7 +316,8 @@ def solve_loop_method(net):
     v2 = v2 / np.linalg.norm(v2)
 
     precoders = np.stack([v1, v2, v3])
-    return _finish_solution(net, precoders, lead.value, lead.residual)
+    return _finish_solution(net, precoders, complex(values[0]),
+                            float(residuals[0]))
 
 
 @dataclass
@@ -359,9 +346,8 @@ def cube_relation_check(net, rel_tol=1e-6):
     """
     compensated, (first, second, third) = _loop_system(
         net, "cube relation check")
-    stacked_vals = np.array([p.value for p in linalg.eig_general(compensated)])
-    loop_vals = np.array([p.value
-                          for p in linalg.eig_general(first @ second @ third)])
+    stacked_vals = linalg.eig_general(compensated)[0]
+    loop_vals = linalg.eig_general(first @ second @ third)[0]
 
     nonzero_floor = 1e-8 * np.abs(stacked_vals).max()
     matches = []

@@ -18,14 +18,6 @@ class EmptyNullSpace(EigenalignError):
     receive space and no zero-forcing direction exists."""
 
 
-class SingularMatrix(EigenalignError):
-    """Condition estimate above the cap; the system is treated as singular.
-
-    Callers surface this instead of regularizing: for generically drawn
-    channels it flags a measure-zero event or a malformed input.
-    """
-
-
 class MalformedDocument(EigenalignError):
     """A serialized document could not be parsed.
 
@@ -46,9 +38,12 @@ class DimensionMismatch(EigenalignError):
 
 
 class SingularChannel(EigenalignError):
-    """A cross-channel matrix that must be inverted is (numerically) singular.
+    """A cross-channel matrix that must be inverted is (numerically) singular:
+    its condition estimate is not below the cap.
 
-    ``pair`` holds the offending (receiver, transmitter) index pair, 0-based.
+    Callers surface this instead of regularizing: for generically drawn
+    channels it flags a measure-zero event or a malformed input. ``pair``
+    holds the offending (receiver, transmitter) index pair, 0-based.
     """
 
     def __init__(self, message, pair=None):

@@ -177,15 +177,14 @@ def _check_config(net, cfg):
             f"stream counts {cfg.d} exceed min(n_t, n_r) = {cap}")
 
 
-def iterate(net, cfg, init_precoders=None):
-    """Run alternating leakage minimization on ``net``.
+def iterate(net, cfg):
+    """Run alternating leakage minimization on ``net`` from the seeded
+    Haar draw of precoders.
 
     Parameters
     ----------
     net : InterferenceNetwork
     cfg : IterativeConfig
-    init_precoders : sequence of (n_t, d_i) arrays, optional
-        Warm start; the seeded Haar draw is used when omitted.
 
     Returns
     -------
@@ -194,26 +193,10 @@ def iterate(net, cfg, init_precoders=None):
     Raises
     ------
     ConfigMismatch
-        If ``cfg`` is inconsistent with the network dimensions or the
-        warm-start shapes do not match.
+        If ``cfg`` is inconsistent with the network dimensions.
     """
     _check_config(net, cfg)
-    if init_precoders is None:
-        v = _random_precoders(net.dims, cfg.d, cfg.seed)
-    else:
-        if len(init_precoders) != net.dims.k:
-            raise ConfigMismatch(
-                f"{len(init_precoders)} warm-start precoders for"
-                f" {net.dims.k} users")
-        v = np.zeros((net.dims.k, net.dims.n_t, max(cfg.d)),
-                     dtype=np.complex128)
-        for i, p in enumerate(init_precoders):
-            p = np.asarray(p)
-            if p.shape != (net.dims.n_t, cfg.d[i]):
-                raise ConfigMismatch(
-                    f"warm-start precoder {i} has shape {p.shape},"
-                    f" expected {(net.dims.n_t, cfg.d[i])}")
-            v[i, :, :cfg.d[i]] = p
+    v = _random_precoders(net.dims, cfg.d, cfg.seed)
     return _run_batch(net.h[None], cfg.d, cfg.max_iters, cfg.leakage_tol,
                       v[None])[0]
 

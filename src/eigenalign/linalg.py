@@ -4,21 +4,15 @@ Everything here operates on plain ``numpy.ndarray`` objects with dtype
 ``complex128``. The heavy lifting (QR iteration, SVD, LU) is delegated to
 LAPACK through ``numpy.linalg``; what this module adds is the contract the
 rest of the package relies on: validated inputs, a fixed deterministic
-eigenvalue ordering, residuals reported alongside eigenvectors, and
-condition-capped solves that fail loudly instead of regularizing.
+eigenvalue ordering and residuals reported alongside eigenvectors.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyNullSpace, NonSquare, NumericalFailure, SingularMatrix
+from .errors import EmptyNullSpace, NonSquare, NumericalFailure
 
 #: Relative singular-value threshold below which a direction counts as null.
 DEFAULT_RANK_TOL = 1e-8
-
-#: Condition-number estimate above which a solve is refused.
-CONDITION_CAP = 1e12
 
 
 def as_complex_matrix(a):
@@ -37,28 +31,15 @@ def as_complex_matrix(a):
     return m
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    """One eigenvalue with a unit-norm eigenvector and its residual.
-
-    ``residual`` is the Euclidean norm of ``a @ vector - value * vector``.
-    Pairs with ``residual > 1e-8 * ||a||_F`` should not be accepted by
-    callers; for defective matrices the best-effort vectors returned by the
-    QR iteration may exceed the bound and are filtered downstream.
-    """
-
-    value: complex
-    vector: np.ndarray
-    residual: float
-
-
 def eig_general(a):
     """All eigenpairs of a general (non-Hermitian) square complex matrix.
 
     Pairs are ordered by descending ``|value|`` with ties broken by
     ascending complex argument, which makes downstream eigenvector
     selection deterministic. Each vector is normalized to unit Euclidean
-    norm and returned together with its residual.
+    norm; its residual is ``||a @ vector - value * vector||``. For
+    defective matrices the best-effort vectors of the QR iteration may
+    have large residuals; callers filter on them.
 
     Parameters
     ----------
@@ -67,7 +48,10 @@ def eig_general(a):
 
     Returns
     -------
-    list of EigenPair
+    values : ndarray of shape (n,)
+    vectors : ndarray of shape (n, n)
+        Column ``i`` belongs to ``values[i]``.
+    residuals : ndarray of shape (n,)
 
     Raises
     ------
@@ -86,13 +70,10 @@ def eig_general(a):
         raise NumericalFailure(f"eigenvalue iteration failed: {exc}") from exc
 
     order = np.lexsort((np.angle(values), -np.abs(values)))
-    pairs = []
-    for idx in order:
-        vec = vectors[:, idx]
-        vec = vec / np.linalg.norm(vec)
-        res = float(np.linalg.norm(a @ vec - values[idx] * vec))
-        pairs.append(EigenPair(complex(values[idx]), vec, res))
-    return pairs
+    values = values[order]
+    vectors = vectors[:, order] / np.linalg.norm(vectors[:, order], axis=0)
+    residuals = np.linalg.norm(a @ vectors - vectors * values, axis=0)
+    return values, vectors, residuals
 
 
 def null_space_orthonormal(a, rank_tol=DEFAULT_RANK_TOL):
@@ -129,32 +110,3 @@ def null_space_orthonormal(a, rank_tol=DEFAULT_RANK_TOL):
         raise EmptyNullSpace(
             f"matrix of shape {a.shape} has full row rank {rank}")
     return u[:, rank:]
-
-
-def condition_estimate(a):
-    """2-norm condition number of ``a`` (inf for exactly singular input)."""
-    a = as_complex_matrix(a)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] == 0.0:
-        return np.inf
-    return float(s[0] / s[-1])
-
-
-def solve(a, b):
-    """Solve ``a x = b`` with a condition cap.
-
-    Raises
-    ------
-    SingularMatrix
-        If the condition estimate of ``a`` exceeds ``CONDITION_CAP``.
-    """
-    a = as_complex_matrix(a)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape[0] != a.shape[1]:
-        raise NonSquare(f"solve needs a square matrix, got {a.shape}")
-    cond = condition_estimate(a)
-    if not cond < CONDITION_CAP:
-        raise SingularMatrix(
-            f"condition estimate {cond:.3e} exceeds cap {CONDITION_CAP:.0e}")
-    return np.linalg.solve(a, b)
-

@@ -5,7 +5,8 @@ from eigenalign import analysis, closed_form
 from eigenalign.channel import InterferenceNetwork, NetworkDims, generate
 from eigenalign.closed_form import AlignmentSolution, SolutionDiagnostics
 from eigenalign.errors import (DimensionMismatch, RankDeficientSolution,
-                               ShapeMismatch, UnverifiedSolution)
+                               ShapeMismatch, SingularChannel,
+                               UnverifiedSolution)
 from eigenalign.iterative import IterativeConfig, iterate
 
 
@@ -138,6 +139,22 @@ class TestInfeasibilityDemo:
         assert report.min_chordal_distance < 1e-8
         assert not report.incompatible
         assert report.joint_residual < 1e-8
+
+    @pytest.mark.parametrize("singular,named", [
+        ([(3, 1), (2, 3)], (2, 3)),
+        ([(1, 0), (3, 2)], (3, 2)),
+        ([(0, 1), (3, 1)], (0, 1)),
+    ])
+    def test_first_failing_denominator_named(self, singular, named):
+        # the denominators are checked in the order (0, 1), (3, 2), (1, 0),
+        # (2, 3), (3, 1); the first singular one is named
+        h = generate(NetworkDims(4, 2, 2), 5).h.copy()
+        for pair in singular:
+            h[pair] = np.ones((2, 2))
+        net = InterferenceNetwork(NetworkDims(4, 2, 2), h)
+        with pytest.raises(SingularChannel) as err:
+            analysis.infeasibility_demo(net)
+        assert err.value.pair == named
 
     def test_deterministic(self):
         net = generate(NetworkDims(4, 2, 2), 42)

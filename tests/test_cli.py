@@ -58,6 +58,16 @@ class TestGen:
                      "--out", str(path)])
         assert channel.deserialize(path.read_bytes()).seed == 123
 
+    def test_env_malformed_seed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("EIGENALIGN_SEED", "abc")
+        path = tmp_path / "c.json"
+        code, _, err = run(capsys, ["gen", "--users", "3", "--nt", "2",
+                                    "--nr", "2", "--seed", "1",
+                                    "--out", str(path)])
+        assert code == 2
+        assert err == "error: EIGENALIGN_SEED must be an integer, got 'abc'\n"
+        assert not path.exists()
+
 
 class TestSolve:
     def test_eigen_solves(self, channel_file, tmp_path, capsys):
@@ -192,6 +202,12 @@ class TestVerifyAndRates:
                                     "--solution", str(sol),
                                     "--snr-db", "0:40"])
         assert code == 2
+        for text in ("0:1:inf", "nan:1:2", "0:-inf:1"):
+            code, _, err = run(capsys, ["rates", "--channel",
+                                        str(channel_file), "--solution",
+                                        str(sol), "--snr-db", text])
+            assert code == 2
+            assert err.startswith("error: --snr-db needs finite")
 
 
 class TestInfeasible:

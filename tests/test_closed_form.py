@@ -39,39 +39,29 @@ def identity_cross_network(k, n, direct_seed=None):
 SHIFT = -1.0
 
 
-def stacked_oracle(net, couplings):
+def stacked_oracle(net):
     """Independent derivation of the compensated matrix.
 
-    Returns the stacked cross channels ``S`` (weighted, zero diagonal
-    blocks), the cyclic block-row shift ``P`` and the shifted diagonal
-    blocks ``D``, built from one choice of per-receiver dependency
-    weights: row l keeps weight 1 on its successor column and inherits the
-    couplings elsewhere. Then ``compensated == -SHIFT * (inv(D) P S - I)``.
+    Returns the stacked cross channels ``S`` (zero diagonal blocks), the
+    cyclic block-row shift ``P`` and the shifted diagonal blocks ``D``
+    (block r is ``h[r-1, r]``). Then
+    ``compensated == -SHIFT * (inv(D) P S - I)``.
     """
     k, n = net.dims.k, net.dims.n_t
-    weights = np.zeros((k, k), dtype=complex)
-    for l in range(k):
-        succ = (l + 1) % k
-        weights[l, succ] = 1.0
-        for j in range(k):
-            if j != l and j != succ:
-                weights[l, j] = couplings[succ, j]
     stacked, permutation, block_diagonal = (
         np.zeros((k * n, k * n), dtype=complex) for _ in range(3))
     for r in range(k):
         l = (r - 1) % k
         permutation[r * n:(r + 1) * n, l * n:(l + 1) * n] = np.eye(n)
-        block_diagonal[r * n:(r + 1) * n, r * n:(r + 1) * n] = (
-            weights[l, r] * net.h[l, r])
+        block_diagonal[r * n:(r + 1) * n, r * n:(r + 1) * n] = net.h[l, r]
         for c in range(k):
             if c != r:
-                stacked[r * n:(r + 1) * n, c * n:(c + 1) * n] = (
-                    weights[r, c] * net.h[r, c])
+                stacked[r * n:(r + 1) * n, c * n:(c + 1) * n] = net.h[r, c]
     return stacked, permutation, block_diagonal
 
 
-def rebuilt_compensated(net, couplings):
-    stacked, permutation, block_diagonal = stacked_oracle(net, couplings)
+def rebuilt_compensated(net):
+    stacked, permutation, block_diagonal = stacked_oracle(net)
     return -SHIFT * (np.linalg.inv(block_diagonal) @ permutation @ stacked
                      - np.eye(len(stacked)))
 
@@ -124,12 +114,12 @@ class TestBuildStacked:
         # compensated == -shift (inv(block_diagonal) permutation stacked - I)
         net = generate(NetworkDims(n + 1, n, n), seed)
         system = closed_form.build_stacked(net)
-        rebuilt = rebuilt_compensated(net, closed_form.unit_couplings(n + 1))
+        rebuilt = rebuilt_compensated(net)
         assert np.abs(system.compensated - rebuilt).max() < 1e-10
 
     def test_permutation_structure(self):
         net = generate(NetworkDims(4, 3, 3), 0)
-        _, p, _ = stacked_oracle(net, closed_form.unit_couplings(4))
+        _, p, _ = stacked_oracle(net)
         assert np.array_equal(p @ p.conj().T, np.eye(12).astype(complex))
         n = 3
         for r in range(4):
@@ -152,24 +142,81 @@ class TestBuildStacked:
             closed_form.build_stacked(broken)
         assert err.value.pair == (0, 2)
 
-    def test_coupling_validation(self):
-        net = generate(NetworkDims(3, 2, 2), 0)
-        bad = closed_form.unit_couplings(3)
-        bad[0, 0] = 1.0   # diagonal must stay zero
-        with pytest.raises(ValueError):
-            closed_form.build_stacked(net, bad)
-        bad = closed_form.unit_couplings(3)
-        bad[0, 1] = 0.0   # on-mask entries must be nonzero
-        with pytest.raises(ValueError):
-            closed_form.build_stacked(net, bad)
 
-    def test_nonunit_couplings_still_align(self):
-        net = generate(NetworkDims(3, 2, 2), 5)
-        couplings = closed_form.unit_couplings(3)
-        couplings[couplings != 0] *= np.array([2.0, 0.5 + 1j, -3.0])
-        system = closed_form.build_stacked(net, couplings)
-        rebuilt = rebuilt_compensated(net, couplings)
-        assert np.abs(system.compensated - rebuilt).max() < 1e-10
+def with_blocks(net, blocks):
+    """``net`` with the channels named in ``blocks`` replaced."""
+    h = net.h.copy()
+    for pair, block in blocks.items():
+        h[pair] = block
+    return InterferenceNetwork(net.dims, h)
+
+
+class TestChannelCheck:
+    """The batched condition check and the ratios behind every route."""
+
+    def test_identity_denominator(self):
+        # an identity denominator leaves the whole channel row unchanged
+        net = with_blocks(generate(NetworkDims(4, 2, 2), 3),
+                          {(2, 1): np.eye(2)})
+        ratios = closed_form._channel_ratios(net, [(2, 1)])
+        assert ratios.shape == (1, 4, 2, 2)
+        np.testing.assert_array_equal(ratios[0], net.h[2])
+
+    def test_ratio_residual(self):
+        net = generate(NetworkDims(6, 5, 5), 12)
+        pairs = [(0, 1), (4, 2), (5, 0)]
+        ratios = closed_form._channel_ratios(net, pairs)
+        for (l, den), row in zip(pairs, ratios):
+            for c in range(6):
+                assert (np.linalg.norm(net.h[l, den] @ row[c] - net.h[l, c])
+                        <= 1e-10 * np.linalg.norm(net.h[l, den])
+                        * np.linalg.norm(row[c]))
+
+    def test_singular_raises(self):
+        net = with_blocks(generate(NetworkDims(3, 2, 2), 0),
+                          {(1, 2): np.ones((2, 2))})
+        with pytest.raises(SingularChannel) as err:
+            closed_form._channel_ratios(net, [(0, 1), (1, 2)])
+        assert err.value.pair == (1, 2)
+
+    def test_condition_cap(self):
+        net = generate(NetworkDims(3, 2, 2), 4)
+        refused = with_blocks(net, {(0, 1): np.diag([1.0, 1e-13])})
+        with pytest.raises(SingularChannel, match="exceeds cap 1e\\+12"):
+            closed_form.build_stacked(refused)
+        # just inside the cap the channel is accepted and inverted
+        accepted = with_blocks(net, {(0, 1): np.diag([1.0, 1e-11])})
+        block = closed_form.build_stacked(accepted).compensated[2:4, 4:6]
+        oracle = np.diag([1.0, 1e11]) @ accepted.h[0, 2]
+        np.testing.assert_allclose(block, oracle, rtol=1e-12)
+
+    def test_zero_channel_reports_inf(self):
+        net = with_blocks(generate(NetworkDims(3, 2, 2), 1),
+                          {(0, 2): np.zeros((2, 2))})
+        with pytest.raises(SingularChannel) as err:
+            closed_form.build_stacked(net)
+        assert str(err.value) == ("cross channel (0, 2): condition estimate"
+                                  " inf exceeds cap 1e+12")
+
+    @pytest.mark.parametrize("singular,eigen_pair,loop_pair", [
+        ([(0, 1), (2, 0)], (0, 1), (2, 0)),
+        ([(0, 2), (1, 2)], (0, 2), (1, 2)),
+    ])
+    def test_first_failing_pair_per_route(self, singular, eigen_pair,
+                                          loop_pair):
+        # the eigen route walks all cross pairs in row-major order; the
+        # loop routes walk their denominators (2, 0), (0, 1), (1, 2)
+        net = with_blocks(generate(NetworkDims(3, 2, 2), 1),
+                          {pair: np.ones((2, 2)) for pair in singular})
+        routes = {closed_form.build_stacked: eigen_pair,
+                  closed_form.solve_eigen_method: eigen_pair,
+                  closed_form.solve_loop_method: loop_pair,
+                  closed_form.loop_matrix: loop_pair,
+                  closed_form.cube_relation_check: loop_pair}
+        for route, pair in routes.items():
+            with pytest.raises(SingularChannel) as err:
+                route(net)
+            assert err.value.pair == pair, route.__name__
 
 
 class TestEigenMethod:

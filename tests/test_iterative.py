@@ -32,13 +32,6 @@ class TestConfig:
         with pytest.raises(ConfigMismatch):
             iterate(net, IterativeConfig(d=(3, 1, 1)))
 
-    def test_warm_start_shape_mismatch(self):
-        net = generate(NetworkDims(3, 2, 2), 0)
-        cfg = IterativeConfig(d=(1, 1, 1))
-        bad = [np.zeros((2, 2), dtype=complex)] * 3
-        with pytest.raises(ConfigMismatch):
-            iterate(net, cfg, init_precoders=bad)
-
 
 class TestIterate:
     def test_no_interference_zero_at_start(self):
