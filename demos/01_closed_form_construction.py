@@ -14,15 +14,15 @@ net = ea.generate(ea.NetworkDims(3, 2, 2), seed=42)
 print(f"network: K={net.dims.k} users, {net.dims.n_r}x{net.dims.n_t} channels,"
       f" seed={net.seed}")
 
-system = ea.build_stacked(net)
-print(f"\nstacked system is {system.compensated.shape[0]}x"
-      f"{system.compensated.shape[1]}; zero blocks sit on the diagonal and"
+compensated = ea.build_stacked(net)
+print(f"\nstacked system is {compensated.shape[0]}x"
+      f"{compensated.shape[1]}; zero blocks sit on the diagonal and"
       " one shifted column per block row:")
 n = net.dims.n_t
 for r in range(3):
     marks = []
     for c in range(3):
-        block = system.compensated[r * n:(r + 1) * n, c * n:(c + 1) * n]
+        block = compensated[r * n:(r + 1) * n, c * n:(c + 1) * n]
         marks.append("O" if np.abs(block).max() == 0 else "#")
     print("   " + " ".join(marks))
 

@@ -15,13 +15,12 @@ from .analysis import (FeasibilityRecord, InfeasibilityReport, RatePoint,
 from .channel import (InterferenceNetwork, NetworkDims, deserialize,
                       generate, serialize)
 from .closed_form import (AlignmentSolution, CubeRelationReport,
-                          SolutionDiagnostics, StackedSystem, build_stacked,
-                          coupling_mask, cube_relation_check, loop_matrix,
+                          SolutionDiagnostics, build_stacked, coupling_mask,
+                          cube_relation_check, loop_matrix,
                           solution_from_document, solution_to_document,
                           solve_eigen_method, solve_loop_method)
 from .errors import (ConfigMismatch, DimensionMismatch, EigenalignError,
-                     EmptyNullSpace, MalformedDocument, NonSquare,
-                     NoUsableEigenpair, NumericalFailure,
+                     EmptyNullSpace, MalformedDocument, NoUsableEigenpair,
                      RankDeficientSolution, ShapeMismatch, SingularChannel,
                      UnverifiedSolution)
 from .iterative import (IterativeConfig, LeakageTrace, WarmStartReport,
@@ -36,16 +35,14 @@ __all__ = [
     "DimensionMismatch", "EigenalignError", "EmptyNullSpace",
     "FeasibilityRecord", "InfeasibilityReport", "InterferenceNetwork",
     "IterativeConfig", "LeakageTrace", "MalformedDocument", "NetworkDims",
-    "NonSquare", "NoUsableEigenpair", "NumericalFailure",
-    "RankDeficientSolution", "RatePoint", "ShapeMismatch", "SingularChannel",
-    "SolutionDiagnostics", "StackedSystem", "SweepResult",
+    "NoUsableEigenpair", "RankDeficientSolution", "RatePoint", "ShapeMismatch",
+    "SingularChannel", "SolutionDiagnostics", "SweepResult",
     "UnverifiedSolution", "VerificationReport", "WarmStartReport",
     "build_stacked", "coupling_mask", "cube_relation_check", "deserialize",
     "eig_general", "feasibility_sweep", "generate", "infeasibility_demo",
-    "iterate", "iterate_batch", "loop_matrix",
-    "null_space_orthonormal", "predicted_feasible", "records_table",
-    "render_feasibility_table", "serialize", "solution_from_document",
-    "solution_to_document", "solve_eigen_method",
-    "solve_loop_method", "sum_rate_curve", "trace_table",
+    "iterate", "iterate_batch", "loop_matrix", "null_space_orthonormal",
+    "predicted_feasible", "records_table", "render_feasibility_table",
+    "serialize", "solution_from_document", "solution_to_document",
+    "solve_eigen_method", "solve_loop_method", "sum_rate_curve", "trace_table",
     "verify", "warm_start_check",
 ]

@@ -27,6 +27,9 @@ EXIT_USAGE = 2
 EXIT_NO_EIGENPAIR = 3
 EXIT_IO = 4
 
+#: Most points ``rates --snr-db`` accepts.
+MAX_SNR_POINTS = 10_000
+
 
 def _default_seed():
     text = os.environ.get("EIGENALIGN_SEED", "0")
@@ -81,8 +84,11 @@ def _parse_snr_range(text):
         raise ValueError("--snr-db step must be positive")
     if stop < start:
         raise ValueError("--snr-db range is empty")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    count = np.floor((stop - start) / step + 1e-9) + 1   # inf on overflow
+    if not count <= MAX_SNR_POINTS:
+        raise ValueError(f"--snr-db allows at most {MAX_SNR_POINTS} points,"
+                         f" {text!r} asks for {count:.6g}")
+    return [start + i * step for i in range(int(count))]
 
 
 def _solution_summary(sol, method):
@@ -94,12 +100,8 @@ def _solution_summary(sol, method):
 
 
 def cmd_gen(args):
-    try:
-        dims = channel.NetworkDims(args.users, args.nt, args.nr)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    net = channel.generate(dims, args.seed)
+    net = channel.generate(
+        channel.NetworkDims(args.users, args.nt, args.nr), args.seed)
     _write_bytes(args.out, channel.serialize(net))
     return EXIT_OK
 
@@ -265,7 +267,8 @@ def build_parser():
     p.add_argument("--channel", required=True)
     p.add_argument("--solution", required=True)
     p.add_argument("--snr-db", required=True,
-                   help="range A:STEP:B in dB, endpoints included")
+                   help="range A:STEP:B in dB, endpoints included,"
+                   f" at most {MAX_SNR_POINTS} points")
     p.set_defaults(func=cmd_rates)
 
     p = sub.add_parser("infeasible",

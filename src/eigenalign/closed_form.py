@@ -17,12 +17,12 @@ must land on the spectrum of the loop matrix).
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .channel import NetworkDims, _parse_vector, _read_document, _real
+from .channel import _parse_vector, _read_document, _real
 from .errors import (DimensionMismatch, MalformedDocument, NoUsableEigenpair,
                      RankDeficientSolution, SingularChannel)
 
@@ -50,22 +50,6 @@ def coupling_mask(k):
     for r in range(k):
         mask[r, (r - 1) % k] = False
     return mask
-
-
-@dataclass(frozen=True)
-class StackedSystem:
-    """The compensated matrix of the eigenvalue construction.
-
-    Block ``(r, c)`` of ``compensated`` is ``inv(h[r-1, r]) @ h[r-1, c]``
-    on :func:`coupling_mask`, zero on the diagonal and in column ``r - 1``;
-    its eigenvectors encode the precoders. It equals
-    ``-shift * (inv(D) @ P @ S - I)`` with shift -1, where ``S`` stacks
-    the cross channels, ``P`` is the cyclic block-row shift and ``D`` the
-    shifted diagonal blocks; the tests rebuild it that way.
-    """
-
-    dims: NetworkDims
-    compensated: np.ndarray = field(repr=False)
 
 
 @dataclass
@@ -142,11 +126,12 @@ def _compensated_matrix(net):
 
 
 def build_stacked(net):
-    """Assemble the compensated matrix for a K = N + 1 square network.
+    """The KN x KN compensated matrix for a K = N + 1 square network.
 
-    Every one of the K(K-1) cross channels must pass the condition cap,
-    not only the K blocks ``h[r-1, r]`` that the compensated matrix
-    inverts; they are checked in row-major order.
+    Block ``(r, c)`` is ``inv(h[r-1, r]) @ h[r-1, c]`` on
+    :func:`coupling_mask`, zero elsewhere; its eigenvectors encode the
+    precoders. All K(K-1) cross channels must pass the condition cap, not
+    only the K blocks inverted; they are checked in row-major order.
 
     Raises
     ------
@@ -163,7 +148,7 @@ def build_stacked(net):
         raise DimensionMismatch(
             f"the construction needs K = N + 1 users, got K={k}, N={n_t}")
     _check_channels(net, net.cross_pairs())
-    return StackedSystem(net.dims, _compensated_matrix(net))
+    return _compensated_matrix(net)
 
 
 def _fix_phase(v):
@@ -250,10 +235,10 @@ def solve_eigen_method(net):
     RankDeficientSolution
         If interference aligns but some direct link is lost with it.
     """
-    system = build_stacked(net)
+    compensated = build_stacked(net)
     k, n = net.dims.k, net.dims.n_t
-    scale = float(np.linalg.norm(system.compensated))
-    values, vectors, residuals = linalg.eig_general(system.compensated)
+    scale = float(np.linalg.norm(compensated))
+    values, vectors, residuals = linalg.eig_general(compensated)
     norms = np.linalg.norm(vectors.T.reshape(-1, k, n), axis=2)
     usable = ((np.abs(values) > 1e-8 * scale) & (residuals <= 1e-8 * scale)
               & np.all(norms >= BLOCK_TOL / np.sqrt(k), axis=1))
@@ -324,46 +309,54 @@ def solve_loop_method(net):
 class CubeRelationReport:
     """Match of each cubed stacked eigenvalue against the loop spectrum.
 
-    ``matches`` rows are (stacked value, its cube, closest loop value,
-    relative mismatch); ``worst_mismatch`` is the largest relative
-    mismatch over all nonzero stacked eigenvalues.
+    ``matches`` rows are (stacked value, its cube, its loop value, relative
+    mismatch), one per nonzero stacked eigenvalue; ``worst_mismatch`` is
+    the largest relative mismatch.
     """
 
     matches: list
     worst_mismatch: float
-    skipped_near_zero: int
     passed: bool = False
+
+
+def _match_cubes(cubes, loop_vals):
+    """The loop value index of each cube and its relative mismatch. Pairs
+    are taken by ascending mismatch, each loop value at most three times,
+    so no loop value stands in for more cubes than it has cube roots."""
+    rel = np.abs(cubes[:, None] - loop_vals) / np.maximum(
+        np.abs(cubes)[:, None], np.abs(loop_vals))
+    match = np.full(len(cubes), -1)
+    taken = np.zeros(len(loop_vals), dtype=int)
+    for flat in np.argsort(rel, axis=None, kind="stable"):
+        i, j = divmod(int(flat), len(loop_vals))
+        if match[i] < 0 and taken[j] < 3:
+            match[i] = j
+            taken[j] += 1
+    return match, rel[np.arange(len(cubes)), match]
 
 
 def cube_relation_check(net, rel_tol=1e-6):
     """Verify that stacked and loop spectra are consistent for K = 3.
 
     The compensated matrix is block-cyclic for K = 3, so its cube is block
-    diagonal with similar blocks: every nonzero eigenvalue, cubed, must be
-    an eigenvalue of the loop matrix. Returns the matched pairs and the
-    worst relative mismatch; the report's ``passed`` flag applies
-    ``rel_tol``.
+    diagonal with three blocks similar to the loop matrix: the nonzero
+    stacked eigenvalues, cubed, are the loop spectrum with every value
+    taken three times. The cubes are matched to it one-to-one (see
+    :func:`_match_cubes`); ``passed`` applies ``rel_tol`` to the worst
+    relative mismatch.
     """
     compensated, (first, second, third) = _loop_system(
         net, "cube relation check")
     stacked_vals = linalg.eig_general(compensated)[0]
     loop_vals = linalg.eig_general(first @ second @ third)[0]
 
-    nonzero_floor = 1e-8 * np.abs(stacked_vals).max()
-    matches = []
-    worst = 0.0
-    skipped = 0
-    for val in stacked_vals:
-        if abs(val) <= nonzero_floor:
-            skipped += 1
-            continue
-        cube = val ** 3
-        gaps = np.abs(loop_vals - cube)
-        best = int(np.argmin(gaps))
-        rel = float(gaps[best] / max(abs(cube), abs(loop_vals[best])))
-        matches.append((complex(val), complex(cube), complex(loop_vals[best]), rel))
-        worst = max(worst, rel)
-    return CubeRelationReport(matches, worst, skipped,
+    vals = stacked_vals[np.abs(stacked_vals) > 1e-8 * np.abs(stacked_vals).max()]
+    cubes = vals ** 3
+    match, rel = _match_cubes(cubes, loop_vals)
+    matches = [(complex(v), complex(q), complex(loop_vals[j]), float(e))
+               for v, q, j, e in zip(vals, cubes, match, rel)]
+    worst = float(rel.max()) if len(rel) else 0.0
+    return CubeRelationReport(matches, worst,
                               passed=worst <= rel_tol and bool(matches))
 
 

@@ -5,14 +5,6 @@ class EigenalignError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NonSquare(EigenalignError):
-    """A square matrix was required but a rectangular one was given."""
-
-
-class NumericalFailure(EigenalignError):
-    """An underlying numerical iteration failed to converge."""
-
-
 class EmptyNullSpace(EigenalignError):
     """The matrix has full row rank: the interference spans the whole
     receive space and no zero-forcing direction exists."""

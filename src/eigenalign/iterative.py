@@ -17,11 +17,14 @@ One engine runs S independent runs of one (K, n_t, n_r, d) setting at once.
 Channels carry a leading run axis, ``(S, K, K, n_r, n_t)``, and so do the
 filters, ``(S, K, n, max(d))``; the columns past user i's ``d_i`` are held
 at zero, so mixed stream counts share the one layout. Each half-iteration
-is one batched matmul and one batched ``eigh`` over all runs. After every
-iteration a per-run convergence mask takes the runs whose leakage reached
-the tolerance out of the batch, so each run stops where it would alone.
-Every operation acts on each run's matrices separately, so a run's trace
-and filters are bitwise the same in any batch. ``iterate`` and
+is one batched matmul and one batched eigen-solve over all runs: the
+closed form of ``_weakest_2x2`` for 2x2 covariances with one stream per
+user (n = 2, d = 1), ``eigh`` for every other shape. After every iteration
+a per-run convergence mask takes the runs whose leakage reached the
+tolerance out of the batch, so each run stops where it would alone. Every
+operation acts on each run's matrices separately, and the solver depends
+on the matrix shape and stream width only, never on the batch size, so a
+run's trace and filters are bitwise the same in any batch. ``iterate`` and
 ``warm_start_check`` are batches of one; ``iterate_batch`` (used by the
 feasibility sweep) runs many networks or seeds together.
 """
@@ -93,6 +96,44 @@ def _random_precoders(dims, d, seed):
     return out
 
 
+def _weakest_2x2(cov):
+    """Weakest eigenpair of each Hermitian PSD 2x2 ``[[a, b*], [b, c]]``,
+    equal to ``np.linalg.eigh``'s (``zheevd``, lower triangle) to rounding.
+
+    ``zheevd`` turns ``b`` into the real ``beta = -|b| sign(Re b)`` (``b``
+    itself when real). With ``h = (a - c) / 2`` and the cancellation-free
+    ``t = |h| + hypot(h, |b|)``, its vector is ``(-t, b)`` for ``a <= c``,
+    else ``(beta, -t b / beta)``, normalized; ``e1``, or ``e2 b / beta`` for
+    ``a > c``, where it neglects ``b``. Power-of-two scaling and +, -, *, /,
+    sqrt act on each matrix alone, so no result depends on the batch.
+    Returns eigenvalues ``(..., 1)`` and unit eigenvectors ``(..., 2, 1)``.
+    """
+    parts = cov.reshape(-1, 4).view(np.float64)   # Re, Im of C00 C01 C10 C11
+    exp = np.frexp(np.maximum(parts[:, 0], parts[:, 6]))[1]
+    parts = np.ldexp(parts, -exp[:, None])
+    a, c, b = parts[:, 0], parts[:, 6], parts.view(np.complex128)[:, 2]
+    vec = np.empty((len(a), 2), dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        bb = b.real * b.real + b.imag * b.imag
+        h = 0.5 * (a - c)
+        r = np.sqrt(h * h + bb)
+        nt = -r - np.abs(h)               # -t
+        norm = np.sqrt(nt * nt + bb)
+        beta = np.copysign(np.sqrt(bb), np.where(b.imag, -b.real, b.real))
+        up = h > 0
+        vec[:, 0] = np.where(up, beta, nt) / norm
+        vec[:, 1] = np.where(up, nt / beta, 1.0) / norm * b
+        split = bb <= 2.0 ** -106 * a * c  # unit roundoff 2**-53, squared
+        if split.any():                   # zheevd's negligible b
+            vec[split] = (1.0, 0.0)
+            vec[split & up] = (0.0, 1.0)
+            e2 = split & up & (bb > 0)
+            vec[e2, 1] = b[e2] / beta[e2]
+    val = np.ldexp(0.5 * (a + c) - r, exp)
+    return (val.reshape(cov.shape[:-2] + (1,)),
+            vec.reshape(cov.shape[:-2] + (2, 1)))
+
+
 def _half_iteration(links, filters, weights, columns):
     """One half-iteration for every run and every receiver at once.
 
@@ -102,15 +143,19 @@ def _half_iteration(links, filters, weights, columns):
     transmitters and ``weights`` scales block ``j`` by ``1/sqrt(d_j)`` (by
     0 for ``j = i``, which is no interference). Returns the new receive
     filters, the weakest eigenvectors of each covariance with the columns
-    past ``d_i`` zeroed by ``columns``, and the eigenvalues in ascending
-    order.
+    past ``d_i`` zeroed by ``columns``, and the ``width`` or more weakest
+    eigenvalues in ascending order.
     """
     s, k, _, width = filters.shape
     g = links @ filters                   # (S, K_tx, K_rx * n_out, width)
     n_out = g.shape[2] // k
     w = np.multiply(g.reshape(s, k, k, n_out, width).transpose(0, 2, 3, 1, 4),
                     weights, order="C").reshape(s, k, n_out, k * width)
-    vals, vecs = np.linalg.eigh(w @ w.conj().swapaxes(-1, -2))
+    cov = w @ w.conj().swapaxes(-1, -2)
+    if n_out == 2 and width == 1:
+        vals, vecs = _weakest_2x2(cov)
+    else:
+        vals, vecs = np.linalg.eigh(cov)
     return vecs[..., :width] * columns[:, None, :], vals
 
 

@@ -2,8 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion. The feasibility sweep (criteria 5 and 6) runs the
-full 3 x 6 grid at 20 seeds x 5000 iterations and takes about half a
-minute; everything else finishes in seconds.
+full 3 x 6 grid at 20 seeds x 5000 iterations and takes about 40 s on a
+2-core host, most of it in the capped N = 3 and N = 4 cells (the N = 2
+cells take about 8 s); everything else finishes in seconds.
 """
 
 import os

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,21 @@ class TestVerifyAndRates:
                                         str(sol), "--snr-db", text])
             assert code == 2
             assert err.startswith("error: --snr-db needs finite")
+        # a STEP this fine asks for 1,000,001 points (8 MB of list alone),
+        # or for more than a float holds; the bound refuses both before
+        # any list exists
+        for text in ("0:1e-6:1", "0:1e-320:1"):
+            tracemalloc.start()
+            try:
+                code, _, err = run(capsys, ["rates", "--channel",
+                                            str(channel_file), "--solution",
+                                            str(sol), "--snr-db", text])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 2
+            assert err.startswith("error: --snr-db allows at most 10000")
+            assert peak < 2_000_000
 
 
 class TestInfeasible:

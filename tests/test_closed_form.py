@@ -69,14 +69,14 @@ def rebuilt_compensated(net):
 class TestBuildStacked:
     def test_identity_channels_block_cyclic(self):
         net = identity_cross_network(3, 2)
-        system = closed_form.build_stacked(net)
+        compensated = closed_form.build_stacked(net)
         expected = np.zeros((6, 6), dtype=complex)
         expected[0:2, 2:4] = np.eye(2)
         expected[2:4, 4:6] = np.eye(2)
         expected[4:6, 0:2] = np.eye(2)
-        np.testing.assert_allclose(system.compensated, expected, atol=1e-14)
+        np.testing.assert_allclose(compensated, expected, atol=1e-14)
         # spectrum: the three cube roots of unity, each twice
-        values = np.sort_complex(np.linalg.eigvals(system.compensated))
+        values = np.sort_complex(np.linalg.eigvals(compensated))
         roots = [-0.5 - 0.8660254037844386j, -0.5 - 0.8660254037844386j,
                  -0.5 + 0.8660254037844386j, -0.5 + 0.8660254037844386j,
                  1.0, 1.0]
@@ -85,13 +85,13 @@ class TestBuildStacked:
 
     def test_block_sparsity_mask(self):
         net = generate(NetworkDims(3, 2, 2), 42)
-        system = closed_form.build_stacked(net)
+        compensated = closed_form.build_stacked(net)
         n = 2
         mask = closed_form.coupling_mask(3)
         for r in range(3):
             row_nonzero = 0
             for c in range(3):
-                block = system.compensated[r * n:(r + 1) * n, c * n:(c + 1) * n]
+                block = compensated[r * n:(r + 1) * n, c * n:(c + 1) * n]
                 if mask[r, c]:
                     assert np.abs(block).max() > 0
                     row_nonzero += 1
@@ -103,9 +103,9 @@ class TestBuildStacked:
         # block (row 2, col 3) in 1-based terms must equal
         # inv(h[0,1]) @ h[0,2], computed here through a separate inverse
         net = generate(NetworkDims(4, 3, 3), 7)
-        system = closed_form.build_stacked(net)
+        compensated = closed_form.build_stacked(net)
         n = 3
-        block = system.compensated[1 * n:2 * n, 2 * n:3 * n]
+        block = compensated[1 * n:2 * n, 2 * n:3 * n]
         oracle = np.linalg.inv(net.h[0, 1]) @ net.h[0, 2]
         np.testing.assert_allclose(block, oracle, atol=1e-12)
 
@@ -113,9 +113,9 @@ class TestBuildStacked:
     def test_compensation_identity(self, n, seed):
         # compensated == -shift (inv(block_diagonal) permutation stacked - I)
         net = generate(NetworkDims(n + 1, n, n), seed)
-        system = closed_form.build_stacked(net)
+        compensated = closed_form.build_stacked(net)
         rebuilt = rebuilt_compensated(net)
-        assert np.abs(system.compensated - rebuilt).max() < 1e-10
+        assert np.abs(compensated - rebuilt).max() < 1e-10
 
     def test_permutation_structure(self):
         net = generate(NetworkDims(4, 3, 3), 0)
@@ -186,7 +186,7 @@ class TestChannelCheck:
             closed_form.build_stacked(refused)
         # just inside the cap the channel is accepted and inverted
         accepted = with_blocks(net, {(0, 1): np.diag([1.0, 1e-11])})
-        block = closed_form.build_stacked(accepted).compensated[2:4, 4:6]
+        block = closed_form.build_stacked(accepted)[2:4, 4:6]
         oracle = np.diag([1.0, 1e11]) @ accepted.h[0, 2]
         np.testing.assert_allclose(block, oracle, rtol=1e-12)
 
@@ -273,10 +273,10 @@ class TestEigenMethod:
 
     def test_eigen_consistency(self):
         net = generate(NetworkDims(3, 2, 2), 11)
-        system = closed_form.build_stacked(net)
+        compensated = closed_form.build_stacked(net)
         sol = closed_form.solve_eigen_method(net)
         assert sol.diagnostics.eigen_residual <= (
-            1e-8 * np.linalg.norm(system.compensated))
+            1e-8 * np.linalg.norm(compensated))
 
     def test_combiner_phase_fixed(self):
         net = generate(NetworkDims(3, 2, 2), 13)
@@ -363,6 +363,17 @@ class TestCubeRelation:
     def test_wrong_user_count(self):
         with pytest.raises(DimensionMismatch):
             closed_form.cube_relation_check(generate(NetworkDims(4, 3, 3), 0))
+
+    def test_loop_value_taken_at_most_three_times(self):
+        # 1.2 lies nearest to 1, which nearest-neighbour matching would
+        # then take four times; 1 has three cube roots, so 1.2 goes to 2
+        cubes = np.array([1.0, 1.0, 1.0, 1.2, 2.0, 2.0], dtype=complex)
+        loop_vals = np.array([1.0, 2.0], dtype=complex)
+        assert np.bincount(np.argmin(np.abs(cubes[:, None] - loop_vals),
+                                     axis=1)).max() == 4
+        match, rel = closed_form._match_cubes(cubes, loop_vals)
+        assert match.tolist() == [0, 0, 0, 1, 1, 1]
+        np.testing.assert_allclose(rel, [0, 0, 0, 0.4, 0, 0])
 
     def test_singular_channel_named(self):
         # the same error, naming the same pair, as the two solve routes

@@ -94,6 +94,69 @@ class TestIterate:
         assert np.all(np.diff(trace.leakage) <= 1e-12)
 
 
+def covariances(kind, count=400, seed=0):
+    """Hermitian PSD 2x2 matrices of one kind, ``(count, 2, 2)``."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    def gram(cols):
+        w = (rng.standard_normal((count, 2, cols))
+             + 1j * rng.standard_normal((count, 2, cols)))
+        return w @ w.conj().swapaxes(-1, -2)
+
+    if kind == "random":
+        return gram(4)
+    if kind == "near_rank_one":
+        return gram(1) + 1e-7 * gram(2)
+    if kind == "real":
+        return gram(3).real.astype(complex)
+    if kind == "diagonal":
+        cov = np.zeros((count, 2, 2), dtype=complex)
+        cov[:, 0, 0], cov[:, 1, 1] = rng.uniform(0, 3, (2, count))
+        cov[:3, 0, 0], cov[:3, 1, 1] = [0.0, 2.0, 1.5], [1.0, 0.0, 1.5]
+        return cov
+    if kind == "zero":
+        return np.zeros((count, 2, 2), dtype=complex)
+    if kind == "scaled_identity":
+        return rng.uniform(0, 5, (count, 1, 1)) * np.eye(2, dtype=complex)
+    if kind == "tiny":
+        return 1e-150 * gram(3)
+    if kind == "huge":
+        return 1e150 * gram(3)
+    raise ValueError(kind)
+
+
+class TestWeakest2x2:
+    """The closed-form kernel against ``np.linalg.eigh``, phase included."""
+
+    @pytest.mark.parametrize("kind", [
+        "random", "near_rank_one", "real", "diagonal", "zero",
+        "scaled_identity", "tiny", "huge"])
+    def test_matches_eigh(self, kind):
+        cov = covariances(kind)
+        vals, vecs = np.linalg.eigh(cov)
+        got_vals, got_vecs = iterative._weakest_2x2(cov)
+        assert got_vals.shape == (len(cov), 1)
+        assert got_vecs.shape == (len(cov), 2, 1)
+        assert np.isfinite(got_vecs).all()
+        scale = np.abs(vals).max(axis=1)
+        assert np.all(np.abs(got_vals[:, 0] - vals[:, 0]) <= 1e-14 * scale)
+        assert np.abs(got_vecs[:, :, 0] - vecs[:, :, 0]).max() <= 1e-12
+
+    def test_identity_gives_first_axis(self):
+        for alpha in (0.0, 1.0, 3.5):
+            _, vecs = iterative._weakest_2x2(alpha * np.eye(2, dtype=complex))
+            assert np.array_equal(vecs[:, 0], [1.0, 0.0])
+
+    def test_batch_is_bitwise_each_alone(self):
+        cov = np.concatenate([covariances(kind, count=5) for kind in (
+            "random", "near_rank_one", "diagonal", "zero")])
+        vals, vecs = iterative._weakest_2x2(cov.reshape(4, 5, 2, 2))
+        for i, one in enumerate(cov):
+            val, vec = iterative._weakest_2x2(one[None])
+            assert np.array_equal(val[0], vals.reshape(-1, 1)[i])
+            assert np.array_equal(vec[0], vecs.reshape(-1, 2, 1)[i])
+
+
 class TestBatch:
     @pytest.mark.parametrize("dims,d,cap", [((3, 2, 2), (1, 1, 1), 60),
                                             ((3, 4, 4), (2, 1, 2), 30)])
