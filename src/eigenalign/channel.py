@@ -89,27 +89,22 @@ def generate(dims, seed):
     return InterferenceNetwork(dims, h, seed=int(seed))
 
 
-def _matrix_doc(m):
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
 def serialize(net):
     """Serialize a network to the versioned JSON channel document.
 
-    Floats are written with Python's shortest round-trip representation
-    (at most 17 significant digits), so ``deserialize(serialize(net))``
-    reproduces the entries exactly.
+    Writes the bytes of ``json.dumps(doc, indent=1)`` and a newline, the
+    grid as that layout's template filled in one ``%`` call: ``%r`` of a
+    finite float is the shortest round-trip form ``json`` writes, so
+    ``deserialize(serialize(net))`` reproduces the entries exactly.
     """
-    doc = {
-        "format": CHANNEL_FORMAT,
-        "k": net.dims.k,
-        "nt": net.dims.n_t,
-        "nr": net.dims.n_r,
-        "seed": net.seed,
-        "h": [[_matrix_doc(net.h[i, j]) for j in range(net.dims.k)]
-              for i in range(net.dims.k)],
-    }
-    return (json.dumps(doc, indent=1) + "\n").encode("utf-8")
+    head = json.dumps({"format": CHANNEL_FORMAT, "k": net.dims.k, "nt": net.dims.n_t,
+                       "nr": net.dims.n_r, "seed": net.seed}, indent=1)
+    body = "%r"
+    for d, n in reversed(list(enumerate(net.h.shape + (2,), start=1))):
+        sep = "\n" + " " * (d + 1)   # items at indent d + 1, brackets at d
+        body = "[" + sep + ("," + sep).join([body] * n) + "\n" + " " * d + "]"
+    body %= tuple(net.h.ravel().view(np.float64).tolist())
+    return (head[:-2] + ',\n "h": ' + body + "\n}\n").encode("utf-8")
 
 
 #: Exact types a JSON number parses to; ``bool`` (``true``/``false``) is
@@ -215,8 +210,17 @@ def deserialize(data):
     if (not isinstance(grid, list) or len(grid) != dims.k
             or any(not isinstance(row, list) or len(row) != dims.k for row in grid)):
         raise MalformedDocument(f"'h' must be a {dims.k}x{dims.k} grid", "h")
-    h = np.empty((dims.k, dims.k, dims.n_r, dims.n_t), dtype=np.complex128)
-    for i in range(dims.k):
-        for j in range(dims.k):
-            h[i, j] = _parse_matrix(grid[i][j], dims.n_r, dims.n_t, f"h[{i}][{j}]")
+    # One pass checks the grid, leaf types too (np.array reads "1.5", true and
+    # null as numbers); only a grid that fails is walked, to name the location.
+    try:
+        h = np.array(grid, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError):
+        h = np.empty(0)
+    if (h.shape == (dims.k, dims.k, dims.n_r, dims.n_t, 2) and np.isfinite(h).all()
+            and {type(v) for a in grid for m in a for r in m for e in r
+                 for v in e}.issubset(_REAL)):
+        h = h.view(np.complex128)[..., 0]
+    else:
+        h = np.array([[_parse_matrix(m, dims.n_r, dims.n_t, f"h[{i}][{j}]")
+                       for j, m in enumerate(row)] for i, row in enumerate(grid)])
     return InterferenceNetwork(dims, h, seed=seed)

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -29,6 +30,9 @@ EXIT_IO = 4
 
 #: Most points ``rates --snr-db`` accepts.
 MAX_SNR_POINTS = 10_000
+
+#: Most values ``sweep --n-range`` or ``--k-range`` accepts.
+MAX_RANGE_VALUES = 1_000
 
 
 def _default_seed():
@@ -58,18 +62,16 @@ def _load_network(path):
 
 
 def _parse_int_range(text, flag):
-    parts = text.split(":")
+    lo, sep, hi = text.partition(":")
     try:
-        if len(parts) == 1:
-            lo = hi = int(parts[0])
-        elif len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
-        else:
-            raise ValueError
+        lo, hi = int(lo), int(hi if sep else lo)
     except ValueError:
         raise ValueError(f"{flag} expects A or A:B, got {text!r}") from None
     if lo > hi:
         raise ValueError(f"{flag} range is empty: {text!r}")
+    if hi - lo >= MAX_RANGE_VALUES:
+        raise ValueError(f"{flag} allows at most {MAX_RANGE_VALUES} values,"
+                         f" {text!r} asks for {hi - lo + 1}")
     return list(range(lo, hi + 1))
 
 
@@ -219,13 +221,7 @@ def cmd_sweep(args):
                  "final_leakage": r.final_leakage,
                  "iterations": r.iterations, "verdict": r.verdict}
                 for r in result.records],
-            "cells": [
-                {"n": c.n, "k": c.k, "verdict": c.verdict,
-                 "feasible_seeds": c.feasible_seeds,
-                 "infeasible_seeds": c.infeasible_seeds,
-                 "inconclusive_seeds": c.inconclusive_seeds,
-                 "predicted_feasible": c.predicted_feasible}
-                for c in result.cells.values()],
+            "cells": [asdict(c) for c in result.cells.values()],
         }
         _write_bytes(args.out, (json.dumps(doc, indent=1) + "\n").encode())
     if any(c.verdict == "inconclusive" for c in result.cells.values()):

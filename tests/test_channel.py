@@ -1,7 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eigenalign import channel
 from eigenalign.errors import MalformedDocument, ShapeMismatch
@@ -42,7 +46,56 @@ class TestGenerate:
             channel.NetworkDims(2, 0, 2)
 
 
+def _oracle(net):
+    """The channel document as ``json.dumps`` writes it, the reference the
+    direct writer must match byte for byte."""
+    doc = {
+        "format": channel.CHANNEL_FORMAT,
+        "k": net.dims.k,
+        "nt": net.dims.n_t,
+        "nr": net.dims.n_r,
+        "seed": net.seed,
+        "h": [[[[[float(v.real), float(v.imag)] for v in row]
+                for row in net.h[i, j]] for j in range(net.dims.k)]
+              for i in range(net.dims.k)],
+    }
+    return (json.dumps(doc, indent=1) + "\n").encode("utf-8")
+
+
+def _network(entries, k, n_t, n_r, seed=None):
+    x = np.resize(np.asarray(entries, dtype=np.float64), (k, k, n_r, n_t, 2))
+    return channel.InterferenceNetwork(channel.NetworkDims(k, n_t, n_r),
+                                       x.view(np.complex128)[..., 0], seed)
+
+
+@st.composite
+def _networks(draw):
+    k, n_t, n_r = (draw(st.integers(lo, hi)) for lo, hi in ((2, 4), (1, 3), (1, 3)))
+    x = draw(hnp.arrays(np.float64, (k, k, n_r, n_t, 2),
+                        elements=st.floats(allow_nan=False, allow_infinity=False)))
+    return _network(x, k, n_t, n_r, draw(st.none() | st.integers()))
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("net", [
+        channel.generate(channel.NetworkDims(3, 2, 2), 42),
+        channel.generate(channel.NetworkDims(2, 3, 1), 5),
+        channel.generate(channel.NetworkDims(4, 1, 3), 2 ** 70),
+        _network([-0.0, 5e-324, 1e308, -1e308, 1.0, 0.0, -5e-324], 3, 2, 3),
+        _network([1e308, -0.0, 1.0], 2, 1, 1, seed=-1),
+    ], ids=["square", "rectangular", "tall", "special", "special-1x1"])
+    def test_bytes_match_json_dumps(self, net):
+        assert channel.serialize(net) == _oracle(net)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(_networks())
+    def test_bytes_and_round_trip_property(self, net):
+        data = channel.serialize(net)
+        assert data == _oracle(net)
+        back = channel.deserialize(data)
+        assert (back.dims, back.seed) == (net.dims, net.seed)
+        assert back.h.tobytes() == net.h.tobytes()
+
     def test_round_trip_exact(self):
         net = channel.generate(channel.NetworkDims(3, 2, 2), 42)
         back = channel.deserialize(channel.serialize(net))
@@ -114,21 +167,44 @@ def _set_entry(doc, value):
     doc["h"][0][1][0][0] = value
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda d: d.update(nt=True),
-    lambda d: d.update(format=True),
-    lambda d: d.update(seed=False),
-    lambda d: _set_entry(d, [True, False]),
-    lambda d: _set_entry(d, [float("nan"), 0.0]),
-    lambda d: _set_entry(d, [0.0, float("inf")]),
-    lambda d: _set_entry(d, [10 ** 400, 0]),
+def _drop_last(doc):
+    doc["h"][1][0][1].pop()
+
+
+_PAIR = "entry must be a [re, im] pair (at h[0][1][0][0])"
+
+
+# Each message names the first bad location, as the matrix-by-matrix walk
+# words it. The numeric string, null and bool entries are traps for the
+# one-pass grid check: np.array alone would read them as 1.5, nan and 1.0.
+@pytest.mark.parametrize("mutate, error, message", [
+    (lambda d: d.update(nt=True), MalformedDocument,
+     "field 'nt' must be an integer (at nt)"),
+    (lambda d: d.update(format=True), MalformedDocument,
+     "unsupported channel format True (at format)"),
+    (lambda d: d.update(seed=False), MalformedDocument,
+     "field 'seed' must be an integer or null (at seed)"),
+    (lambda d: _set_entry(d, [True, False]), MalformedDocument, _PAIR),
+    (lambda d: _set_entry(d, [float("nan"), 0.0]), MalformedDocument,
+     "entries must be finite (at h[0][1][0])"),
+    (lambda d: _set_entry(d, [0.0, float("inf")]), MalformedDocument,
+     "entries must be finite (at h[0][1][0])"),
+    (lambda d: _set_entry(d, [10 ** 400, 0]), MalformedDocument,
+     "number out of range (at h[0][1][0])"),
+    (lambda d: _set_entry(d, ["1.5", 0.0]), MalformedDocument, _PAIR),
+    (lambda d: _set_entry(d, [None, 0.0]), MalformedDocument, _PAIR),
+    (lambda d: _set_entry(d, [1.0, 0.0, 2.0]), MalformedDocument, _PAIR),
+    (lambda d: _set_entry(d, [[1.0, 0.0], [2.0, 0.0]]), MalformedDocument,
+     _PAIR),
+    (_drop_last, ShapeMismatch, "matrix at h[1][0] is "),
 ], ids=["bool-nt", "bool-format", "bool-seed", "bool-entry",
-        "nan-entry", "inf-entry", "huge-entry"])
-def test_malformed_values_rejected(mutate):
+        "nan-entry", "inf-entry", "huge-entry", "str-entry", "null-entry",
+        "three-entry", "deep-entry", "short-row"])
+def test_malformed_values_rejected(mutate, error, message):
     doc = json.loads(channel.serialize(
         channel.generate(channel.NetworkDims(2, 2, 2), 0)))
     mutate(doc)
-    with pytest.raises(MalformedDocument):
+    with pytest.raises(error, match="^" + re.escape(message)):
         channel.deserialize(json.dumps(doc))
 
 

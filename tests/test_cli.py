@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eigenalign import channel, closed_form
-from eigenalign.cli import main
+from eigenalign.cli import _parse_int_range, main
 
 
 def run(capsys, argv):
@@ -257,6 +257,25 @@ class TestSweep:
         code, _, err = run(capsys, ["sweep", "--n-range", "4:2",
                                     "--k-range", "3"])
         assert code == 2
+
+    def test_oversized_range_exits_2(self, capsys):
+        # 3:1000002 would be a list of a million values (tens of MB) and a
+        # sweep over networks of up to a million users; the bound refuses
+        # it before any list exists
+        for argv in (["--n-range", "3:1000002", "--k-range", "4"],
+                     ["--n-range", "2", "--k-range", "3:1000002"]):
+            tracemalloc.start()
+            try:
+                code, out, err = run(capsys, ["sweep"] + argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: --")
+            assert "allows at most 1000 values" in err
+            assert peak < 2_000_000
+        assert _parse_int_range("1:1000", "--k-range") == list(range(1, 1001))
 
     def test_no_seeds_exits_2(self, capsys):
         code, out, err = run(capsys, ["sweep", "--n-range", "2",
