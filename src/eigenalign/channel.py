@@ -10,12 +10,16 @@ Gaussian with unit variance (real and imaginary parts each of variance
 entries of ``h[i, j]`` come from the PCG64 stream seeded with
 ``SeedSequence(seed, spawn_key=(i, j))``, real part drawn before imaginary
 part, so identical seeds give bit-identical networks on any platform.
+The package derives these states itself; numpy's SeedSequence is the test oracle.
 """
 
 import json
+import operator
 from dataclasses import dataclass, field
+from itertools import accumulate, permutations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import MalformedDocument, ShapeMismatch
 
@@ -73,20 +77,82 @@ class InterferenceNetwork:
         return [(i, j) for i in range(k) for j in range(k) if i != j]
 
 
+# SeedSequence's hash (fixed by NEP 19) works mod 2**32. Its constants: those
+# of the pool's first 20 hashmix steps (the seed's first four words and their
+# cross-mix take 16) and the 8 of ``generate_state``.
+_M32 = 0xFFFFFFFF
+_POOL_HASH = list(accumulate([0x931e8875] * 20, lambda h, m: h * m & _M32,
+                             initial=0x43b0d7e5))
+_STATE_HASH = np.array(list(accumulate([0x58f38ded] * 8, lambda h, m: h * m & _M32,
+                                       initial=0x8b51f9dd)), dtype=np.uint32)
+
+
+def _hashmix(v, hc, hc_next):
+    """SeedSequence's ``hashmix`` at constant ``hc``; it and ``_mix`` act on
+    Python ints and on uint32 arrays (which wrap mod 2**32) alike."""
+    v = (v ^ hc) * hc_next & _M32
+    return v ^ v >> 16
+
+
+def _mix(x, y):
+    r = (0xca01f9dd * x - 0x4973f715 * y) & _M32
+    return r ^ r >> 16
+
+
+def _words(n):
+    """Little-endian 32-bit words of a non-negative integer."""
+    if (n := operator.index(n)) < 0:
+        raise ValueError("expected non-negative integer")
+    return [n >> s & _M32 for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+class _SeedWords(ISeedSequence):
+    """PCG64's four seed words, derived in advance."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _streams(seed, keys):
+    """One Generator per spawn key, bit-identical to
+    ``Generator(PCG64(SeedSequence(seed, spawn_key=key)))``. The seed's first
+    four words fill and cross-mix the pool once, in Python ints; the later
+    words (the seed's past four, then the key's) are absorbed for all keys
+    at once, one uint32 column per word; then ``generate_state(4, uint64)``."""
+    words = _words(seed)
+    tails = [words[4:] + [w for k in key for w in _words(k)] for key in keys]
+    width = max(map(len, tails), default=0)
+    hc = _POOL_HASH
+    pool = [_hashmix(w, hc[n], hc[n + 1]) for n, w in enumerate((words + [0] * 3)[:4])]
+    for n, (s, d) in enumerate(permutations(range(4), 2), start=4):
+        pool[d] = _mix(pool[d], _hashmix(pool[s], hc[n], hc[n + 1]))
+    hc = np.array(hc[16:], dtype=np.uint32)   # the next word's four steps
+    cols = np.array([t + [0] * (width - len(t)) for t in tails], dtype=np.uint32)
+    live = np.arange(width) < np.array([len(t) for t in tails])[:, None]
+    pool = np.array([pool] * len(keys), dtype=np.uint32).reshape(-1, 4)
+    for col, alive in zip(cols.T, live.T):
+        mixed = _mix(pool, _hashmix(col[:, None], hc[:4], hc[1:]))
+        pool = np.where(alive[:, None], mixed, pool)
+        hc *= pow(0x931e8875, 4, 1 << 32)
+    state = _hashmix(np.tile(pool, 2), _STATE_HASH[:-1], _STATE_HASH[1:])
+    return [np.random.Generator(np.random.PCG64(_SeedWords(w)))
+            for w in state.astype("<u4").view("<u8").astype(np.uint64)]
+
+
 def generate(dims, seed):
     """Draw a random network, a pure function of ``(dims, seed)``."""
     if not isinstance(dims, NetworkDims):
         dims = NetworkDims(*dims)
-    h = np.empty((dims.k, dims.k, dims.n_r, dims.n_t), dtype=np.complex128)
-    scale = np.sqrt(0.5)
-    for i in range(dims.k):
-        for j in range(dims.k):
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i, j))))
-            re = rng.standard_normal((dims.n_r, dims.n_t))
-            im = rng.standard_normal((dims.n_r, dims.n_t))
-            h[i, j] = scale * (re + 1j * im)
-    return InterferenceNetwork(dims, h, seed=int(seed))
+    k = dims.k
+    x = np.empty((k * k, 2, dims.n_r, dims.n_t))
+    for rng, out in zip(_streams(seed, list(np.ndindex(k, k))), x):
+        rng.standard_normal(out=out)
+    h = np.sqrt(0.5) * (x[:, 0] + 1j * x[:, 1])
+    return InterferenceNetwork(dims, h.reshape(k, k, dims.n_r, dims.n_t),
+                               seed=int(seed))
 
 
 def serialize(net):
@@ -182,10 +248,12 @@ def _parse_vector(items, length, where):
 def _parse_matrix(m, n_r, n_t, where):
     if not isinstance(m, list):
         raise MalformedDocument("matrix must be an array of rows", where)
-    if len(m) != n_r or any(not isinstance(r, list) or len(r) != n_t for r in m):
-        raise ShapeMismatch(
-            f"matrix at {where} is {len(m)}x{len(m[0]) if m and isinstance(m[0], list) else '?'},"
-            f" expected {n_r}x{n_t}")
+    if len(m) != n_r:
+        raise ShapeMismatch(f"matrix at {where} has {len(m)} rows, expected {n_r}")
+    for r, row in enumerate(m):
+        if not isinstance(row, list) or len(row) != n_t:
+            got = f"has length {len(row)}" if isinstance(row, list) else "is not a list"
+            raise ShapeMismatch(f"row {where}[{r}] {got}, expected length {n_t}")
     return np.stack([_parse_vector(row, n_t, f"{where}[{r}]")
                      for r, row in enumerate(m)])
 

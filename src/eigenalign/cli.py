@@ -6,10 +6,11 @@ positive finding, 1 negative finding (failed verification, rank-deficient
 or non-converged solve, confirmed infeasibility, inconclusive sweep cell),
 2 usage or malformed input, 3 no usable eigenpair, 4 I/O failure.
 
-``EIGENALIGN_SEED`` provides the default for every ``--seed`` flag.
+``EIGENALIGN_SEED``, read on every call, provides the default of ``--seed``.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -33,6 +34,9 @@ MAX_SNR_POINTS = 10_000
 
 #: Most values ``sweep --n-range`` or ``--k-range`` accepts.
 MAX_RANGE_VALUES = 1_000
+
+#: Most seeds ``sweep --seeds`` runs per cell.
+MAX_SWEEP_SEEDS = 1_000
 
 
 def _default_seed():
@@ -208,6 +212,9 @@ def cmd_infeasible(args):
 def cmd_sweep(args):
     n_values = _parse_int_range(args.n_range, "--n-range")
     k_values = _parse_int_range(args.k_range, "--k-range")
+    if args.seeds > MAX_SWEEP_SEEDS:
+        raise ValueError(f"--seeds allows at most {MAX_SWEEP_SEEDS},"
+                         f" got {args.seeds}")
     result = analysis.feasibility_sweep(
         n_values, k_values, args.seeds, max_iters=args.max_iters)
     sys.stdout.write(analysis.records_table(result.records))
@@ -240,7 +247,7 @@ def build_parser():
     p.add_argument("--users", type=int, required=True)
     p.add_argument("--nt", type=int, required=True)
     p.add_argument("--nr", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
@@ -251,7 +258,7 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.add_argument("--max-iters", type=int, default=iterative.DEFAULT_MAX_ITERS)
     p.add_argument("--tol", type=float, default=iterative.DEFAULT_LEAKAGE_TOL)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify", help="check a solution against a channel")
@@ -269,7 +276,7 @@ def build_parser():
 
     p = sub.add_parser("infeasible",
                        help="4-user 2x2 eigenvector-incompatibility demo")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_infeasible)
 
     p = sub.add_parser("sweep", help="feasibility sweep over an (N, K) grid")
@@ -282,9 +289,16 @@ def build_parser():
     return parser
 
 
+#: The parser :func:`main` builds once per process; it fills ``--seed``.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        seed = _default_seed()
+        args = _parser().parse_args(argv)
+        if getattr(args, "seed", 0) is None:
+            args.seed = seed
         return args.func(args)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ Per-stream transmit power is 1/d_j (unit total power per transmitter);
 degrees-of-freedom questions are power-scale-free so nothing else is
 needed. Initial precoders are Haar-random truncated-unitary matrices drawn
 from PCG64 streams ``SeedSequence(seed, spawn_key=(i,))``, one per user.
+The package derives these states itself; numpy's SeedSequence is the test oracle.
 
 One engine runs S independent runs of one (K, n_t, n_r, d) setting at once.
 Channels carry a leading run axis, ``(S, K, K, n_r, n_t)``, and so do the
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import _streams
 from .errors import ConfigMismatch
 
 #: Leakage below this counts as converged by default.
@@ -89,9 +91,7 @@ def _haar_columns(rng, rows, cols):
 def _random_precoders(dims, d, seed):
     """Seeded Haar precoders, zero-padded to ``(K, n_t, max(d))``."""
     out = np.zeros((dims.k, dims.n_t, max(d)), dtype=np.complex128)
-    for i in range(dims.k):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
+    for i, rng in enumerate(_streams(seed, [(i,) for i in range(dims.k)])):
         out[i, :, :d[i]] = _haar_columns(rng, dims.n_t, d[i])
     return out
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eigenalign import channel, closed_form
-from eigenalign.cli import _parse_int_range, main
+from eigenalign.cli import MAX_SWEEP_SEEDS, _parse_int_range, main
 
 
 def run(capsys, argv):
@@ -59,6 +59,22 @@ class TestGen:
         run(capsys, ["gen", "--users", "2", "--nt", "2", "--nr", "2",
                      "--out", str(path)])
         assert channel.deserialize(path.read_bytes()).seed == 123
+
+    def test_env_read_on_every_call(self, tmp_path, capsys, monkeypatch):
+        # the parser is built once per process; the seed default is not
+        seeds = []
+        for value in ("5", "6"):
+            monkeypatch.setenv("EIGENALIGN_SEED", value)
+            path = tmp_path / f"c{value}.json"
+            assert run(capsys, ["gen", "--users", "2", "--nt", "1", "--nr",
+                                "1", "--out", str(path)])[0] == 0
+            seeds.append(channel.deserialize(path.read_bytes()).seed)
+        assert seeds == [5, 6]
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run(capsys, ["gen", "--users", "2", "--nt", "1",
+                                      "--nr", "1", "--seed", "-1"])
+        assert (code, out, err) == (2, "", "error: expected non-negative integer\n")
 
     def test_env_malformed_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EIGENALIGN_SEED", "abc")
@@ -276,6 +292,23 @@ class TestSweep:
             assert "allows at most 1000 values" in err
             assert peak < 2_000_000
         assert _parse_int_range("1:1000", "--k-range") == list(range(1, 1001))
+
+    def test_oversized_seeds_exits_2(self, capsys):
+        # without the bound, --seeds 10**12 would build a list of 10**12
+        # seeds before anything refused it
+        for seeds in (10 ** 12, MAX_SWEEP_SEEDS + 1):
+            tracemalloc.start()
+            try:
+                code, out, err = run(capsys, ["sweep", "--n-range", "2",
+                                              "--k-range", "3",
+                                              "--seeds", str(seeds)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (code, out) == (2, "")
+            assert err == (f"error: --seeds allows at most {MAX_SWEEP_SEEDS},"
+                           f" got {seeds}\n")
+            assert peak < 2_000_000
 
     def test_no_seeds_exits_2(self, capsys):
         code, out, err = run(capsys, ["sweep", "--n-range", "2",
