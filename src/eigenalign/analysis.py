@@ -245,7 +245,8 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
     ------
     ValueError
         If ``seeds`` is a ``bool`` or a non-integral count, holds a
-        non-integral seed, names no seed, or repeats one.
+        non-integral seed, names no seed, or repeats one, or if
+        ``n_values`` or ``k_values`` repeats a value.
     """
     def integral(x):
         return isinstance(x, numbers.Integral) and not isinstance(x, bool)
@@ -261,10 +262,12 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
         seeds = sorted(int(s) for s in seeds)
     if not seeds:
         raise ValueError("the sweep needs at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError(f"seeds must be distinct, got {seeds}")
     n_values = sorted(int(n) for n in n_values)
     k_values = sorted(int(k) for k in k_values)
+    for name, values in (("seeds", seeds), ("n_values", n_values),
+                         ("k_values", k_values)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} must be distinct, got {values}")
 
     records = []
     traces = [] if keep_traces else None

@@ -10,13 +10,14 @@ Gaussian with unit variance (real and imaginary parts each of variance
 entries of ``h[i, j]`` come from the PCG64 stream seeded with
 ``SeedSequence(seed, spawn_key=(i, j))``, real part drawn before imaginary
 part, so identical seeds give bit-identical networks on any platform.
-The package derives these states itself; numpy's SeedSequence is the test oracle.
+The seed's pool comes from numpy's ``SeedSequence(seed)``; the package derives
+the key stage itself, with numpy's per-key SeedSequence as the test oracle.
 """
 
 import json
 import operator
 from dataclasses import dataclass, field
-from itertools import accumulate, permutations
+from itertools import accumulate
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -77,25 +78,23 @@ class InterferenceNetwork:
         return [(i, j) for i in range(k) for j in range(k) if i != j]
 
 
-# SeedSequence's hash (fixed by NEP 19) works mod 2**32. Its constants: those
-# of the pool's first 20 hashmix steps (the seed's first four words and their
-# cross-mix take 16) and the 8 of ``generate_state``.
+# SeedSequence's hash (fixed by NEP 19) works mod 2**32: its constants start
+# at INIT_A and step by MULT_A, and ``generate_state`` has 8 of its own.
 _M32 = 0xFFFFFFFF
-_POOL_HASH = list(accumulate([0x931e8875] * 20, lambda h, m: h * m & _M32,
-                             initial=0x43b0d7e5))
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
 _STATE_HASH = np.array(list(accumulate([0x58f38ded] * 8, lambda h, m: h * m & _M32,
                                        initial=0x8b51f9dd)), dtype=np.uint32)
 
 
 def _hashmix(v, hc, hc_next):
     """SeedSequence's ``hashmix`` at constant ``hc``; it and ``_mix`` act on
-    Python ints and on uint32 arrays (which wrap mod 2**32) alike."""
-    v = (v ^ hc) * hc_next & _M32
+    uint32 arrays, which wrap mod 2**32."""
+    v = (v ^ hc) * hc_next
     return v ^ v >> 16
 
 
 def _mix(x, y):
-    r = (0xca01f9dd * x - 0x4973f715 * y) & _M32
+    r = 0xca01f9dd * x - 0x4973f715 * y
     return r ^ r >> 16
 
 
@@ -118,25 +117,24 @@ class _SeedWords(ISeedSequence):
 
 def _streams(seed, keys):
     """One Generator per spawn key, bit-identical to
-    ``Generator(PCG64(SeedSequence(seed, spawn_key=key)))``. The seed's first
-    four words fill and cross-mix the pool once, in Python ints; the later
-    words (the seed's past four, then the key's) are absorbed for all keys
-    at once, one uint32 column per word; then ``generate_state(4, uint64)``."""
-    words = _words(seed)
-    tails = [words[4:] + [w for k in key for w in _words(k)] for key in keys]
+    ``Generator(PCG64(SeedSequence(seed, spawn_key=key)))``. The pool after
+    the seed's words is numpy's ``SeedSequence(seed).pool``; the key words
+    are absorbed for all keys at once, one uint32 column per word; then
+    ``generate_state(4, uint64)``."""
+    # the seed's words (at least four, zero-padded) took 4 hashmix steps each;
+    # _words first, as SeedSequence(None) would draw OS entropy
+    step = 4 * max(len(_words(seed)), 4)
+    pool = np.tile(np.random.SeedSequence(seed).pool, (len(keys), 1))
+    tails = [[w for k in key for w in _words(k)] for key in keys]
     width = max(map(len, tails), default=0)
-    hc = _POOL_HASH
-    pool = [_hashmix(w, hc[n], hc[n + 1]) for n, w in enumerate((words + [0] * 3)[:4])]
-    for n, (s, d) in enumerate(permutations(range(4), 2), start=4):
-        pool[d] = _mix(pool[d], _hashmix(pool[s], hc[n], hc[n + 1]))
-    hc = np.array(hc[16:], dtype=np.uint32)   # the next word's four steps
+    hc = np.array([_INIT_A * pow(_MULT_A, n, 1 << 32) & _M32
+                   for n in range(step, step + 5)], dtype=np.uint32)
     cols = np.array([t + [0] * (width - len(t)) for t in tails], dtype=np.uint32)
     live = np.arange(width) < np.array([len(t) for t in tails])[:, None]
-    pool = np.array([pool] * len(keys), dtype=np.uint32).reshape(-1, 4)
     for col, alive in zip(cols.T, live.T):
         mixed = _mix(pool, _hashmix(col[:, None], hc[:4], hc[1:]))
         pool = np.where(alive[:, None], mixed, pool)
-        hc *= pow(0x931e8875, 4, 1 << 32)
+        hc *= pow(_MULT_A, 4, 1 << 32)
     state = _hashmix(np.tile(pool, 2), _STATE_HASH[:-1], _STATE_HASH[1:])
     return [np.random.Generator(np.random.PCG64(_SeedWords(w)))
             for w in state.astype("<u4").view("<u8").astype(np.uint64)]

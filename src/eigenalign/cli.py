@@ -61,10 +61,6 @@ def _write_bytes(path, data):
             fh.write(data)
 
 
-def _load_network(path):
-    return channel.deserialize(_read_bytes(path))
-
-
 def _parse_int_range(text, flag):
     lo, sep, hi = text.partition(":")
     try:
@@ -97,14 +93,6 @@ def _parse_snr_range(text):
     return [start + i * step for i in range(int(count))]
 
 
-def _solution_summary(sol, method):
-    lam = sol.eigenvalue
-    lam_text = "-" if lam is None else f"{lam.real:.12g}{lam.imag:+.12g}j"
-    return (f"method={method} residual={sol.diagnostics.alignment_residual:.6e}"
-            f" rank_metric={np.min(sol.diagnostics.rank_metrics):.6e}"
-            f" lambda={lam_text}")
-
-
 def cmd_gen(args):
     net = channel.generate(
         channel.NetworkDims(args.users, args.nt, args.nr), args.seed)
@@ -113,56 +101,56 @@ def cmd_gen(args):
 
 
 def cmd_solve(args):
-    net = _load_network(args.infile)
-    if args.method in ("eigen", "loop"):
+    net = channel.deserialize(_read_bytes(args.infile))
+    if args.method == "iterative":
+        trace = iterative.iterate(net, iterative.IterativeConfig(
+            d=(1,) * net.dims.k, max_iters=args.max_iters,
+            leakage_tol=args.tol, seed=args.seed))
+        sol = closed_form._diagnosed_solution(
+            net, np.stack([v[:, 0] for v in trace.precoders]),
+            np.stack([u[:, 0] for u in trace.combiners]))
+        head = f" leakage={trace.leakage[-1]:.6e} iterations={trace.iterations}"
+        tail = ""
+        failure = None if trace.converged else (
+            f"leakage above threshold {args.tol:.6e} after"
+            f" {trace.iterations} iterations")
+    else:
         solver = (closed_form.solve_eigen_method if args.method == "eigen"
                   else closed_form.solve_loop_method)
         try:
             sol, failure = solver(net), None
         except RankDeficientSolution as exc:
-            sol, failure = exc.solution, exc
-        if args.out:
-            _write_bytes(args.out, closed_form.solution_to_document(
-                sol, net.dims, args.method))
-        print(_solution_summary(sol, args.method))
-        if failure is not None:
-            print(f"FAIL rank condition: {failure}")
-            return EXIT_NEGATIVE
-        return EXIT_OK
-
-    cfg = iterative.IterativeConfig(
-        d=(1,) * net.dims.k, max_iters=args.max_iters,
-        leakage_tol=args.tol, seed=args.seed)
-    trace = iterative.iterate(net, cfg)
-    sol = closed_form._diagnosed_solution(
-        net, np.stack([v[:, 0] for v in trace.precoders]),
-        np.stack([u[:, 0] for u in trace.combiners]))
+            sol, failure = exc.solution, f"rank condition: {exc}"
+        lam = sol.eigenvalue
+        head = ""
+        tail = " lambda=" + ("-" if lam is None
+                             else f"{lam.real:.12g}{lam.imag:+.12g}j")
     if args.out:
         _write_bytes(args.out, closed_form.solution_to_document(
-            sol, net.dims, "iterative"))
-    print(f"method=iterative leakage={trace.leakage[-1]:.6e}"
-          f" iterations={trace.iterations}"
+            sol, net.dims, args.method))
+    print(f"method={args.method}{head}"
           f" residual={sol.diagnostics.alignment_residual:.6e}"
-          f" rank_metric={np.min(sol.diagnostics.rank_metrics):.6e}")
-    if not trace.converged:
-        print(f"FAIL leakage above threshold {args.tol:.6e} after"
-              f" {trace.iterations} iterations")
+          f" rank_metric={np.min(sol.diagnostics.rank_metrics):.6e}{tail}")
+    if failure is not None:
+        print(f"FAIL {failure}")
         return EXIT_NEGATIVE
     return EXIT_OK
 
 
-def _check_solution_dims(net, dims):
+def _load_solved_network(args):
+    """The ``--channel`` network and the ``--solution`` built for it."""
+    net = channel.deserialize(_read_bytes(args.channel))
+    sol, dims, _ = closed_form.solution_from_document(_read_bytes(args.solution))
     if dims != net.dims:
         raise ShapeMismatch(
             f"solution was built for (k={dims.k}, nt={dims.n_t},"
             f" nr={dims.n_r}) but the channel file has (k={net.dims.k},"
             f" nt={net.dims.n_t}, nr={net.dims.n_r})")
+    return net, sol
 
 
 def cmd_verify(args):
-    net = _load_network(args.channel)
-    sol, dims, _ = closed_form.solution_from_document(_read_bytes(args.solution))
-    _check_solution_dims(net, dims)
+    net, sol = _load_solved_network(args)
     report = analysis.verify(net, sol)
     k = net.dims.k
     print("pair residual_grid (rows: receiver i, cols: transmitter j)")
@@ -176,9 +164,7 @@ def cmd_verify(args):
 
 
 def cmd_rates(args):
-    net = _load_network(args.channel)
-    sol, dims, _ = closed_form.solution_from_document(_read_bytes(args.solution))
-    _check_solution_dims(net, dims)
+    net, sol = _load_solved_network(args)
     snr_list = _parse_snr_range(args.snr_db)
     points = analysis.sum_rate_curve(net, sol, snr_list)
     k = net.dims.k

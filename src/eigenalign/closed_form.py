@@ -253,9 +253,10 @@ def solve_eigen_method(net):
 
 
 def _loop_system(net, what):
-    """The K = 3 gate, then the compensated matrix and the three loop
-    factors ``(inv(h31) h32, inv(h12) h13, inv(h23) h21)``, which are its
-    nonzero blocks ``(r, r + 1)``; ``what`` names the caller in errors."""
+    """The K = 3 gate, then the compensated matrix, the three loop factors
+    ``(inv(h31) h32, inv(h12) h13, inv(h23) h21)``, which are its nonzero
+    blocks ``(r, r + 1)``, and their product, the loop matrix; ``what``
+    names the caller in errors."""
     if net.dims.k != 3:
         raise DimensionMismatch(f"{what} needs K = 3, got K={net.dims.k}")
     if net.dims.n_t != net.dims.n_r:
@@ -264,14 +265,13 @@ def _loop_system(net, what):
     n = net.dims.n_t
     compensated = _compensated_matrix(net)
     blocks = compensated.reshape(3, n, 3, n)
-    factors = [blocks[r, :, (r + 1) % 3] for r in range(3)]
-    return compensated, factors
+    first, second, third = (blocks[r, :, (r + 1) % 3] for r in range(3))
+    return compensated, (first, second, third), first @ second @ third
 
 
 def loop_matrix(net):
     """The N x N product matrix of the 3-user loop equations."""
-    _, (first, second, third) = _loop_system(net, "loop method")
-    return first @ second @ third
+    return _loop_system(net, "loop method")[2]
 
 
 def solve_loop_method(net):
@@ -283,24 +283,18 @@ def solve_loop_method(net):
     through the receivers they interfere at, and combiners are built as in
     the stacked route.
     """
-    _, (first, second, third) = _loop_system(net, "loop method")
-    values, vectors, residuals = linalg.eig_general(first @ second @ third)
-    v1 = vectors[:, 0]
-
-    v3 = third @ v1
-    if np.linalg.norm(v3) < 1e-12:
-        raise SingularChannel("back-substitution for user 3 annihilated the"
-                              " precoder; channel (1, 0) is degenerate",
-                              pair=(1, 0))
-    v3 = v3 / np.linalg.norm(v3)
-    v2 = second @ v3
-    if np.linalg.norm(v2) < 1e-12:
-        raise SingularChannel("back-substitution for user 2 annihilated the"
-                              " precoder; channel (0, 2) is degenerate",
-                              pair=(0, 2))
-    v2 = v2 / np.linalg.norm(v2)
-
-    precoders = np.stack([v1, v2, v3])
+    _, (_, second, third), loop = _loop_system(net, "loop method")
+    values, vectors, residuals = linalg.eig_general(loop)
+    v = v1 = vectors[:, 0]
+    back = {}   # v3 from v1 through h[1, 0], then v2 from v3 through h[0, 2]
+    for factor, user, pair in ((third, 3, (1, 0)), (second, 2, (0, 2))):
+        v = factor @ v
+        if (norm := np.linalg.norm(v)) < 1e-12:
+            raise SingularChannel(
+                f"back-substitution for user {user} annihilated the"
+                f" precoder; channel {pair} is degenerate", pair=pair)
+        v = back[user] = v / norm
+    precoders = np.stack([v1, back[2], back[3]])
     return _finish_solution(net, precoders, complex(values[0]),
                             float(residuals[0]))
 
@@ -345,10 +339,9 @@ def cube_relation_check(net, rel_tol=1e-6):
     :func:`_match_cubes`); ``passed`` applies ``rel_tol`` to the worst
     relative mismatch.
     """
-    compensated, (first, second, third) = _loop_system(
-        net, "cube relation check")
+    compensated, _, loop = _loop_system(net, "cube relation check")
     stacked_vals = linalg.eig_general(compensated)[0]
-    loop_vals = linalg.eig_general(first @ second @ third)[0]
+    loop_vals = linalg.eig_general(loop)[0]
 
     vals = stacked_vals[np.abs(stacked_vals) > 1e-8 * np.abs(stacked_vals).max()]
     cubes = vals ** 3

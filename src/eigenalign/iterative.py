@@ -12,7 +12,7 @@ Per-stream transmit power is 1/d_j (unit total power per transmitter);
 degrees-of-freedom questions are power-scale-free so nothing else is
 needed. Initial precoders are Haar-random truncated-unitary matrices drawn
 from PCG64 streams ``SeedSequence(seed, spawn_key=(i,))``, one per user.
-The package derives these states itself; numpy's SeedSequence is the test oracle.
+``channel._streams`` derives them from numpy's ``SeedSequence(seed)`` pool.
 
 One engine runs S independent runs of one (K, n_t, n_r, d) setting at once.
 Channels carry a leading run axis, ``(S, K, K, n_r, n_t)``, and so do the
@@ -224,7 +224,7 @@ def _check_config(net, cfg):
 
 def iterate(net, cfg):
     """Run alternating leakage minimization on ``net`` from the seeded
-    Haar draw of precoders.
+    Haar draw of precoders, as a batch of one (:func:`iterate_batch`).
 
     Parameters
     ----------
@@ -240,18 +240,15 @@ def iterate(net, cfg):
     ConfigMismatch
         If ``cfg`` is inconsistent with the network dimensions.
     """
-    _check_config(net, cfg)
-    v = _random_precoders(net.dims, cfg.d, cfg.seed)
-    return _run_batch(net.h[None], cfg.d, cfg.max_iters, cfg.leakage_tol,
-                      v[None])[0]
+    return iterate_batch([net], [cfg])[0]
 
 
 def iterate_batch(nets, cfgs):
     """Run ``iterate(nets[s], cfgs[s])`` for every ``s`` as one batch.
 
     The networks must share their dimensions, and the configs everything
-    but the seed. Each trace is bitwise equal to the one ``iterate`` gives
-    for its pair alone.
+    but the seed. Each trace is bitwise equal to the one its pair gives
+    alone.
 
     Raises
     ------

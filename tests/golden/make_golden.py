@@ -10,12 +10,21 @@ Regenerate the corpus from the root of a checkout with::
 
     PYTHONPATH=src python tests/golden/make_golden.py
 
+With ``--replay PATH`` the records go to PATH instead and the corpus is left
+untouched. The corpus pins numbers only to ``TOL``; to check that a change
+leaves every byte alone, replay both checkouts and compare the two files::
+
+    PYTHONPATH=src python tests/golden/make_golden.py --replay new.json
+    PYTHONPATH=../parent/src python tests/golden/make_golden.py --replay old.json
+    cmp old.json new.json
+
 ``tests/test_golden.py`` replays the runs on the code under test and
 compares them with the committed corpus: every non-numeric token must be
 identical, every number must agree within ``TOL`` absolutely or
 relatively (the looser of the two).
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -163,11 +172,16 @@ def record_mismatches(expected, actual):
     return out
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Replay the golden CLI runs"
+                                     " and write their records.")
+    parser.add_argument("--replay", metavar="PATH", type=Path, default=CORPUS,
+                        help="write the records to PATH, not to the corpus")
+    out = parser.parse_args(argv).replay
     with tempfile.TemporaryDirectory() as tmp:
         records = replay(tmp)
-    CORPUS.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(records)} runs to {CORPUS}")
+    out.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(records)} runs to {out}")
     return 0
 
 

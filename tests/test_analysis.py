@@ -235,6 +235,12 @@ class TestFeasibilitySweep:
         with pytest.raises(ValueError):
             analysis.feasibility_sweep([2], [3], seeds, max_iters=10)
 
+    @pytest.mark.parametrize("n_values, k_values", [([2, 2], [3]), ([2], [3, 3])])
+    def test_rejects_repeated_grid_values(self, n_values, k_values):
+        # one cell per (n, k): a repeat would count its seeds twice
+        with pytest.raises(ValueError, match="must be distinct"):
+            analysis.feasibility_sweep(n_values, k_values, [0, 1], max_iters=10)
+
     def test_render_table(self):
         result = analysis.feasibility_sweep([2], [3, 4], seeds=2,
                                             max_iters=3000)

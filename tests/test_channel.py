@@ -73,7 +73,10 @@ def _reference_precoders(dims, d, seed):
     return out
 
 
-_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 128 + 5]
+# 4-word and 6-word seeds sit on both sides of the four words the pool
+# absorbs before the key stage starts
+_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 96, 2 ** 128 - 1,
+          2 ** 128 + 5, 2 ** 160 + 1]
 
 
 class TestStreams:

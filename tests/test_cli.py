@@ -177,9 +177,12 @@ class TestVerifyAndRates:
         sol = tmp_path / "sol.json"
         run(capsys, ["solve", "--method", "eigen", "--in", str(other),
                      "--out", str(sol)])
-        code, _, err = run(capsys, ["verify", "--channel", str(channel_file),
-                                    "--solution", str(sol)])
-        assert code == 2
+        for argv in (["verify"], ["rates", "--snr-db", "0:10:20"]):
+            code, out, err = run(capsys, argv + ["--channel", str(channel_file),
+                                                 "--solution", str(sol)])
+            assert code == 2 and out == ""
+            assert err == ("error: solution was built for (k=4, nt=3, nr=3)"
+                           " but the channel file has (k=3, nt=2, nr=2)\n")
 
     def test_malformed_documents_exit_2(self, channel_file, tmp_path, capsys):
         import json

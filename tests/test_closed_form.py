@@ -333,6 +333,17 @@ class TestLoopMethod:
         with pytest.raises(DimensionMismatch):
             closed_form.solve_loop_method(generate(NetworkDims(4, 2, 2), 0))
 
+    @pytest.mark.parametrize("zeroed, user", [((1, 0), 3), ((0, 2), 2)])
+    def test_back_substitution_failure(self, zeroed, user):
+        # a zero numerator passes the condition check but annihilates the
+        # precoder carried through it: h[1, 0] gives v3, h[0, 2] gives v2
+        net = with_blocks(generate(NetworkDims(3, 2, 2), 1),
+                          {zeroed: np.zeros((2, 2))})
+        with pytest.raises(SingularChannel,
+                           match=f"^back-substitution for user {user} ") as err:
+            closed_form.solve_loop_method(net)
+        assert err.value.pair == zeroed
+
     def test_methods_agree_on_validity(self):
         # both routes must satisfy the residual bound on the same network
         # (the chosen eigenvectors are free, so solutions need not match)
