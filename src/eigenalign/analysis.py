@@ -19,8 +19,8 @@ import numpy as np
 
 from . import linalg
 from .channel import NetworkDims, generate
-from .closed_form import (ALIGN_TOL, RANK_TOL, _channel_ratios,
-                          _channel_scale, _interference_columns, _link_gains)
+from .closed_form import (ALIGN_TOL, RANK_TOL, _back_substitute,
+                          _channel_ratios, _gain_report, _interference_columns)
 from .errors import DimensionMismatch, ShapeMismatch, UnverifiedSolution
 from .iterative import IterativeConfig, iterate_batch
 
@@ -49,21 +49,15 @@ class VerificationReport:
 def verify(net, sol, align_tol=ALIGN_TOL, rank_tol=RANK_TOL):
     """Evaluate all K(K-1) alignment residuals and K direct-link gains."""
     k = net.dims.k
-    if np.shape(sol.precoders) != (k, net.dims.n_t):
-        raise ShapeMismatch(
-            f"precoders have shape {np.shape(sol.precoders)},"
-            f" expected {(k, net.dims.n_t)}")
-    if np.shape(sol.combiners) != (k, net.dims.n_r):
-        raise ShapeMismatch(
-            f"combiners have shape {np.shape(sol.combiners)},"
-            f" expected {(k, net.dims.n_r)}")
-    gains = _link_gains(net, sol.precoders, sol.combiners)
+    for name, n in (("precoders", net.dims.n_t), ("combiners", net.dims.n_r)):
+        if (shape := np.shape(getattr(sol, name))) != (k, n):
+            raise ShapeMismatch(
+                f"{name} have shape {shape}, expected {(k, n)}")
+    gains, direct, scale = _gain_report(net, sol.precoders, sol.combiners)
     residuals = np.where(np.eye(k, dtype=bool), 0.0, gains)
     rank_metrics = np.diagonal(gains).copy()
-    scale = _channel_scale(net)
-    direct_norms = np.linalg.norm(net.h[range(k), range(k)], axis=(1, 2))
     passed = bool(residuals.max() <= align_tol * scale
-                  and np.all(rank_metrics >= rank_tol * direct_norms))
+                  and np.all(rank_metrics >= rank_tol * direct))
     return VerificationReport(residuals, rank_metrics, passed,
                               align_tol, rank_tol, scale)
 
@@ -128,7 +122,11 @@ def infeasibility_demo(net, incompatibility_tol=INCOMPATIBILITY_TOL):
     eigenvectors, and the minimum chordal distance ``sqrt(1 - |a^H b|^2)``
     over cross pairs; it also sets the precoder to the phase-aligned
     average of the closest pair, back-substitutes the rest, and reports
-    the resulting (normalized) best-case alignment residual.
+    the resulting (normalized) best-case alignment residual. A degenerate
+    channel raises SingularChannel: the first denominator over the
+    condition cap, in the order (0, 1), (3, 2), (1, 0), (2, 3), (3, 1), or
+    a numerator that annihilates a precoder of the chain (h[1, 2] for
+    user 1, h[2, 0] for user 4).
     """
     if net.dims.k != 4 or net.dims.n_t != 2 or net.dims.n_r != 2:
         raise DimensionMismatch(
@@ -162,12 +160,9 @@ def infeasibility_demo(net, incompatibility_tol=INCOMPATIBILITY_TOL):
     v2 = v2 / np.linalg.norm(v2)
 
     # Back-substitute the remaining precoders along one consistent chain.
-    v3 = ratio(3, 2, 1) @ v2
-    v3 = v3 / np.linalg.norm(v3)
-    v1 = ratio(1, 0, 2) @ v3
-    v1 = v1 / np.linalg.norm(v1)
-    v4 = ratio(2, 3, 0) @ v1
-    v4 = v4 / np.linalg.norm(v4)
+    v3, v1, v4 = _back_substitute(v2, ((ratio(3, 2, 1), 3, (3, 1)),
+                                       (ratio(1, 0, 2), 1, (1, 2)),
+                                       (ratio(2, 3, 0), 4, (2, 0))))
     precoders = np.stack([v1, v2, v3, v4])
 
     # Best least-squares combiners: weakest left singular direction of the
@@ -175,14 +170,14 @@ def infeasibility_demo(net, incompatibility_tol=INCOMPATIBILITY_TOL):
     combiners = np.stack([
         np.linalg.svd(_interference_columns(net, precoders, i))[0][:, -1]
         for i in range(4)])
-    worst = np.max(_link_gains(net, precoders, combiners),
-                   where=~np.eye(4, dtype=bool), initial=0.0)
+    gains, _, scale = _gain_report(net, precoders, combiners)
+    worst = np.max(gains, where=~np.eye(4, dtype=bool), initial=0.0)
 
     return InfeasibilityReport(
         distances=distances,
         min_chordal_distance=min_dist,
         closest_pair=(int(closest[0]), int(closest[1])),
-        joint_residual=float(worst / _channel_scale(net)),
+        joint_residual=float(worst / scale),
         incompatible=min_dist > incompatibility_tol,
     )
 
@@ -251,6 +246,14 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
     def integral(x):
         return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
+    def distinct(name, values):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} must be distinct, got {values}")
+        return values
+
+    # the grid first: a count of seeds becomes a list only past it
+    n_values = distinct("n_values", sorted(int(n) for n in n_values))
+    k_values = distinct("k_values", sorted(int(k) for k in k_values))
     if integral(seeds):
         seeds = list(range(int(seeds)))
     elif isinstance(seeds, (bool, numbers.Number)):
@@ -259,15 +262,9 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
         seeds = list(seeds)
         if not all(integral(s) for s in seeds):
             raise ValueError(f"seeds must be integers, got {seeds}")
-        seeds = sorted(int(s) for s in seeds)
+        seeds = distinct("seeds", sorted(int(s) for s in seeds))
     if not seeds:
         raise ValueError("the sweep needs at least one seed")
-    n_values = sorted(int(n) for n in n_values)
-    k_values = sorted(int(k) for k in k_values)
-    for name, values in (("seeds", seeds), ("n_values", n_values),
-                         ("k_values", k_values)):
-        if len(set(values)) != len(values):
-            raise ValueError(f"{name} must be distinct, got {values}")
 
     records = []
     traces = [] if keep_traces else None

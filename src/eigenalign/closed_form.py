@@ -78,37 +78,30 @@ class AlignmentSolution:
     diagnostics: SolutionDiagnostics
 
 
-def _check_channels(net, pairs):
-    """Refuse the first cross channel ``h[l, den]``, in the order of
-    ``pairs``, whose 2-norm condition estimate is not below
-    :data:`CONDITION_CAP`; one batched SVD checks them all.
+def _channel_ratios(net, pairs, checked=None):
+    """The ratios ``inv(h[l, den]) @ h[l, c]`` for every ``(l, den)`` in
+    ``pairs`` and every column ``c``, as a (len(pairs), K, n, n) array,
+    from one batched solve against the whole channel rows. Every route
+    that inverts a cross channel goes through here, and checks once.
 
     Raises
     ------
     SingularChannel
-        Naming that ``(l, den)``; an exactly singular block reports inf.
+        Naming the first ``(l, den)`` of ``checked`` (``pairs``, or a
+        superset) whose 2-norm condition estimate, from one batched SVD, is
+        not below :data:`CONDITION_CAP`; an exactly singular one reports inf.
     """
-    s = np.linalg.svd(net.h[tuple(np.transpose(pairs))], compute_uv=False)
+    checked = pairs if checked is None else checked
+    s = np.linalg.svd(net.h[tuple(np.transpose(checked))], compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(s[:, -1] == 0.0, np.inf, s[:, 0] / s[:, -1])
     bad = np.flatnonzero(cond >= CONDITION_CAP)
     if bad.size:
-        l, den = pairs[bad[0]]
+        l, den = checked[bad[0]]
         raise SingularChannel(
             f"cross channel ({l}, {den}): condition estimate"
             f" {cond[bad[0]]:.3e} exceeds cap {CONDITION_CAP:.0e}",
             pair=(l, den))
-
-
-def _channel_ratios(net, pairs):
-    """The ratios ``inv(h[l, den]) @ h[l, c]`` for every ``(l, den)`` in
-    ``pairs`` and every column ``c``, as a (len(pairs), K, n, n) array.
-
-    :func:`_check_channels` first, then one batched solve against the whole
-    channel rows. Every route that inverts a cross channel goes through
-    here.
-    """
-    _check_channels(net, pairs)
     l, den = np.transpose(pairs)
     k, n_r, n_t = net.dims.k, net.dims.n_r, net.dims.n_t
     rows = net.h[l].transpose(0, 2, 1, 3).reshape(len(pairs), n_r, k * n_t)
@@ -116,11 +109,12 @@ def _channel_ratios(net, pairs):
     return out.reshape(len(pairs), n_t, k, n_t).transpose(0, 2, 1, 3)
 
 
-def _compensated_matrix(net):
-    """Assemble the compensated matrix from one ratio call; no dimension
-    gate, so the K = 3 routes can reuse it for any square N."""
+def _compensated_matrix(net, checked=None):
+    """The compensated matrix from one ratio call (``checked`` as there);
+    no dimension gate, so the K = 3 routes reuse it for any square N."""
     k, n = net.dims.k, net.dims.n_t
-    blocks = _channel_ratios(net, [((r - 1) % k, r) for r in range(k)])
+    blocks = _channel_ratios(net, [((r - 1) % k, r) for r in range(k)],
+                             checked)
     blocks[~coupling_mask(k)] = 0.0
     return blocks.transpose(0, 2, 1, 3).reshape(k * n, k * n)
 
@@ -147,8 +141,7 @@ def build_stacked(net):
     if k != n_t + 1:
         raise DimensionMismatch(
             f"the construction needs K = N + 1 users, got K={k}, N={n_t}")
-    _check_channels(net, net.cross_pairs())
-    return _compensated_matrix(net)
+    return _compensated_matrix(net, net.cross_pairs())
 
 
 def _fix_phase(v):
@@ -163,16 +156,15 @@ def _interference_columns(net, precoders, receiver):
     return np.column_stack(cols)
 
 
-def _channel_scale(net):
+def _gain_report(net, precoders, combiners):
+    """The (K, K) grid of ``|u_i^H H_ij v_j|``, receiver i by transmitter j
+    (cross links off the diagonal, direct links on it), the K direct-link
+    Frobenius norms ``||H_ii||_F`` and the largest channel Frobenius norm.
+    Every residual and gain is read from here; callers compare."""
+    gains = np.abs(np.einsum("ia,ijab,jb->ij", np.conj(combiners), net.h,
+                             precoders))
     norms = np.linalg.norm(net.h, axis=(2, 3))
-    return float(norms.max())
-
-
-def _link_gains(net, precoders, combiners):
-    """The (K, K) grid of ``|u_i^H H_ij v_j|``, receiver i by transmitter j:
-    cross links off the diagonal, direct links on it."""
-    return np.abs(np.einsum("ia,ijab,jb->ij", np.conj(combiners), net.h,
-                            precoders))
+    return gains, np.diagonal(norms), float(norms.max())
 
 
 def _diagnosed_solution(net, precoders, combiners, eigenvalue=None,
@@ -181,13 +173,11 @@ def _diagnosed_solution(net, precoders, combiners, eigenvalue=None,
     :class:`AlignmentSolution` with its :class:`SolutionDiagnostics`.
     Every route builds its solution here, closed-form and iterative."""
     k = net.dims.k
-    gains = _link_gains(net, precoders, combiners)
-    direct = np.linalg.norm(net.h[range(k), range(k)], axis=(1, 2))
+    gains, direct, scale = _gain_report(net, precoders, combiners)
     rank_metrics = np.diagonal(gains) / direct
     diag = SolutionDiagnostics(
         alignment_residual=float(
-            np.max(gains, where=~np.eye(k, dtype=bool), initial=0.0)
-            / _channel_scale(net)),
+            np.max(gains, where=~np.eye(k, dtype=bool), initial=0.0) / scale),
         rank_metrics=rank_metrics,
         eigen_residual=eigen_residual,
         rank_ok=bool(np.all(rank_metrics >= RANK_TOL)),
@@ -274,6 +264,23 @@ def loop_matrix(net):
     return _loop_system(net, "loop method")[2]
 
 
+def _back_substitute(v, steps):
+    """Carry the precoder ``v`` along ``(ratio, user, pair)`` steps, each
+    ratio mapping the last precoder to the next, normalized; returns them
+    in step order. A step that annihilates the precoder raises
+    SingularChannel naming (1-based) ``user`` and the degenerate numerator
+    channel ``pair``."""
+    out = []
+    for factor, user, pair in steps:
+        v = factor @ v
+        if (norm := np.linalg.norm(v)) < 1e-12:
+            raise SingularChannel(
+                f"back-substitution for user {user} annihilated the"
+                f" precoder; channel {pair} is degenerate", pair=pair)
+        out.append(v := v / norm)
+    return out
+
+
 def solve_loop_method(net):
     """Solve the 3-user case by composing the pairwise constraints.
 
@@ -285,16 +292,9 @@ def solve_loop_method(net):
     """
     _, (_, second, third), loop = _loop_system(net, "loop method")
     values, vectors, residuals = linalg.eig_general(loop)
-    v = v1 = vectors[:, 0]
-    back = {}   # v3 from v1 through h[1, 0], then v2 from v3 through h[0, 2]
-    for factor, user, pair in ((third, 3, (1, 0)), (second, 2, (0, 2))):
-        v = factor @ v
-        if (norm := np.linalg.norm(v)) < 1e-12:
-            raise SingularChannel(
-                f"back-substitution for user {user} annihilated the"
-                f" precoder; channel {pair} is degenerate", pair=pair)
-        v = back[user] = v / norm
-    precoders = np.stack([v1, back[2], back[3]])
+    v1 = vectors[:, 0]
+    v3, v2 = _back_substitute(v1, ((third, 3, (1, 0)), (second, 2, (0, 2))))
+    precoders = np.stack([v1, v2, v3])
     return _finish_solution(net, precoders, complex(values[0]),
                             float(residuals[0]))
 

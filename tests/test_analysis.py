@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -62,8 +64,16 @@ class TestVerify:
         net = generate(NetworkDims(3, 2, 2), 0)
         sol = closed_form.solve_eigen_method(net)
         other = generate(NetworkDims(4, 3, 3), 0)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeMismatch) as err:
             analysis.verify(other, sol)
+        assert str(err.value) == ("precoders have shape (3, 2),"
+                                  " expected (4, 3)")
+        # right precoders, combiners of the wrong width
+        wide = manual_solution(sol.precoders, np.ones((3, 3)))
+        with pytest.raises(ShapeMismatch) as err:
+            analysis.verify(net, wide)
+        assert str(err.value) == ("combiners have shape (3, 3),"
+                                  " expected (3, 2)")
 
 
 class TestRates:
@@ -156,6 +166,19 @@ class TestInfeasibilityDemo:
             analysis.infeasibility_demo(net)
         assert err.value.pair == named
 
+    @pytest.mark.parametrize("seed", [3, 42])
+    @pytest.mark.parametrize("zeroed,user", [((1, 2), 1), ((2, 0), 4)])
+    def test_degenerate_numerator_named(self, seed, zeroed, user):
+        # h[1, 2] carries v3 to v1 and h[2, 0] carries v1 to v4; a zero
+        # one passes the condition check but annihilates that precoder
+        h = generate(NetworkDims(4, 2, 2), seed).h.copy()
+        h[zeroed] = 0.0
+        net = InterferenceNetwork(NetworkDims(4, 2, 2), h)
+        with pytest.raises(SingularChannel,
+                           match=f"^back-substitution for user {user} ") as err:
+            analysis.infeasibility_demo(net)
+        assert err.value.pair == zeroed
+
     def test_deterministic(self):
         net = generate(NetworkDims(4, 2, 2), 42)
         a = analysis.infeasibility_demo(net)
@@ -240,6 +263,24 @@ class TestFeasibilitySweep:
         # one cell per (n, k): a repeat would count its seeds twice
         with pytest.raises(ValueError, match="must be distinct"):
             analysis.feasibility_sweep(n_values, k_values, [0, 1], max_iters=10)
+
+    @pytest.mark.parametrize("n_values, k_values, message", [
+        ([2, 2], [3], "n_values must be distinct, got [2, 2]"),
+        ([2], [3, 3], "k_values must be distinct, got [3, 3]"),
+    ])
+    def test_repeated_grid_refused_before_seeds(self, n_values, k_values,
+                                                message):
+        # the grid is checked before a seed count becomes a list, so a
+        # huge count costs nothing here
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                analysis.feasibility_sweep(n_values, k_values, 10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == message
+        assert peak < 2_000_000
 
     def test_render_table(self):
         result = analysis.feasibility_sweep([2], [3, 4], seeds=2,

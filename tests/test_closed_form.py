@@ -218,6 +218,22 @@ class TestChannelCheck:
                 route(net)
             assert err.value.pair == pair, route.__name__
 
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_one_condition_svd_per_solve(self, n, monkeypatch):
+        # the eigen route checks its K(K-1) cross channels in one batched
+        # SVD and does not check the K denominators among them again
+        batches = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            if kwargs.get("compute_uv") is False:
+                batches.append(np.shape(a)[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        closed_form.solve_eigen_method(generate(NetworkDims(n + 1, n, n), 0))
+        assert batches == [(n + 1) * n]
+
 
 class TestEigenMethod:
     def test_gaussian_seed42(self):
