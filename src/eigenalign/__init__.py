@@ -24,8 +24,7 @@ from .errors import (ConfigMismatch, DimensionMismatch, EigenalignError,
                      RankDeficientSolution, ShapeMismatch, SingularChannel,
                      UnverifiedSolution)
 from .iterative import (IterativeConfig, LeakageTrace, WarmStartReport,
-                        iterate, iterate_batch, trace_table,
-                        warm_start_check)
+                        iterate, iterate_batch, warm_start_check)
 from .linalg import eig_general, null_space_orthonormal
 
 __version__ = "0.1.0"
@@ -43,6 +42,6 @@ __all__ = [
     "iterate", "iterate_batch", "loop_matrix", "null_space_orthonormal",
     "predicted_feasible", "records_table", "render_feasibility_table",
     "serialize", "solution_from_document", "solution_to_document",
-    "solve_eigen_method", "solve_loop_method", "sum_rate_curve", "trace_table",
-    "verify", "warm_start_check",
+    "solve_eigen_method", "solve_loop_method", "sum_rate_curve", "verify",
+    "warm_start_check",
 ]

@@ -27,6 +27,9 @@ from .iterative import IterativeConfig, iterate_batch
 #: Chordal distance above which the two eigenbases count as incompatible.
 INCOMPATIBILITY_TOL = 1e-2
 
+#: Share of a cell's runs that must agree on a feasible or infeasible verdict.
+QUORUM = 0.9
+
 
 @dataclass
 class VerificationReport:
@@ -34,8 +37,8 @@ class VerificationReport:
 
     ``residuals[i, j]`` is ``|u_i^H H_ij v_j|`` for ``i != j`` (diagonal
     zero); ``rank_metrics[i]`` is ``|u_i^H H_ii v_i|``. The verdict
-    compares residuals against ``align_tol`` times the largest channel
-    Frobenius norm and gains against ``rank_tol * ||H_ii||_F``.
+    compares residuals against ``ALIGN_TOL`` times the largest channel
+    Frobenius norm and gains against ``RANK_TOL * ||H_ii||_F``.
     """
 
     residuals: np.ndarray
@@ -46,7 +49,7 @@ class VerificationReport:
     channel_scale: float
 
 
-def verify(net, sol, align_tol=ALIGN_TOL, rank_tol=RANK_TOL):
+def verify(net, sol):
     """Evaluate all K(K-1) alignment residuals and K direct-link gains."""
     k = net.dims.k
     for name, n in (("precoders", net.dims.n_t), ("combiners", net.dims.n_r)):
@@ -56,10 +59,10 @@ def verify(net, sol, align_tol=ALIGN_TOL, rank_tol=RANK_TOL):
     gains, direct, scale = _gain_report(net, sol.precoders, sol.combiners)
     residuals = np.where(np.eye(k, dtype=bool), 0.0, gains)
     rank_metrics = np.diagonal(gains).copy()
-    passed = bool(residuals.max() <= align_tol * scale
-                  and np.all(rank_metrics >= rank_tol * direct))
+    passed = bool(residuals.max() <= ALIGN_TOL * scale
+                  and np.all(rank_metrics >= RANK_TOL * direct))
     return VerificationReport(residuals, rank_metrics, passed,
-                              align_tol, rank_tol, scale)
+                              ALIGN_TOL, RANK_TOL, scale)
 
 
 @dataclass
@@ -113,7 +116,7 @@ class InfeasibilityReport:
     incompatible: bool
 
 
-def infeasibility_demo(net, incompatibility_tol=INCOMPATIBILITY_TOL):
+def infeasibility_demo(net):
     """The 4-user, 2x2 counterexample, made quantitative.
 
     Composing the alignment constraints around the two distinct 4-user
@@ -122,7 +125,8 @@ def infeasibility_demo(net, incompatibility_tol=INCOMPATIBILITY_TOL):
     eigenvectors, and the minimum chordal distance ``sqrt(1 - |a^H b|^2)``
     over cross pairs; it also sets the precoder to the phase-aligned
     average of the closest pair, back-substitutes the rest, and reports
-    the resulting (normalized) best-case alignment residual. A degenerate
+    the resulting (normalized) best-case alignment residual. The bases
+    count as incompatible above :data:`INCOMPATIBILITY_TOL`. A degenerate
     channel raises SingularChannel: the first denominator over the
     condition cap, in the order (0, 1), (3, 2), (1, 0), (2, 3), (3, 1), or
     a numerator that annihilates a precoder of the chain (h[1, 2] for
@@ -178,7 +182,7 @@ def infeasibility_demo(net, incompatibility_tol=INCOMPATIBILITY_TOL):
         min_chordal_distance=min_dist,
         closest_pair=(int(closest[0]), int(closest[1])),
         joint_residual=float(worst / scale),
-        incompatible=min_dist > incompatibility_tol,
+        incompatible=min_dist > INCOMPATIBILITY_TOL,
     )
 
 
@@ -213,7 +217,7 @@ class CellSummary:
 class SweepResult:
     records: list
     cells: dict
-    traces: list | None = field(default=None, repr=False)
+    traces: list | None = field(repr=False)
 
 
 def predicted_feasible(n_r, n_t, k):
@@ -222,7 +226,7 @@ def predicted_feasible(n_r, n_t, k):
 
 
 def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
-                      feasible_tol=1e-6, infeasible_tol=1e-3, quorum=0.9,
+                      feasible_tol=1e-6, infeasible_tol=1e-3,
                       keep_traces=False, progress=None):
     """Run the iterative probe over an (N, K) grid of square networks.
 
@@ -230,8 +234,8 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
     type but ``bool``) or an explicit list of integers. A run is feasible
     when its final leakage drops below ``feasible_tol``, infeasible when
     it still exceeds ``infeasible_tol`` at the iteration cap, inconclusive
-    otherwise; a cell verdict needs a ``quorum`` fraction of its runs to
-    agree. Records are produced in sorted (n, k, seed) order, so the
+    otherwise; a cell verdict needs a :data:`QUORUM` fraction of its runs
+    to agree. Records are produced in sorted (n, k, seed) order, so the
     result does not depend on how the work is scheduled. Each cell runs
     all its seeds as one ``iterate_batch``; ``progress`` is called once
     per record, in record order, in a burst after each cell's batch.
@@ -294,9 +298,9 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
                 if progress is not None:
                     progress(records[-1])
             total = len(seeds)
-            if counts["feasible"] >= quorum * total:
+            if counts["feasible"] >= QUORUM * total:
                 cell_verdict = "feasible"
-            elif counts["infeasible"] >= quorum * total:
+            elif counts["infeasible"] >= QUORUM * total:
                 cell_verdict = "infeasible"
             else:
                 cell_verdict = "inconclusive"

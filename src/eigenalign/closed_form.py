@@ -64,7 +64,6 @@ class SolutionDiagnostics:
     alignment_residual: float
     rank_metrics: np.ndarray | None
     eigen_residual: float | None
-    rank_ok: bool
 
 
 @dataclass
@@ -73,7 +72,6 @@ class AlignmentSolution:
 
     precoders: np.ndarray   # (K, n_t)
     combiners: np.ndarray   # (K, n_r)
-    streams: np.ndarray     # (K,) ints, all ones for the closed forms
     eigenvalue: complex | None
     diagnostics: SolutionDiagnostics
 
@@ -172,18 +170,14 @@ def _diagnosed_solution(net, precoders, combiners, eigenvalue=None,
     """One stream per user: wrap the filters in an
     :class:`AlignmentSolution` with its :class:`SolutionDiagnostics`.
     Every route builds its solution here, closed-form and iterative."""
-    k = net.dims.k
     gains, direct, scale = _gain_report(net, precoders, combiners)
-    rank_metrics = np.diagonal(gains) / direct
     diag = SolutionDiagnostics(
-        alignment_residual=float(
-            np.max(gains, where=~np.eye(k, dtype=bool), initial=0.0) / scale),
-        rank_metrics=rank_metrics,
+        alignment_residual=float(np.max(
+            gains, where=~np.eye(net.dims.k, dtype=bool), initial=0.0) / scale),
+        rank_metrics=np.diagonal(gains) / direct,
         eigen_residual=eigen_residual,
-        rank_ok=bool(np.all(rank_metrics >= RANK_TOL)),
     )
-    return AlignmentSolution(np.asarray(precoders), combiners,
-                             np.ones(k, dtype=int), eigenvalue, diag)
+    return AlignmentSolution(np.asarray(precoders), combiners, eigenvalue, diag)
 
 
 def _finish_solution(net, precoders, eigenvalue, eigen_residual):
@@ -196,8 +190,8 @@ def _finish_solution(net, precoders, eigenvalue, eigen_residual):
         for i in range(net.dims.k)])
     sol = _diagnosed_solution(net, precoders, combiners, eigenvalue,
                               eigen_residual)
-    if not sol.diagnostics.rank_ok:
-        rank_metrics = sol.diagnostics.rank_metrics
+    rank_metrics = sol.diagnostics.rank_metrics
+    if not np.all(rank_metrics >= RANK_TOL):
         user = int(np.argmin(rank_metrics))
         raise RankDeficientSolution(
             f"direct link of user {user} is confined to the interference"
@@ -310,7 +304,7 @@ class CubeRelationReport:
 
     matches: list
     worst_mismatch: float
-    passed: bool = False
+    passed: bool
 
 
 def _match_cubes(cubes, loop_vals):
@@ -349,11 +343,10 @@ def cube_relation_check(net, rel_tol=1e-6):
     matches = [(complex(v), complex(q), complex(loop_vals[j]), float(e))
                for v, q, j, e in zip(vals, cubes, match, rel)]
     worst = float(rel.max()) if len(rel) else 0.0
-    return CubeRelationReport(matches, worst,
-                              passed=worst <= rel_tol and bool(matches))
+    return CubeRelationReport(matches, worst, worst <= rel_tol and bool(matches))
 
 
-def solution_to_document(sol, dims, method=""):
+def solution_to_document(sol, dims, method):
     """Serialize a solution to the versioned JSON solution document."""
     doc = {
         "format": SOLUTION_FORMAT,
@@ -409,8 +402,5 @@ def solution_from_document(data):
                             else _real(residual, "residual")),
         rank_metrics=None,
         eigen_residual=None,
-        rank_ok=True,
     )
-    sol = AlignmentSolution(precoders, combiners,
-                            np.ones(dims.k, dtype=int), eigenvalue, diag)
-    return sol, dims, method
+    return AlignmentSolution(precoders, combiners, eigenvalue, diag), dims, method

@@ -44,6 +44,11 @@ DEFAULT_LEAKAGE_TOL = 1e-6
 #: Default iteration cap.
 DEFAULT_MAX_ITERS = 5000
 
+#: A warm start holds if its first leakage is below WARM_INITIAL_TOL and no
+#: later one reaches WARM_DRIFT_TOL.
+WARM_INITIAL_TOL = 1e-12
+WARM_DRIFT_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class IterativeConfig:
@@ -284,13 +289,15 @@ class WarmStartReport:
     trace: np.ndarray = field(repr=False)
 
 
-def warm_start_check(net, cfg, sol, iterations=100,
-                     initial_tol=1e-12, drift_tol=1e-10):
+def warm_start_check(net, cfg, sol, iterations=100):
     """Confirm an aligned solution is a fixed point of the iteration.
 
     Feeds ``sol``'s precoders as warm start, runs ``iterations`` full
     iterations with no early stopping, and reports whether the leakage
-    starts below ``initial_tol`` and never exceeds ``drift_tol``.
+    starts below :data:`WARM_INITIAL_TOL` and stays below
+    :data:`WARM_DRIFT_TOL`. Of ``cfg`` only ``d`` is read, which must give
+    one stream to each of the K users; its ``max_iters``, ``leakage_tol``
+    and ``seed`` are ignored.
     """
     if any(x != 1 for x in cfg.d):
         raise ConfigMismatch(
@@ -309,14 +316,6 @@ def warm_start_check(net, cfg, sol, iterations=100,
         initial_leakage=initial,
         max_leakage=peak,
         iterations=trace.iterations,
-        passed=initial < initial_tol and peak < drift_tol,
+        passed=initial < WARM_INITIAL_TOL and peak < WARM_DRIFT_TOL,
         trace=trace.leakage,
     )
-
-
-def trace_table(trace):
-    """Render a leakage trace as tabular text (iteration, leakage)."""
-    lines = ["iteration leakage"]
-    for t, val in enumerate(trace.leakage):
-        lines.append(f"{t} {val:.17e}")
-    return "\n".join(lines) + "\n"

@@ -46,19 +46,18 @@ def eig_general(a):
     return values, vectors, residuals
 
 
-def null_space_orthonormal(a, rank_tol=DEFAULT_RANK_TOL):
+def null_space_orthonormal(a):
     """Orthonormal basis of the left null space of ``a``.
 
     Returns the matrix ``U`` whose columns are unit vectors ``u`` with
-    ``u^H a = 0`` up to ``rank_tol * ||a||_F``. The numerical rank is the
-    number of singular values above ``rank_tol`` times the largest one.
+    ``u^H a = 0`` up to ``DEFAULT_RANK_TOL * ||a||_F``. The numerical rank
+    is the number of singular values above :data:`DEFAULT_RANK_TOL` times
+    the largest one.
 
     Parameters
     ----------
     a : array_like
         Matrix whose left null space is wanted; need not be square.
-    rank_tol : float
-        Relative singular-value threshold, > 0.
 
     Returns
     -------
@@ -72,10 +71,8 @@ def null_space_orthonormal(a, rank_tol=DEFAULT_RANK_TOL):
     a = np.asarray(a, dtype=np.complex128)
     if a.size == 0:
         raise ValueError("null_space_orthonormal needs a non-empty matrix")
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
     u, s, _ = np.linalg.svd(a)
-    rank = int(np.sum(s > rank_tol * s[0])) if s.size else 0
+    rank = int(np.sum(s > DEFAULT_RANK_TOL * s[0])) if s.size else 0
     if rank >= a.shape[0]:
         raise EmptyNullSpace(
             f"matrix of shape {a.shape} has full row rank {rank}")

@@ -13,11 +13,9 @@ from eigenalign.iterative import IterativeConfig, iterate
 
 
 def manual_solution(precoders, combiners):
-    k = len(precoders)
     return AlignmentSolution(np.asarray(precoders, dtype=complex),
-                             np.asarray(combiners, dtype=complex),
-                             np.ones(k, dtype=int), None,
-                             SolutionDiagnostics(0.0, None, None, True))
+                             np.asarray(combiners, dtype=complex), None,
+                             SolutionDiagnostics(0.0, None, None))
 
 
 class TestVerify:

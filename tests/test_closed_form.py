@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eigenalign import channel, closed_form
+from eigenalign import channel, closed_form, linalg
 from eigenalign.channel import InterferenceNetwork, NetworkDims, generate
 from eigenalign.errors import (DimensionMismatch, RankDeficientSolution,
                                SingularChannel)
@@ -323,6 +323,29 @@ class TestEigenMethod:
             scaled = InterferenceNetwork(net.dims, h)
             assert verify(scaled, sol).passed
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_eigenpair_verifies(self, n):
+        # not only the first usable eigenpair: all KN pass the three
+        # filters of solve_eigen_method and finish into verified solutions
+        from eigenalign.analysis import verify
+        k = n + 1
+        for seed in range(5):
+            net = generate(NetworkDims(k, n, n), seed)
+            compensated = closed_form.build_stacked(net)
+            scale = np.linalg.norm(compensated)
+            values, vectors, residuals = linalg.eig_general(compensated)
+            assert np.all(np.abs(values) > 1e-8 * scale)
+            assert np.all(residuals <= 1e-8 * scale)
+            for i in range(k * n):
+                blocks = vectors[:, i].reshape(k, n)
+                norms = np.linalg.norm(blocks, axis=1)
+                assert np.all(norms >= closed_form.BLOCK_TOL / np.sqrt(k))
+                sol = closed_form._finish_solution(
+                    net, blocks / norms[:, None], complex(values[i]),
+                    float(residuals[i]))
+                assert verify(net, sol).passed
+                assert alignment_residual(net, sol) < 1e-8 * channel_scale(net)
+
 
 class TestLoopMethod:
     def test_gaussian_seed42(self):
@@ -335,7 +358,7 @@ class TestLoopMethod:
         net = generate(NetworkDims(3, 3, 3), 11)
         sol = closed_form.solve_loop_method(net)
         assert alignment_residual(net, sol) < 1e-8 * channel_scale(net)
-        assert list(sol.streams) == [1, 1, 1]
+        assert sol.precoders.shape == sol.combiners.shape == (3, 3)
 
     def test_identity_cross_channels(self):
         # loop matrix is the identity: anything aligns, interference is
@@ -343,7 +366,7 @@ class TestLoopMethod:
         net = identity_cross_network(3, 3, direct_seed=17)
         sol = closed_form.solve_loop_method(net)
         assert alignment_residual(net, sol) < 1e-10
-        assert sol.diagnostics.rank_ok
+        assert np.all(sol.diagnostics.rank_metrics >= closed_form.RANK_TOL)
 
     def test_wrong_user_count(self):
         with pytest.raises(DimensionMismatch):
@@ -427,6 +450,20 @@ class TestSolutionDocument:
         np.testing.assert_array_equal(back.precoders, sol.precoders)
         np.testing.assert_array_equal(back.combiners, sol.combiners)
         assert back.eigenvalue == sol.eigenvalue
+
+        # bit-exact for signed zeros, the smallest subnormals and huge
+        # finite values, in every float the document carries
+        extremes = np.array([-0.0, 5e-324, -5e-324, 1e308, -1e308, 0.0])
+        filters = (extremes + 1j * extremes[::-1]).reshape(3, 2)
+        sol = closed_form.AlignmentSolution(
+            filters, filters[::-1].copy(), complex(-0.0, -5e-324),
+            closed_form.SolutionDiagnostics(0.0, None, None))
+        back, _, _ = closed_form.solution_from_document(
+            closed_form.solution_to_document(sol, net.dims, "eigen"))
+        assert back.precoders.tobytes() == sol.precoders.tobytes()
+        assert back.combiners.tobytes() == sol.combiners.tobytes()
+        assert (np.complex128(back.eigenvalue).tobytes()
+                == np.complex128(sol.eigenvalue).tobytes())
 
     def test_deterministic_bytes(self):
         net = generate(NetworkDims(3, 2, 2), 4)

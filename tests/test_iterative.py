@@ -50,13 +50,13 @@ class TestIterate:
         assert trace.iterations <= 5000
 
     def test_infeasible_four_user_majority(self):
-        stuck = 0
-        for seed in range(20):
-            net = generate(NetworkDims(4, 2, 2), seed)
-            trace = iterate(net, IterativeConfig(d=(1,) * 4, max_iters=5000,
-                                                 leakage_tol=1e-6, seed=seed))
-            if trace.leakage[-1] > 1e-3:
-                stuck += 1
+        # one batch, which TestBatch pins to the single runs' bits
+        seeds = range(20)
+        traces = iterate_batch(
+            [generate(NetworkDims(4, 2, 2), seed) for seed in seeds],
+            [IterativeConfig(d=(1,) * 4, max_iters=5000, leakage_tol=1e-6,
+                             seed=seed) for seed in seeds])
+        stuck = sum(trace.leakage[-1] > 1e-3 for trace in traces)
         assert stuck > 10
 
     @pytest.mark.parametrize("k,n,seed", [(3, 2, 0), (4, 2, 1), (4, 3, 2)])
@@ -244,13 +244,3 @@ class TestWarmStart:
         sol = closed_form.solve_eigen_method(generate(NetworkDims(3, 2, 2), 0))
         with pytest.raises(ConfigMismatch):
             warm_start_check(net, IterativeConfig(d=(2, 2, 2)), sol)
-
-
-class TestTraceTable:
-    def test_format(self):
-        net = zero_cross_network(2, 2)
-        trace = iterate(net, IterativeConfig(d=(1, 1), seed=0))
-        text = iterative.trace_table(trace)
-        lines = text.strip().splitlines()
-        assert lines[0] == "iteration leakage"
-        assert lines[1].startswith("0 ")
