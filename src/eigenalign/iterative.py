@@ -17,17 +17,19 @@ from PCG64 streams ``SeedSequence(seed, spawn_key=(i,))``, one per user.
 One engine runs S independent runs of one (K, n_t, n_r, d) setting at once.
 Channels carry a leading run axis, ``(S, K, K, n_r, n_t)``, and so do the
 filters, ``(S, K, n, max(d))``; the columns past user i's ``d_i`` are held
-at zero, so mixed stream counts share the one layout. Each half-iteration
-is one batched matmul and one batched eigen-solve over all runs: the
-closed form of ``_weakest_2x2`` for 2x2 covariances with one stream per
-user (n = 2, d = 1), ``eigh`` for every other shape. After every iteration
-a per-run convergence mask takes the runs whose leakage reached the
-tolerance out of the batch, so each run stops where it would alone. Every
-operation acts on each run's matrices separately, and the solver depends
-on the matrix shape and stream width only, never on the batch size, so a
-run's trace and filters are bitwise the same in any batch. ``iterate`` and
-``warm_start_check`` are batches of one; ``iterate_batch`` (used by the
-feasibility sweep) runs many networks or seeds together.
+at zero, so mixed stream counts share the one layout. A run keeps only its
+cross links, scaled by the exact power of two that brings their largest
+entry into [1/2, 1), so any scale runs the same bits. A half-iteration is
+one batched matmul and one batched eigen-solve: for d = 1 and n = 2 the
+closed form of ``_weakest_2x2`` on covariance entries formed from the link
+products (``eigh`` of those entries to rounding), else ``eigh``. After
+every iteration a per-run convergence mask takes the runs whose leakage
+reached the tolerance out of the batch, so each run stops where it would
+alone. Every operation acts on each run's matrices separately and the
+solver depends on the shape and stream width only, never on the batch
+size, so a run's trace and filters are bitwise the same in any batch.
+``iterate`` and ``warm_start_check`` are batches of one; ``iterate_batch``
+(used by the feasibility sweep) runs many networks or seeds together.
 """
 
 from array import array
@@ -101,67 +103,65 @@ def _random_precoders(dims, d, seed):
     return out
 
 
-def _weakest_2x2(cov):
-    """Weakest eigenpair of each Hermitian PSD 2x2 ``[[a, b*], [b, c]]``,
-    equal to ``np.linalg.eigh``'s (``zheevd``, lower triangle) to rounding.
+@np.errstate(all="ignore")
+def _weakest_2x2(a, c, b):
+    """Weakest eigenpair of each Hermitian PSD 2x2 ``[[a, b*], [b, c]]``
+    (real ``a``, ``c`` and complex ``b`` of one shape, at least 1-D), equal
+    to ``np.linalg.eigh``'s (``zheevd``, lower triangle) to rounding.
 
     ``zheevd`` turns ``b`` into the real ``beta = -|b| sign(Re b)`` (``b``
     itself when real). With ``h = (a - c) / 2`` and the cancellation-free
     ``t = |h| + hypot(h, |b|)``, its vector is ``(-t, b)`` for ``a <= c``,
     else ``(beta, -t b / beta)``, normalized; ``e1``, or ``e2 b / beta`` for
-    ``a > c``, where it neglects ``b``. Power-of-two scaling and +, -, *, /,
-    sqrt act on each matrix alone, so no result depends on the batch.
+    ``a > c``, where it neglects ``b``. Power-of-two scaling, + - * /, sqrt
+    and hypot act on each matrix alone, so no result depends on the batch.
     Returns eigenvalues ``(..., 1)`` and unit eigenvectors ``(..., 2, 1)``.
     """
-    parts = cov.reshape(-1, 4).view(np.float64)   # Re, Im of C00 C01 C10 C11
-    exp = np.frexp(np.maximum(parts[:, 0], parts[:, 6]))[1]
-    parts = np.ldexp(parts, -exp[:, None])
-    a, c, b = parts[:, 0], parts[:, 6], parts.view(np.complex128)[:, 2]
-    vec = np.empty((len(a), 2), dtype=np.complex128)
-    with np.errstate(all="ignore"):
-        bb = b.real * b.real + b.imag * b.imag
-        h = 0.5 * (a - c)
-        r = np.sqrt(h * h + bb)
-        nt = -r - np.abs(h)               # -t
-        norm = np.sqrt(nt * nt + bb)
-        beta = np.copysign(np.sqrt(bb), np.where(b.imag, -b.real, b.real))
-        up = h > 0
-        vec[:, 0] = np.where(up, beta, nt) / norm
-        vec[:, 1] = np.where(up, nt / beta, 1.0) / norm * b
-        split = bb <= 2.0 ** -106 * a * c  # unit roundoff 2**-53, squared
-        if split.any():                   # zheevd's negligible b
-            vec[split] = (1.0, 0.0)
-            vec[split & up] = (0.0, 1.0)
-            e2 = split & up & (bb > 0)
-            vec[e2, 1] = b[e2] / beta[e2]
-    val = np.ldexp(0.5 * (a + c) - r, exp)
-    return (val.reshape(cov.shape[:-2] + (1,)),
-            vec.reshape(cov.shape[:-2] + (2, 1)))
+    exp = np.frexp(np.maximum(a, c))[1]
+    a, c, x, y = np.ldexp((a, c, b.real, b.imag), -exp)   # x + iy = b, scaled
+    vec = np.empty(exp.shape + (2, 1), dtype=np.complex128)
+    low = vec[..., 1, 0]
+    abs_b = np.hypot(x, y)
+    h = 0.5 * (a - c)
+    r = np.hypot(h, abs_b)
+    nt = -r - np.abs(h)                   # -t
+    norm = np.hypot(nt, abs_b)
+    beta = np.copysign(abs_b, np.where(y, -x, x))
+    up = h > 0
+    vec[..., 0, 0] = np.where(up, beta, nt) / norm
+    ratio = np.where(up, nt / beta, 1.0) / norm
+    low.real, low.imag = ratio * x, ratio * y
+    split = abs_b * abs_b <= 2.0 ** -106 * a * c   # unit roundoff squared
+    if np.count_nonzero(split):  # zheevd's negligible b; replaces 0/0 lanes
+        vec[split] = ((1.0,), (0.0,))
+        vec[split & up] = ((0.0,), (1.0,))
+        e2 = split & up & (abs_b > 0)
+        low[e2] = (x[e2] + 1j * y[e2]) / beta[e2]
+    return np.ldexp(0.5 * (a + c) - r, exp)[..., None], vec
 
 
-def _half_iteration(links, filters, weights, columns):
+def _half_iteration(links, filters, columns):
     """One half-iteration for every run and every receiver at once.
 
     ``links[s, j]`` stacks transmitter ``j``'s channels ``H_ij`` to all
-    receivers ``i``. Receiver ``i``'s interference covariance is
-    ``W_i W_i^H``, where ``W_i`` lines up the blocks ``H_ij V_j`` of all
-    transmitters and ``weights`` scales block ``j`` by ``1/sqrt(d_j)`` (by
-    0 for ``j = i``, which is no interference). Returns the new receive
-    filters, the weakest eigenvectors of each covariance with the columns
-    past ``d_i`` zeroed by ``columns``, and the ``width`` or more weakest
-    eigenvalues in ascending order.
+    receivers ``i``, scaled by ``1/sqrt(d_j)`` and zero for ``i = j``. With
+    ``G_ij`` the blocks of ``links @ filters``, receiver ``i``'s covariance
+    is the sum over ``j`` of ``G_ij G_ij^H``. Returns its ``width`` or more
+    weakest eigenvalues in ascending order, and the new receive filters:
+    its weakest eigenvectors, the columns past ``d_i`` zeroed by ``columns``.
     """
     s, k, _, width = filters.shape
-    g = links @ filters                   # (S, K_tx, K_rx * n_out, width)
-    n_out = g.shape[2] // k
-    w = np.multiply(g.reshape(s, k, k, n_out, width).transpose(0, 2, 3, 1, 4),
-                    weights, order="C").reshape(s, k, n_out, k * width)
-    cov = w @ w.conj().swapaxes(-1, -2)
+    n_out = links.shape[2] // k
+    g = (links @ filters).reshape(s, k, k, n_out, width)   # G_ij at [s, j, i]
     if n_out == 2 and width == 1:
-        vals, vecs = _weakest_2x2(cov)
-    else:
-        vals, vecs = np.linalg.eigh(cov)
-    return vecs[..., :width] * columns[:, None, :], vals
+        # [[a, b*], [b, c]] sums |g_j0|^2, |g_j1|^2, g_j1 conj(g_j0) over j
+        power = np.square(g.view(np.float64))             # Re^2, Im^2
+        a_c = (power[..., 0] + power[..., 1]).sum(axis=1)
+        return _weakest_2x2(a_c[..., 0], a_c[..., 1],
+                            (g[..., 1, 0] * g[..., 0, 0].conj()).sum(axis=1))
+    w = g.transpose(0, 2, 3, 1, 4).reshape(s, k, n_out, k * width)
+    vals, vecs = np.linalg.eigh(w @ w.conj().swapaxes(-1, -2))
+    return vals, vecs[..., :width] * columns[:, None, :]
 
 
 def _run_batch(h, d, max_iters, tol, v):
@@ -173,23 +173,25 @@ def _run_batch(h, d, max_iters, tol, v):
     """
     s, k, _, n_r, n_t = h.shape
     width = max(d)
-    cross = 1.0 - np.eye(k)
-    energy = (np.linalg.norm(h, axis=(3, 4)) ** 2 * cross).sum(axis=(1, 2))
+    # the cross links only, scaled per run by a power of two to [1/2, 1)
+    h = h * (1.0 - np.eye(k))[:, :, None, None]
+    exp = np.frexp(np.abs(h).max(axis=(1, 2, 3, 4), keepdims=True))[1]
+    h = np.ldexp(h.view(np.float64), -exp).view(np.complex128)
+    energy = (np.linalg.norm(h, axis=(3, 4)) ** 2).sum(axis=(1, 2))
     denom = np.where(energy > 0, energy, 1.0)
-    # the links of the forward network (forward[s, j] stacks H_ij over i)
-    # and of the reciprocal one (reverse[s, i] stacks H_ij^H over j)
-    forward = np.ascontiguousarray(h.transpose(0, 2, 1, 3, 4)).reshape(
-        s, k, k * n_r, n_t)
-    reverse = np.conjugate(h.swapaxes(3, 4), order="C").reshape(
-        s, k, k * n_t, n_r)
-    weights = np.repeat(cross / np.sqrt(d), width, axis=1).reshape(
-        k, 1, k, width)
+    # forward[s, j] stacks H_ij over i, reverse[s, i] stacks H_ij^H over j;
+    # the blocks from user a are scaled by 1/sqrt(d_a)
+    scale = (1.0 / np.sqrt(d))[:, None, None, None]
+    forward = np.multiply(h.transpose(0, 2, 1, 3, 4), scale,
+                          order="C").reshape(s, k, k * n_r, n_t)
+    reverse = np.multiply(np.conjugate(h.swapaxes(3, 4)), scale,
+                          order="C").reshape(s, k, k * n_t, n_r)
     columns = (np.arange(width) < np.array(d)[:, None]).astype(float)
 
     runs = list(range(s))                 # input index of each active run
     leakages = [array("d") for _ in runs]
     traces = [None] * len(runs)
-    u, vals = _half_iteration(forward, v, weights, columns)
+    vals, u = _half_iteration(forward, v, columns)
     it = 0
     while True:
         raw = (vals[..., :width] * columns).sum(axis=(1, 2))
@@ -212,8 +214,8 @@ def _run_batch(h, d, max_iters, tol, v):
             forward, reverse, v, u, denom = (
                 a[active] for a in (forward, reverse, v, u, denom))
             runs = [r for r, kept in zip(runs, active) if kept]
-        v, _ = _half_iteration(reverse, u, weights, columns)
-        u, vals = _half_iteration(forward, v, weights, columns)
+        _, v = _half_iteration(reverse, u, columns)
+        vals, u = _half_iteration(forward, v, columns)
         it += 1
 
 
@@ -297,8 +299,10 @@ def warm_start_check(net, cfg, sol, iterations=100):
     starts below :data:`WARM_INITIAL_TOL` and stays below
     :data:`WARM_DRIFT_TOL`. Of ``cfg`` only ``d`` is read, which must give
     one stream to each of the K users; its ``max_iters``, ``leakage_tol``
-    and ``seed`` are ignored.
+    and ``seed`` are ignored. ``iterations`` below 1 raises ``ValueError``.
     """
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
     if any(x != 1 for x in cfg.d):
         raise ConfigMismatch(
             f"warm start check needs single-stream users, got d={cfg.d}")
@@ -310,12 +314,8 @@ def warm_start_check(net, cfg, sol, iterations=100):
     # no leakage falls below -inf, so every run makes all ``iterations``
     init = np.array(sol.precoders, dtype=np.complex128)[None, :, :, None]
     trace = _run_batch(net.h[None], cfg.d, iterations, -np.inf, init)[0]
-    initial = float(trace.leakage[0])
-    peak = float(trace.leakage.max())
+    initial, peak = float(trace.leakage[0]), float(trace.leakage.max())
     return WarmStartReport(
-        initial_leakage=initial,
-        max_leakage=peak,
-        iterations=trace.iterations,
+        initial_leakage=initial, max_leakage=peak, iterations=trace.iterations,
         passed=initial < WARM_INITIAL_TOL and peak < WARM_DRIFT_TOL,
-        trace=trace.leakage,
-    )
+        trace=trace.leakage)

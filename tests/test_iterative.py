@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from eigenalign import closed_form, iterative
+from eigenalign import closed_form, iterative, linalg
 from eigenalign.channel import InterferenceNetwork, NetworkDims, generate
 from eigenalign.errors import ConfigMismatch
 from eigenalign.iterative import (IterativeConfig, iterate, iterate_batch,
@@ -85,6 +87,42 @@ class TestIterate:
         for x, y in zip(a.precoders, b.precoders):
             assert np.array_equal(x, y)
 
+    @pytest.mark.parametrize("dims,seed", [((3, 2, 2), 1), ((4, 3, 3), 2)])
+    def test_power_of_two_scale_runs_same_bits(self, dims, seed):
+        # the 2x2 kernel (N = 2) and eigh (N = 3) paths; the direct links
+        # never interfere, so only the scale of the cross links could count
+        net = generate(NetworkDims(*dims), seed)
+        cfg = IterativeConfig(d=(1,) * dims[0], max_iters=300, seed=seed)
+        base = iterate(net, cfg)
+        direct = np.eye(dims[0])[:, :, None, None]
+        cross = 1.0 - direct
+        for factor in (2.0 ** -700, 2.0 ** 500, 2.0 ** -600 * cross + direct,
+                       cross + 2.0 ** 300 * direct):
+            got = iterate(InterferenceNetwork(net.dims, net.h * factor), cfg)
+            assert got.iterations == base.iterations
+            assert np.array_equal(got.leakage, base.leakage)
+            for a, b in zip(got.precoders + got.combiners,
+                            base.precoders + base.combiners):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dims,seed", [
+        ((3, 2, 2), 1), ((4, 2, 2), 0), ((4, 3, 3), 2), ((5, 3, 3), 0)])
+    def test_extreme_scales_keep_verdict(self, dims, seed):
+        # (4, 2, 2) and (5, 3, 3) are infeasible (K > 2N - 1) and must not
+        # read converged at a scale where the leakage underflows
+        net = generate(NetworkDims(*dims), seed)
+        cfg = IterativeConfig(d=(1,) * dims[0], max_iters=300, seed=seed)
+        base = iterate(net, cfg)
+        for factor in (1e-200, 1e160):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = iterate(InterferenceNetwork(net.dims, net.h * factor),
+                              cfg)
+            assert got.iterations == base.iterations
+            assert got.converged == base.converged
+            assert np.allclose(got.leakage, base.leakage, rtol=1e-6,
+                               atol=1e-12)
+
     def test_multistream_monotone(self):
         # d = 2 per user on a 3-user 4x4 network (a feasible multi-stream
         # setting); uniform streams keep the alternation monotone
@@ -125,6 +163,11 @@ def covariances(kind, count=400, seed=0):
     raise ValueError(kind)
 
 
+def entries(cov):
+    """The kernel's inputs ``a``, ``c`` and ``b`` of ``[[a, b*], [b, c]]``."""
+    return cov[..., 0, 0].real, cov[..., 1, 1].real, cov[..., 1, 0]
+
+
 class TestWeakest2x2:
     """The closed-form kernel against ``np.linalg.eigh``, phase included."""
 
@@ -134,7 +177,7 @@ class TestWeakest2x2:
     def test_matches_eigh(self, kind):
         cov = covariances(kind)
         vals, vecs = np.linalg.eigh(cov)
-        got_vals, got_vecs = iterative._weakest_2x2(cov)
+        got_vals, got_vecs = iterative._weakest_2x2(*entries(cov))
         assert got_vals.shape == (len(cov), 1)
         assert got_vecs.shape == (len(cov), 2, 1)
         assert np.isfinite(got_vecs).all()
@@ -144,17 +187,61 @@ class TestWeakest2x2:
 
     def test_identity_gives_first_axis(self):
         for alpha in (0.0, 1.0, 3.5):
-            _, vecs = iterative._weakest_2x2(alpha * np.eye(2, dtype=complex))
-            assert np.array_equal(vecs[:, 0], [1.0, 0.0])
+            _, vecs = iterative._weakest_2x2(
+                *entries(alpha * np.eye(2, dtype=complex)[None]))
+            assert np.array_equal(vecs[0, :, 0], [1.0, 0.0])
 
     def test_batch_is_bitwise_each_alone(self):
         cov = np.concatenate([covariances(kind, count=5) for kind in (
             "random", "near_rank_one", "diagonal", "zero")])
-        vals, vecs = iterative._weakest_2x2(cov.reshape(4, 5, 2, 2))
+        vals, vecs = iterative._weakest_2x2(*entries(cov.reshape(4, 5, 2, 2)))
         for i, one in enumerate(cov):
-            val, vec = iterative._weakest_2x2(one[None])
+            val, vec = iterative._weakest_2x2(*entries(one[None]))
             assert np.array_equal(val[0], vals.reshape(-1, 1)[i])
             assert np.array_equal(vec[0], vecs.reshape(-1, 2, 1)[i])
+
+
+def half_iteration_links(kind, s=6, k=4, n_t=3, seed=0):
+    """Links ``(S, K_tx, K_rx * 2, n_t)`` and unit filters ``(S, K, n_t, 1)``
+    of one kind, for the receive side of an N = 2 half-iteration."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    links, filters = gauss(s, k, k, 2, n_t), gauss(s, k, n_t, 1)
+    if kind == "real":
+        links, filters = (x.real.astype(complex) for x in (links, filters))
+    elif kind == "near_rank_one":
+        # every block sends receiver i's interference along one direction
+        links = (gauss(s, 1, k, 2, 1) * gauss(s, k, k, 1, n_t)
+                 + 1e-7 * links)
+    elif kind == "zero_cross":
+        links = np.zeros_like(links)
+    filters /= np.linalg.norm(filters, axis=2, keepdims=True)
+    return links.reshape(s, k, k * 2, n_t), filters
+
+
+class TestHalfIteration:
+    """The fused N = 2 path against ``w @ w^H`` and ``np.linalg.eigh``."""
+
+    @pytest.mark.parametrize("kind", [
+        "random", "real", "near_rank_one", "zero_cross"])
+    def test_matches_covariance_eigh(self, kind):
+        links, filters = half_iteration_links(kind)
+        s, k = filters.shape[:2]
+        vals, vecs = iterative._half_iteration(links, filters,
+                                               np.ones((k, 1)))
+        assert vals.shape == (s, k, 1) and vecs.shape == (s, k, 2, 1)
+        # receiver i lines up the blocks H_ij v_j of every transmitter j
+        w = (links @ filters).reshape(s, k, k, 2).transpose(0, 2, 3, 1)
+        ref_vals, ref_vecs = np.linalg.eigh(w @ w.conj().swapaxes(-1, -2))
+        scale = ref_vals[..., -1]
+        assert np.all(np.abs(vals[..., 0] - ref_vals[..., 0]) <= 1e-14 * scale)
+        got, ref = vecs[..., 0], ref_vecs[..., 0]
+        overlap = np.sum(ref.conj() * got, axis=-1, keepdims=True)
+        phase = overlap / np.abs(overlap)
+        assert np.abs(got - ref * phase).max() <= 1e-12
 
 
 class TestBatch:
@@ -232,6 +319,14 @@ class TestWarmStart:
         assert report.max_leakage < 1e-10
         assert report.iterations == 37
 
+    def test_iteration_count_validated(self):
+        net = generate(NetworkDims(3, 2, 2), 42)
+        sol = closed_form.solve_eigen_method(net)
+        for count in (0, -3):
+            with pytest.raises(ValueError, match="iterations must be >= 1"):
+                warm_start_check(net, IterativeConfig(d=(1, 1, 1)), sol,
+                                 iterations=count)
+
     def test_random_precoders_leak(self):
         net = generate(NetworkDims(3, 2, 2), 15)
         cfg = IterativeConfig(d=(1, 1, 1), max_iters=1, leakage_tol=1e-30,
@@ -244,3 +339,44 @@ class TestWarmStart:
         sol = closed_form.solve_eigen_method(generate(NetworkDims(3, 2, 2), 0))
         with pytest.raises(ConfigMismatch):
             warm_start_check(net, IterativeConfig(d=(2, 2, 2)), sol)
+
+
+def chordal(x, y):
+    """Chordal distance between unit vectors along the last axis."""
+    overlap = np.abs(np.sum(x.conj() * y, axis=-1))
+    return np.sqrt(np.maximum(1.0 - overlap ** 2, 0.0))
+
+
+def test_converged_runs_land_on_closed_form_solutions():
+    # Near an aligned point the normalized leakage grows quadratically in
+    # the chordal distance d of the filters from it, L ~ kappa d^2. A run
+    # that stops at L <= 1e-6 thus lies within sqrt(1e-6 / kappa); the
+    # bound 0.1 allows kappa down to 1e-4, about 12x below the flattest of
+    # these three networks (runs stop 0.008 to 0.029 away). Their distinct
+    # closed-form solutions lie 0.58 or more apart, so 0.1 names one.
+    bound = 0.1
+    nets = [generate(NetworkDims(3, 2, 2), seed) for seed in range(3)]
+    traces = iterate_batch(
+        [net for net in nets for _ in range(12)],
+        [IterativeConfig(d=(1, 1, 1), seed=probe)
+         for _ in nets for probe in range(12)])
+    assert sum(trace.converged for trace in traces) >= 30
+    for n, net in enumerate(nets):
+        values, vectors, residuals = linalg.eig_general(
+            closed_form.build_stacked(net))
+        solutions = []
+        for i in range(len(values)):
+            blocks = vectors[:, i].reshape(3, 2)
+            sol = closed_form._finish_solution(
+                net, blocks / np.linalg.norm(blocks, axis=1)[:, None],
+                complex(values[i]), float(residuals[i]))
+            solutions.append(np.concatenate([sol.precoders, sol.combiners]))
+        apart = [chordal(x, y).max() for x in solutions for y in solutions]
+        assert all(dist < 1e-6 or dist > 4 * bound for dist in apart)
+        for trace in traces[12 * n:12 * (n + 1)]:
+            if not trace.converged:
+                continue
+            filters = np.concatenate([np.hstack(trace.precoders).T,
+                                      np.hstack(trace.combiners).T])
+            assert min(chordal(filters, sol).max()
+                       for sol in solutions) < bound
