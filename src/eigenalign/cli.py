@@ -106,9 +106,8 @@ def cmd_solve(args):
         trace = iterative.iterate(net, iterative.IterativeConfig(
             d=(1,) * net.dims.k, max_iters=args.max_iters,
             leakage_tol=args.tol, seed=args.seed))
-        sol = closed_form._diagnosed_solution(
-            net, np.stack([v[:, 0] for v in trace.precoders]),
-            np.stack([u[:, 0] for u in trace.combiners]))
+        sol = closed_form._diagnosed_solution(net, trace.precoders,
+                                              trace.combiners)
         head = f" leakage={trace.leakage[-1]:.6e} iterations={trace.iterations}"
         tail = ""
         failure = None if trace.converged else (

@@ -8,30 +8,30 @@ the total cross-channel energy so thresholds are channel-scale-free) is
 non-increasing and its trace is the feasibility probe: it collapses to
 numerical zero exactly when alignment is achievable.
 
-Per-stream transmit power is 1/d_j (unit total power per transmitter);
-degrees-of-freedom questions are power-scale-free so nothing else is
-needed. Initial precoders are Haar-random truncated-unitary matrices drawn
-from PCG64 streams ``SeedSequence(seed, spawn_key=(i,))``, one per user.
-``channel._streams`` derives them from numpy's ``SeedSequence(seed)`` pool.
+Every user sends one stream at unit power, the paper's setting (all
+multiplexing gains one); a config with any other stream count is refused.
+Initial precoders are Haar-random unit vectors drawn from PCG64 streams
+``SeedSequence(seed, spawn_key=(i,))``, one per user. ``channel._streams``
+derives them from numpy's ``SeedSequence(seed)`` pool.
 
-One engine runs S independent runs of one (K, n_t, n_r, d) setting at once.
+One engine runs S independent runs of one (K, n_t, n_r) setting at once.
 Channels carry a leading run axis, ``(S, K, K, n_r, n_t)``, and so do the
-filters, ``(S, K, n, max(d))``; the columns past user i's ``d_i`` are held
-at zero, so mixed stream counts share the one layout. A run keeps only its
-cross links, scaled by the exact power of two that brings their largest
-entry into [1/2, 1), so any scale runs the same bits. A half-iteration is
-one batched matmul and one batched eigen-solve: for d = 1 and n = 2 the
-closed form of ``_weakest_2x2`` on covariance entries formed from the link
-products (``eigh`` of those entries to rounding), else ``eigh``. After
+filters, ``(S, K, n, 1)``. A run keeps only its cross links, scaled by the
+exact power of two that brings their largest entry into [1/2, 1), so any
+scale runs the same bits. A half-iteration is one batched matmul and one
+batched eigen-solve: for n = 2 the closed form of ``_weakest_2x2`` on
+covariance entries formed from the link products (``eigh`` of those
+entries to rounding, up to the sign of the vector), else ``eigh``. After
 every iteration a per-run convergence mask takes the runs whose leakage
 reached the tolerance out of the batch, so each run stops where it would
 alone. Every operation acts on each run's matrices separately and the
-solver depends on the shape and stream width only, never on the batch
-size, so a run's trace and filters are bitwise the same in any batch.
+solver depends on the shape only, never on the batch size, so a run's
+trace and filters are bitwise the same in any batch.
 ``iterate`` and ``warm_start_check`` are batches of one; ``iterate_batch``
 (used by the feasibility sweep) runs many networks or seeds together.
 """
 
+import numbers
 from array import array
 from dataclasses import dataclass, field
 
@@ -52,6 +52,13 @@ WARM_INITIAL_TOL = 1e-12
 WARM_DRIFT_TOL = 1e-10
 
 
+def _count(name, x):
+    """``x`` as an ``int``; ``bool``, non-integers and ``x < 1`` raise."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < 1:
+        raise ValueError(f"{name} must be >= 1 and integral, got {x!r}")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class IterativeConfig:
     """Stream counts, stopping rule and initialization seed for one run."""
@@ -62,11 +69,10 @@ class IterativeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "d", tuple(int(x) for x in self.d))
-        if any(x < 1 for x in self.d):
-            raise ValueError(f"stream counts must be >= 1, got {self.d}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        object.__setattr__(self, "d", tuple(_count("stream count", x)
+                                            for x in self.d))
+        object.__setattr__(self, "max_iters",
+                           _count("max_iters", self.max_iters))
         if not self.leakage_tol > 0:
             raise ValueError(f"leakage_tol must be > 0, got {self.leakage_tol}")
 
@@ -77,11 +83,13 @@ class LeakageTrace:
 
     ``leakage[t]`` is the normalized total leakage after the combiner
     update of iteration ``t`` (entry 0 reflects the initial precoders).
+    ``precoders`` is ``(K, n_t)`` and ``combiners`` is ``(K, n_r)``, one
+    unit vector per user, the layout of ``AlignmentSolution``.
     """
 
     leakage: np.ndarray
-    precoders: list = field(repr=False)
-    combiners: list = field(repr=False)
+    precoders: np.ndarray = field(repr=False)
+    combiners: np.ndarray = field(repr=False)
     converged: bool
     iterations: int
 
@@ -95,19 +103,19 @@ def _haar_columns(rng, rows, cols):
     return q * signs[None, :]
 
 
-def _random_precoders(dims, d, seed):
-    """Seeded Haar precoders, zero-padded to ``(K, n_t, max(d))``."""
-    out = np.zeros((dims.k, dims.n_t, max(d)), dtype=np.complex128)
-    for i, rng in enumerate(_streams(seed, [(i,) for i in range(dims.k)])):
-        out[i, :, :d[i]] = _haar_columns(rng, dims.n_t, d[i])
-    return out
+def _random_precoders(dims, seed):
+    """Seeded Haar precoders, ``(K, n_t, 1)``."""
+    return np.stack([_haar_columns(rng, dims.n_t, 1) for rng in
+                     _streams(seed, [(i,) for i in range(dims.k)])])
 
 
 @np.errstate(all="ignore")
 def _weakest_2x2(a, c, b):
     """Weakest eigenpair of each Hermitian PSD 2x2 ``[[a, b*], [b, c]]``
     (real ``a``, ``c`` and complex ``b`` of one shape, at least 1-D), equal
-    to ``np.linalg.eigh``'s (``zheevd``, lower triangle) to rounding.
+    to ``np.linalg.eigh``'s (``zheevd``, lower triangle) to rounding, but
+    for the vector's sign at ``a = c`` with complex ``b``, which follows
+    ``zheevd``'s roundings (about 9% flip; the leakage does not use it).
 
     ``zheevd`` turns ``b`` into the real ``beta = -|b| sign(Re b)`` (``b``
     itself when real). With ``h = (a - c) / 2`` and the cancellation-free
@@ -140,62 +148,54 @@ def _weakest_2x2(a, c, b):
     return np.ldexp(0.5 * (a + c) - r, exp)[..., None], vec
 
 
-def _half_iteration(links, filters, columns):
+def _half_iteration(links, filters):
     """One half-iteration for every run and every receiver at once.
 
     ``links[s, j]`` stacks transmitter ``j``'s channels ``H_ij`` to all
-    receivers ``i``, scaled by ``1/sqrt(d_j)`` and zero for ``i = j``. With
-    ``G_ij`` the blocks of ``links @ filters``, receiver ``i``'s covariance
-    is the sum over ``j`` of ``G_ij G_ij^H``. Returns its ``width`` or more
-    weakest eigenvalues in ascending order, and the new receive filters:
-    its weakest eigenvectors, the columns past ``d_i`` zeroed by ``columns``.
+    receivers ``i`` (zero for ``i = j``); ``filters`` is ``(S, K, n, 1)``.
+    Receiver ``i``'s covariance sums ``g_ij g_ij^H`` over ``j``, ``g_ij`` the
+    blocks of ``links @ filters``. Returns its weakest eigenvalue,
+    ``(S, K, 1)``, and eigenvector, the new filters ``(S, K, n_out, 1)``.
     """
-    s, k, _, width = filters.shape
+    s, k = filters.shape[:2]
     n_out = links.shape[2] // k
-    g = (links @ filters).reshape(s, k, k, n_out, width)   # G_ij at [s, j, i]
-    if n_out == 2 and width == 1:
+    g = (links @ filters).reshape(s, k, k, n_out)   # g_ij at [s, j, i]
+    if n_out == 2:
         # [[a, b*], [b, c]] sums |g_j0|^2, |g_j1|^2, g_j1 conj(g_j0) over j
         power = np.square(g.view(np.float64))             # Re^2, Im^2
-        a_c = (power[..., 0] + power[..., 1]).sum(axis=1)
+        a_c = (power[..., 0::2] + power[..., 1::2]).sum(axis=1)
         return _weakest_2x2(a_c[..., 0], a_c[..., 1],
-                            (g[..., 1, 0] * g[..., 0, 0].conj()).sum(axis=1))
-    w = g.transpose(0, 2, 3, 1, 4).reshape(s, k, n_out, k * width)
+                            (g[..., 1] * g[..., 0].conj()).sum(axis=1))
+    w = np.ascontiguousarray(g.transpose(0, 2, 3, 1))   # [s, i, :, j]
     vals, vecs = np.linalg.eigh(w @ w.conj().swapaxes(-1, -2))
-    return vals, vecs[..., :width] * columns[:, None, :]
+    return vals[..., :1], vecs[..., :1]
 
 
-def _run_batch(h, d, max_iters, tol, v):
+def _run_batch(h, max_iters, tol, v):
     """The iteration engine: ``S`` independent runs of one setting.
 
     ``h`` stacks the runs' channels, ``(S, K, K, n_r, n_t)``, and ``v``
-    their initial precoders, ``(S, K, n_t, max(d))`` zero-padded past each
-    ``d_i``. Returns one ``LeakageTrace`` per run, in input order.
+    their initial precoders, ``(S, K, n_t, 1)``. Returns one
+    ``LeakageTrace`` per run, in input order.
     """
     s, k, _, n_r, n_t = h.shape
-    width = max(d)
     # the cross links only, scaled per run by a power of two to [1/2, 1)
     h = h * (1.0 - np.eye(k))[:, :, None, None]
     exp = np.frexp(np.abs(h).max(axis=(1, 2, 3, 4), keepdims=True))[1]
     h = np.ldexp(h.view(np.float64), -exp).view(np.complex128)
     energy = (np.linalg.norm(h, axis=(3, 4)) ** 2).sum(axis=(1, 2))
     denom = np.where(energy > 0, energy, 1.0)
-    # forward[s, j] stacks H_ij over i, reverse[s, i] stacks H_ij^H over j;
-    # the blocks from user a are scaled by 1/sqrt(d_a)
-    scale = (1.0 / np.sqrt(d))[:, None, None, None]
-    forward = np.multiply(h.transpose(0, 2, 1, 3, 4), scale,
-                          order="C").reshape(s, k, k * n_r, n_t)
-    reverse = np.multiply(np.conjugate(h.swapaxes(3, 4)), scale,
-                          order="C").reshape(s, k, k * n_t, n_r)
-    columns = (np.arange(width) < np.array(d)[:, None]).astype(float)
+    # forward[s, j] stacks H_ij over i, reverse[s, i] stacks H_ij^H over j
+    forward = h.transpose(0, 2, 1, 3, 4).reshape(s, k, k * n_r, n_t)
+    reverse = np.conjugate(h.swapaxes(3, 4)).reshape(s, k, k * n_t, n_r)
 
     runs = list(range(s))                 # input index of each active run
     leakages = [array("d") for _ in runs]
     traces = [None] * len(runs)
-    vals, u = _half_iteration(forward, v, columns)
+    vals, u = _half_iteration(forward, v)
     it = 0
     while True:
-        raw = (vals[..., :width] * columns).sum(axis=(1, 2))
-        leakage = np.maximum(raw, 0.0) / denom
+        leakage = np.maximum(vals.sum(axis=(1, 2)), 0.0) / denom
         for r, value in zip(runs, leakage.tolist()):
             leakages[r].append(value)
         # the convergence mask: a run leaves the batch once its leakage
@@ -205,28 +205,23 @@ def _run_batch(h, d, max_iters, tol, v):
             for pos in np.flatnonzero(~active):
                 r = runs[pos]
                 traces[r] = LeakageTrace(
-                    np.array(leakages[r]),
-                    [v[pos, i, :, :d[i]] for i in range(k)],
-                    [u[pos, i, :, :d[i]] for i in range(k)],
+                    np.array(leakages[r]), v[pos, ..., 0].copy(),
+                    u[pos, ..., 0].copy(),
                     converged=leakages[r][-1] <= tol, iterations=it)
             if not active.any():
                 return traces
             forward, reverse, v, u, denom = (
                 a[active] for a in (forward, reverse, v, u, denom))
             runs = [r for r, kept in zip(runs, active) if kept]
-        _, v = _half_iteration(reverse, u, columns)
-        vals, u = _half_iteration(forward, v, columns)
+        _, v = _half_iteration(reverse, u)
+        vals, u = _half_iteration(forward, v)
         it += 1
 
 
 def _check_config(net, cfg):
-    if len(cfg.d) != net.dims.k:
-        raise ConfigMismatch(
-            f"config lists {len(cfg.d)} stream counts for {net.dims.k} users")
-    cap = min(net.dims.n_t, net.dims.n_r)
-    if any(x > cap for x in cfg.d):
-        raise ConfigMismatch(
-            f"stream counts {cfg.d} exceed min(n_t, n_r) = {cap}")
+    if cfg.d != (1,) * net.dims.k:
+        raise ConfigMismatch(f"the probe needs one stream for each of the"
+                             f" {net.dims.k} users, got d={cfg.d}")
 
 
 def iterate(net, cfg):
@@ -245,7 +240,7 @@ def iterate(net, cfg):
     Raises
     ------
     ConfigMismatch
-        If ``cfg`` is inconsistent with the network dimensions.
+        If ``cfg.d`` is not one stream for each user of ``net``.
     """
     return iterate_batch([net], [cfg])[0]
 
@@ -274,10 +269,9 @@ def iterate_batch(nets, cfgs):
                              " stream count and stopping rule")
     cfg = cfgs[0]
     _check_config(nets[0], cfg)
-    v = np.stack([_random_precoders(net.dims, c.d, c.seed)
-                  for net, c in zip(nets, cfgs)])
-    return _run_batch(np.stack([net.h for net in nets]), cfg.d,
-                      cfg.max_iters, cfg.leakage_tol, v)
+    v = np.stack([_random_precoders(nets[0].dims, c.seed) for c in cfgs])
+    return _run_batch(np.stack([net.h for net in nets]), cfg.max_iters,
+                      cfg.leakage_tol, v)
 
 
 @dataclass
@@ -299,13 +293,9 @@ def warm_start_check(net, cfg, sol, iterations=100):
     starts below :data:`WARM_INITIAL_TOL` and stays below
     :data:`WARM_DRIFT_TOL`. Of ``cfg`` only ``d`` is read, which must give
     one stream to each of the K users; its ``max_iters``, ``leakage_tol``
-    and ``seed`` are ignored. ``iterations`` below 1 raises ``ValueError``.
+    and ``seed`` are ignored. ``iterations`` must be an integer >= 1.
     """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if any(x != 1 for x in cfg.d):
-        raise ConfigMismatch(
-            f"warm start check needs single-stream users, got d={cfg.d}")
+    iterations = _count("iterations", iterations)
     _check_config(net, cfg)
     if sol.precoders.shape != (net.dims.k, net.dims.n_t):
         raise ConfigMismatch(
@@ -313,7 +303,7 @@ def warm_start_check(net, cfg, sol, iterations=100):
             f" {(net.dims.k, net.dims.n_t)}")
     # no leakage falls below -inf, so every run makes all ``iterations``
     init = np.array(sol.precoders, dtype=np.complex128)[None, :, :, None]
-    trace = _run_batch(net.h[None], cfg.d, iterations, -np.inf, init)[0]
+    trace = _run_batch(net.h[None], iterations, -np.inf, init)[0]
     initial, peak = float(trace.leakage[0]), float(trace.leakage.max())
     return WarmStartReport(
         initial_leakage=initial, max_leakage=peak, iterations=trace.iterations,

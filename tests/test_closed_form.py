@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eigenalign import channel, closed_form, linalg
+from eigenalign import channel, closed_form, iterative, linalg
 from eigenalign.channel import InterferenceNetwork, NetworkDims, generate
 from eigenalign.errors import (DimensionMismatch, RankDeficientSolution,
                                SingularChannel)
@@ -345,6 +345,47 @@ class TestEigenMethod:
                     float(residuals[i]))
                 assert verify(net, sol).passed
                 assert alignment_residual(net, sol) < 1e-8 * channel_scale(net)
+
+
+def spectrum_gap(x, y):
+    """Largest distance from an eigenvalue of either matrix to the nearest
+    eigenvalue of the other, relative to the largest modulus."""
+    a, b = np.linalg.eigvals(x), np.linalg.eigvals(y)
+    gaps = np.abs(a[:, None] - b[None, :])
+    worst = max(gaps.min(axis=0).max(), gaps.min(axis=1).max())
+    return worst / np.abs(a).max()
+
+
+class TestInvariances:
+    """Network maps that leave the compensated spectrum alone. Under
+    ``H_ij -> A_i H_ij B_j`` block ``(r, c)`` becomes ``B_r^-1 X_rc B_c``, a
+    block similarity; relabelling the users cyclically permutes the blocks
+    (the coupling mask is cyclic); a global scale cancels in every ratio."""
+
+    @staticmethod
+    def transformed(net, rng):
+        k, n = net.dims.k, net.dims.n_t
+        a, b = (rng.standard_normal((k, n, n))
+                + 1j * rng.standard_normal((k, n, n)) for _ in range(2))
+        yield a[:, None] @ net.h @ b[None, :]
+        yield np.roll(net.h, 1, axis=(0, 1))
+        yield 1e3 * (0.6 - 0.8j) * net.h
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_spectrum_verify_and_fixed_point(self, n):
+        from eigenalign.analysis import verify
+        rng = np.random.Generator(np.random.PCG64(n))
+        cfg = iterative.IterativeConfig(d=(1,) * (n + 1))
+        for seed in range(2):
+            net = generate(NetworkDims(n + 1, n, n), seed)
+            base = closed_form.build_stacked(net)
+            for h in self.transformed(net, rng):
+                moved = InterferenceNetwork(net.dims, h)
+                moved_stacked = closed_form.build_stacked(moved)
+                assert spectrum_gap(base, moved_stacked) < 1e-11
+                sol = closed_form.solve_eigen_method(moved)
+                assert verify(moved, sol).passed
+                assert iterative.warm_start_check(moved, cfg, sol).passed
 
 
 class TestLoopMethod:
