@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .channel import NetworkDims, generate
 from .closed_form import (ALIGN_TOL, RANK_TOL, _back_substitute,
-                          _channel_ratios, _gain_report, _interference_columns)
+                          _channel_ratios, _gain_report, _interference)
 from .errors import DimensionMismatch, ShapeMismatch, UnverifiedSolution
 from .iterative import IterativeConfig, iterate_batch
 
@@ -169,11 +169,8 @@ def infeasibility_demo(net):
                                        (ratio(2, 3, 0), 4, (2, 0))))
     precoders = np.stack([v1, v2, v3, v4])
 
-    # Best least-squares combiners: weakest left singular direction of the
-    # interference each receiver sees.
-    combiners = np.stack([
-        np.linalg.svd(_interference_columns(net, precoders, i))[0][:, -1]
-        for i in range(4)])
+    # Least-squares combiners: each receiver's weakest left singular vector.
+    combiners = np.linalg.svd(_interference(net, precoders))[0][..., -1]
     gains, _, scale = _gain_report(net, precoders, combiners)
     worst = np.max(gains, where=~np.eye(4, dtype=bool), initial=0.0)
 

@@ -4,9 +4,9 @@ For a K-user network with square N x N channels and K = N + 1, requiring
 the K - 1 = N interfering signals at each receiver to be linearly
 dependent turns the alignment conditions into one standard eigenvalue
 problem on a KN x KN block matrix assembled from the cross channels. Every
-eigenvector with a nonzero eigenvalue encodes all K precoders at once; the
-combiners then come from the orthogonal complement of the (at most
-(N-1)-dimensional) interference subspace at each receiver.
+eigenvector with a nonzero eigenvalue encodes all K precoders at once; one
+batched SVD then takes every combiner from the orthogonal complement of the
+(at most (N-1)-dimensional) interference subspace at its receiver.
 
 For K = 3 the cyclic structure collapses further: composing the three
 pairwise alignment constraints around the user loop gives an N x N
@@ -142,16 +142,13 @@ def build_stacked(net):
     return _compensated_matrix(net, net.cross_pairs())
 
 
-def _fix_phase(v):
-    """Rotate so the largest-modulus entry is real positive."""
-    idx = int(np.argmax(np.abs(v)))
-    return v * np.conj(v[idx] / abs(v[idx]))
-
-
-def _interference_columns(net, precoders, receiver):
-    cols = [net.h[receiver, j] @ precoders[j]
-            for j in range(net.dims.k) if j != receiver]
-    return np.column_stack(cols)
+def _interference(net, precoders):
+    """Every receiver's interference matrix, ``(K, n_r, K - 1)``: receiver
+    ``i``'s columns are ``H_ij v_j`` for ``j != i`` in ascending ``j``, the
+    off-diagonal blocks of one stacked product."""
+    k = net.dims.k
+    g = (net.h @ precoders[None, :, :, None])[..., 0]   # H_ij v_j at [i, j]
+    return g[~np.eye(k, dtype=bool)].reshape(k, k - 1, -1).swapaxes(1, 2)
 
 
 def _gain_report(net, precoders, combiners):
@@ -181,13 +178,15 @@ def _diagnosed_solution(net, precoders, combiners, eigenvalue=None,
 
 
 def _finish_solution(net, precoders, eigenvalue, eigen_residual):
-    """Zero-forcing combiners, diagnostics and the rank gate of both
-    closed-form routes. Raises RankDeficientSolution (with the otherwise
-    complete solution attached) when a direct link is zero-forced away."""
-    combiners = np.stack([
-        _fix_phase(linalg.null_space_orthonormal(
-            _interference_columns(net, precoders, i))[:, 0])
-        for i in range(net.dims.k)])
+    """Zero-forcing combiners (each receiver's first left null vector, one
+    batched SVD, largest entry turned real positive), diagnostics and the
+    rank gate of both closed-form routes. Raises RankDeficientSolution (with
+    the solution attached) when a direct link is zero-forced away."""
+    u, rank = linalg._left_null(_interference(net, precoders))
+    combiners = u[np.arange(net.dims.k), :, rank]
+    lead = np.take_along_axis(
+        combiners, np.argmax(np.abs(combiners), axis=1)[:, None], axis=1)
+    combiners *= np.conj(lead / np.hypot(lead.real, lead.imag))
     sol = _diagnosed_solution(net, precoders, combiners, eigenvalue,
                               eigen_residual)
     rank_metrics = sol.diagnostics.rank_metrics

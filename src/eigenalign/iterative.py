@@ -52,16 +52,16 @@ WARM_INITIAL_TOL = 1e-12
 WARM_DRIFT_TOL = 1e-10
 
 
-def _count(name, x):
-    """``x`` as an ``int``; ``bool``, non-integers and ``x < 1`` raise."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < 1:
-        raise ValueError(f"{name} must be >= 1 and integral, got {x!r}")
+def _count(name, x, least=1):
+    """``x`` as an ``int``; ``bool``, non-integers and ``x < least`` raise."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < least:
+        raise ValueError(f"{name} must be >= {least} and integral, got {x!r}")
     return int(x)
 
 
 @dataclass(frozen=True)
 class IterativeConfig:
-    """Stream counts, stopping rule and initialization seed for one run."""
+    """Stream counts (ints >= 1), stopping rule and seed (an int >= 0)."""
 
     d: tuple
     max_iters: int = DEFAULT_MAX_ITERS
@@ -73,6 +73,7 @@ class IterativeConfig:
                                             for x in self.d))
         object.__setattr__(self, "max_iters",
                            _count("max_iters", self.max_iters))
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0))
         if not self.leakage_tol > 0:
             raise ValueError(f"leakage_tol must be > 0, got {self.leakage_tol}")
 
@@ -94,23 +95,16 @@ class LeakageTrace:
     iterations: int
 
 
-def _haar_columns(rng, rows, cols):
-    z = (rng.standard_normal((rows, cols))
-         + 1j * rng.standard_normal((rows, cols))) * np.sqrt(0.5)
-    q, r = np.linalg.qr(z)
-    signs = np.diagonal(r).copy()
-    signs = signs / np.abs(signs)
-    return q * signs[None, :]
-
-
 def _random_precoders(dims, seed):
-    """Seeded Haar precoders, ``(K, n_t, 1)``."""
-    return np.stack([_haar_columns(rng, dims.n_t, 1) for rng in
-                     _streams(seed, [(i,) for i in range(dims.k)])])
+    """Seeded Haar precoders, ``(K, n_t, 1)``, from one batched QR."""
+    x = np.stack([rng.standard_normal((2, dims.n_t, 1)) for rng in
+                  _streams(seed, [(i,) for i in range(dims.k)])])
+    q, r = np.linalg.qr((x[:, 0] + 1j * x[:, 1]) * np.sqrt(0.5))
+    return q * (r / np.abs(r))
 
 
 @np.errstate(all="ignore")
-def _weakest_2x2(a, c, b):
+def _weakest_2x2(a, c, b, values=True):
     """Weakest eigenpair of each Hermitian PSD 2x2 ``[[a, b*], [b, c]]``
     (real ``a``, ``c`` and complex ``b`` of one shape, at least 1-D), equal
     to ``np.linalg.eigh``'s (``zheevd``, lower triangle) to rounding, but
@@ -123,7 +117,8 @@ def _weakest_2x2(a, c, b):
     else ``(beta, -t b / beta)``, normalized; ``e1``, or ``e2 b / beta`` for
     ``a > c``, where it neglects ``b``. Power-of-two scaling, + - * /, sqrt
     and hypot act on each matrix alone, so no result depends on the batch.
-    Returns eigenvalues ``(..., 1)`` and unit eigenvectors ``(..., 2, 1)``.
+    Returns eigenvalues ``(..., 1)``, None unless ``values``, and unit
+    eigenvectors ``(..., 2, 1)``.
     """
     exp = np.frexp(np.maximum(a, c))[1]
     a, c, x, y = np.ldexp((a, c, b.real, b.imag), -exp)   # x + iy = b, scaled
@@ -145,17 +140,18 @@ def _weakest_2x2(a, c, b):
         vec[split & up] = ((0.0,), (1.0,))
         e2 = split & up & (abs_b > 0)
         low[e2] = (x[e2] + 1j * y[e2]) / beta[e2]
-    return np.ldexp(0.5 * (a + c) - r, exp)[..., None], vec
+    return (np.ldexp(0.5 * (a + c) - r, exp)[..., None] if values
+            else None), vec
 
 
-def _half_iteration(links, filters):
+def _half_iteration(links, filters, values=True):
     """One half-iteration for every run and every receiver at once.
 
     ``links[s, j]`` stacks transmitter ``j``'s channels ``H_ij`` to all
     receivers ``i`` (zero for ``i = j``); ``filters`` is ``(S, K, n, 1)``.
     Receiver ``i``'s covariance sums ``g_ij g_ij^H`` over ``j``, ``g_ij`` the
-    blocks of ``links @ filters``. Returns its weakest eigenvalue,
-    ``(S, K, 1)``, and eigenvector, the new filters ``(S, K, n_out, 1)``.
+    blocks of ``links @ filters``. Returns its weakest eigenvalue ``(S, K,
+    1)`` (for n = 2 only if ``values``) and eigenvector, the new filters.
     """
     s, k = filters.shape[:2]
     n_out = links.shape[2] // k
@@ -165,7 +161,7 @@ def _half_iteration(links, filters):
         power = np.square(g.view(np.float64))             # Re^2, Im^2
         a_c = (power[..., 0::2] + power[..., 1::2]).sum(axis=1)
         return _weakest_2x2(a_c[..., 0], a_c[..., 1],
-                            (g[..., 1] * g[..., 0].conj()).sum(axis=1))
+                            (g[..., 1] * g[..., 0].conj()).sum(axis=1), values)
     w = np.ascontiguousarray(g.transpose(0, 2, 3, 1))   # [s, i, :, j]
     vals, vecs = np.linalg.eigh(w @ w.conj().swapaxes(-1, -2))
     return vals[..., :1], vecs[..., :1]
@@ -213,7 +209,7 @@ def _run_batch(h, max_iters, tol, v):
             forward, reverse, v, u, denom = (
                 a[active] for a in (forward, reverse, v, u, denom))
             runs = [r for r, kept in zip(runs, active) if kept]
-        _, v = _half_iteration(reverse, u)
+        _, v = _half_iteration(reverse, u, values=False)
         vals, u = _half_iteration(forward, v)
         it += 1
 

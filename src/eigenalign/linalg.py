@@ -71,9 +71,17 @@ def null_space_orthonormal(a):
     a = np.asarray(a, dtype=np.complex128)
     if a.size == 0:
         raise ValueError("null_space_orthonormal needs a non-empty matrix")
-    u, s, _ = np.linalg.svd(a)
-    rank = int(np.sum(s > DEFAULT_RANK_TOL * s[0])) if s.size else 0
-    if rank >= a.shape[0]:
-        raise EmptyNullSpace(
-            f"matrix of shape {a.shape} has full row rank {rank}")
+    u, rank = _left_null(a)
     return u[:, rank:]
+
+
+def _left_null(a):
+    """One SVD of the stack ``a`` (..., rows, cols): left singular vectors
+    ``u`` and each rank by the rule above (left null space ``u[..., rank:]``).
+    Raises EmptyNullSpace naming the first matrix of full row rank."""
+    u, s, _ = np.linalg.svd(a)
+    rank = np.sum(s > DEFAULT_RANK_TOL * s[..., :1], axis=-1)
+    if (full := np.flatnonzero(rank >= a.shape[-2])).size:
+        raise EmptyNullSpace(f"matrix of shape {a.shape[-2:]} has full row"
+                             f" rank {rank.flat[full[0]]}")
+    return u, rank

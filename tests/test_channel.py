@@ -65,11 +65,16 @@ def _reference_generate(dims, seed):
 
 
 def _reference_precoders(dims, seed):
-    """``iterative._random_precoders`` written one SeedSequence stream per user."""
+    """``iterative._random_precoders`` written one SeedSequence stream and
+    one QR per user."""
     out = np.zeros((dims.k, dims.n_t, 1), dtype=np.complex128)
     for i in range(dims.k):
         rng = _seed_sequence_rng(seed, (i,))
-        out[i] = iterative._haar_columns(rng, dims.n_t, 1)
+        z = (rng.standard_normal((dims.n_t, 1))
+             + 1j * rng.standard_normal((dims.n_t, 1))) * np.sqrt(0.5)
+        q, r = np.linalg.qr(z)
+        signs = np.diagonal(r).copy()
+        out[i] = q * (signs / np.abs(signs))[None, :]
     return out
 
 

@@ -35,11 +35,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="must be >= 1 and integral"):
             IterativeConfig(**kwargs)
 
+    @pytest.mark.parametrize("seed", [2.5, 3.0, True, False, -1, "1", None])
+    def test_seed_refused(self, seed):
+        # refused where the config is built, not deep inside a run
+        with pytest.raises(ValueError, match="seed must be >= 0 and integral"):
+            IterativeConfig(d=(1, 1, 1), seed=seed)
+
     def test_numpy_integers_accepted(self):
         cfg = IterativeConfig(d=np.ones(3, dtype=np.int64),
-                              max_iters=np.int32(2))
-        assert cfg.d == (1, 1, 1) and cfg.max_iters == 2
-        assert all(type(x) is int for x in cfg.d + (cfg.max_iters,))
+                              max_iters=np.int32(2), seed=np.uint8(7))
+        assert cfg.d == (1, 1, 1) and cfg.max_iters == 2 and cfg.seed == 7
+        assert all(type(x) is int for x in cfg.d + (cfg.max_iters, cfg.seed))
         trace = iterate(generate(NetworkDims(4, 2, 2), 0), IterativeConfig(
             d=(1,) * 4, max_iters=np.int64(2), leakage_tol=1e-30))
         assert trace.iterations == 2 and len(trace.leakage) == 3
@@ -237,6 +243,15 @@ class TestWeakest2x2:
             val, vec = iterative._weakest_2x2(*entries(one[None]))
             assert np.array_equal(val[0], vals.reshape(-1, 1)[i])
             assert np.array_equal(vec[0], vecs.reshape(-1, 2, 1)[i])
+
+    def test_vectors_without_values_bitwise(self):
+        # the reverse half reads only the vectors
+        cov = np.concatenate([covariances(kind, count=5) for kind in (
+            "random", "near_rank_one", "diagonal", "zero")])
+        vals, vecs = iterative._weakest_2x2(*entries(cov))
+        none, alone = iterative._weakest_2x2(*entries(cov), values=False)
+        assert vals is not None and none is None
+        assert np.array_equal(vecs, alone)
 
 
 def half_iteration_links(kind, s=6, k=4, n_t=3, seed=0):
