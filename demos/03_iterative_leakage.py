@@ -26,7 +26,7 @@ print(f"  converged={trace4.converged}: the leakage stalls well above zero")
 
 print("\n== warm start from the closed form ==")
 sol = ea.solve_eigen_method(net)
-report = ea.warm_start_check(net, cfg, sol)
+report = ea.warm_start_check(net, sol)
 print(f"  initial leakage {report.initial_leakage:.3e}, max over 100"
       f" iterations {report.max_leakage:.3e} -> fixed point"
       f" {'held' if report.passed else 'broken'}")

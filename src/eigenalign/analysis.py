@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .channel import NetworkDims, generate
+from .channel import NetworkDims, _count, generate
 from .closed_form import (ALIGN_TOL, RANK_TOL, _back_substitute,
                           _channel_ratios, _gain_report, _interference)
 from .errors import DimensionMismatch, ShapeMismatch, UnverifiedSolution
@@ -44,8 +44,6 @@ class VerificationReport:
     residuals: np.ndarray
     rank_metrics: np.ndarray
     passed: bool
-    align_tol: float
-    rank_tol: float
     channel_scale: float
 
 
@@ -61,8 +59,7 @@ def verify(net, sol):
     rank_metrics = np.diagonal(gains).copy()
     passed = bool(residuals.max() <= ALIGN_TOL * scale
                   and np.all(rank_metrics >= RANK_TOL * direct))
-    return VerificationReport(residuals, rank_metrics, passed,
-                              ALIGN_TOL, RANK_TOL, scale)
+    return VerificationReport(residuals, rank_metrics, passed, scale)
 
 
 @dataclass
@@ -227,43 +224,33 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
                       keep_traces=False, progress=None):
     """Run the iterative probe over an (N, K) grid of square networks.
 
-    ``seeds`` may be an integer count (seeds 0..count-1, any integral
-    type but ``bool``) or an explicit list of integers. A run is feasible
-    when its final leakage drops below ``feasible_tol``, infeasible when
-    it still exceeds ``infeasible_tol`` at the iteration cap, inconclusive
-    otherwise; a cell verdict needs a :data:`QUORUM` fraction of its runs
-    to agree. Records are produced in sorted (n, k, seed) order, so the
-    result does not depend on how the work is scheduled. Each cell runs
-    all its seeds as one ``iterate_batch``; ``progress`` is called once
-    per record, in record order, in a burst after each cell's batch.
+    ``seeds`` is a count (seeds 0..count-1) or a list of seeds; every value
+    may be of any integral type but ``bool``. A run is feasible when its final leakage drops below ``feasible_tol``,
+    infeasible when it still exceeds ``infeasible_tol`` at the iteration
+    cap, inconclusive otherwise; a cell verdict needs a :data:`QUORUM`
+    fraction of its runs to agree. Records are produced in sorted
+    (n, k, seed) order, so the result does not depend on how the work is
+    scheduled. Each cell runs all its seeds as one ``iterate_batch``;
+    ``progress`` is called once per record, in record order, in a burst
+    after each cell's batch.
 
     Raises
     ------
     ValueError
-        If ``seeds`` is a ``bool`` or a non-integral count, holds a
-        non-integral seed, names no seed, or repeats one, or if
-        ``n_values`` or ``k_values`` repeats a value.
+        If a grid value, a seed or the count is not integral or out of
+        range (N < 1, K < 2, seed < 0, count < 1), if ``seeds`` names no
+        seed, or if the grid or the seeds repeat a value.
     """
-    def integral(x):
-        return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-    def distinct(name, values):
-        if len(set(values)) != len(values):
-            raise ValueError(f"{name} must be distinct, got {values}")
-        return values
-
+    if isinstance(seeds, numbers.Number):
+        seeds = range(_count("seeds", seeds))
     # the grid first: a count of seeds becomes a list only past it
-    n_values = distinct("n_values", sorted(int(n) for n in n_values))
-    k_values = distinct("k_values", sorted(int(k) for k in k_values))
-    if integral(seeds):
-        seeds = list(range(int(seeds)))
-    elif isinstance(seeds, (bool, numbers.Number)):
-        raise ValueError(f"seeds must be a count or a list, got {seeds!r}")
-    else:
-        seeds = list(seeds)
-        if not all(integral(s) for s in seeds):
-            raise ValueError(f"seeds must be integers, got {seeds}")
-        seeds = distinct("seeds", sorted(int(s) for s in seeds))
+    checked = []
+    for name, values, least in (("n_values", n_values, 1),
+                                ("k_values", k_values, 2), ("seeds", seeds, 0)):
+        checked.append(sorted(_count(name, x, least) for x in values))
+        if len(set(checked[-1])) != len(checked[-1]):
+            raise ValueError(f"{name} must be distinct, got {checked[-1]}")
+    n_values, k_values, seeds = checked
     if not seeds:
         raise ValueError("the sweep needs at least one seed")
 

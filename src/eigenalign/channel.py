@@ -15,6 +15,7 @@ the key stage itself, with numpy's per-key SeedSequence as the test oracle.
 """
 
 import json
+import numbers
 import operator
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -28,9 +29,16 @@ from .errors import MalformedDocument, ShapeMismatch
 CHANNEL_FORMAT = 1
 
 
+def _count(name, x, least=1):
+    """``x`` as an ``int``; ``bool``, non-integers and ``x < least`` raise."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < least:
+        raise ValueError(f"{name} must be >= {least} and integral, got {x!r}")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class NetworkDims:
-    """Dimensions of a K-user interference network."""
+    """Dimensions of a K-user interference network (integers, not bool)."""
 
     k: int
     n_t: int
@@ -42,6 +50,8 @@ class NetworkDims:
         if self.n_t < 1 or self.n_r < 1:
             raise ValueError(
                 f"antenna counts must be >= 1, got n_t={self.n_t}, n_r={self.n_r}")
+        for name in ("k", "n_t", "n_r"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,23 +127,23 @@ class _SeedWords(ISeedSequence):
 
 def _streams(seed, keys):
     """One Generator per spawn key, bit-identical to
-    ``Generator(PCG64(SeedSequence(seed, spawn_key=key)))``. The pool after
-    the seed's words is numpy's ``SeedSequence(seed).pool``; the key words
-    are absorbed for all keys at once, one uint32 column per word; then
+    ``Generator(PCG64(SeedSequence(seed, spawn_key=key)))``. ``keys`` is an
+    ``(n, width)`` integer array of 32-bit words, one key a row. The pool
+    after the seed's words is numpy's ``SeedSequence(seed).pool``; the key
+    words are absorbed for all keys at once, a column at a time; then
     ``generate_state(4, uint64)``."""
+    keys = np.asarray(keys)
+    if keys.size and (keys.dtype.kind not in "iu" or keys.min() < 0
+                      or keys.max() > _M32):
+        raise ValueError("spawn key entries must be integers in [0, 2**32)")
     # the seed's words (at least four, zero-padded) took 4 hashmix steps each;
     # _words first, as SeedSequence(None) would draw OS entropy
     step = 4 * max(len(_words(seed)), 4)
     pool = np.tile(np.random.SeedSequence(seed).pool, (len(keys), 1))
-    tails = [[w for k in key for w in _words(k)] for key in keys]
-    width = max(map(len, tails), default=0)
     hc = np.array([_INIT_A * pow(_MULT_A, n, 1 << 32) & _M32
                    for n in range(step, step + 5)], dtype=np.uint32)
-    cols = np.array([t + [0] * (width - len(t)) for t in tails], dtype=np.uint32)
-    live = np.arange(width) < np.array([len(t) for t in tails])[:, None]
-    for col, alive in zip(cols.T, live.T):
-        mixed = _mix(pool, _hashmix(col[:, None], hc[:4], hc[1:]))
-        pool = np.where(alive[:, None], mixed, pool)
+    for col in keys.astype(np.uint32).T:
+        pool = _mix(pool, _hashmix(col[:, None], hc[:4], hc[1:]))
         hc *= pow(_MULT_A, 4, 1 << 32)
     state = _hashmix(np.tile(pool, 2), _STATE_HASH[:-1], _STATE_HASH[1:])
     return [np.random.Generator(np.random.PCG64(_SeedWords(w)))
@@ -142,11 +152,9 @@ def _streams(seed, keys):
 
 def generate(dims, seed):
     """Draw a random network, a pure function of ``(dims, seed)``."""
-    if not isinstance(dims, NetworkDims):
-        dims = NetworkDims(*dims)
     k = dims.k
     x = np.empty((k * k, 2, dims.n_r, dims.n_t))
-    for rng, out in zip(_streams(seed, list(np.ndindex(k, k))), x):
+    for rng, out in zip(_streams(seed, np.indices((k, k)).reshape(2, -1).T), x):
         rng.standard_normal(out=out)
     h = np.sqrt(0.5) * (x[:, 0] + 1j * x[:, 1])
     return InterferenceNetwork(dims, h.reshape(k, k, dims.n_r, dims.n_t),

@@ -156,8 +156,8 @@ def cmd_verify(args):
     for i in range(k):
         print(" ".join(f"{report.residuals[i, j]:.6e}" for j in range(k)))
     print("rank_metrics " + " ".join(f"{m:.6e}" for m in report.rank_metrics))
-    print(f"align_tol={report.align_tol:.1e} rank_tol={report.rank_tol:.1e}"
-          f" channel_scale={report.channel_scale:.6e}")
+    print(f"align_tol={closed_form.ALIGN_TOL:.1e} rank_tol="
+          f"{closed_form.RANK_TOL:.1e} channel_scale={report.channel_scale:.6e}")
     print("PASS" if report.passed else "FAIL")
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 

@@ -39,6 +39,9 @@ ALIGN_TOL = 1e-8
 #: Minimum direct-link gain |u^H H_ii v| relative to ||H_ii||_F.
 RANK_TOL = 1e-6
 
+#: Largest relative mismatch of a cubed stacked and a loop eigenvalue.
+CUBE_TOL = 1e-6
+
 #: 2-norm condition estimate at or above which a cross channel is refused.
 CONDITION_CAP = 1e12
 
@@ -322,14 +325,14 @@ def _match_cubes(cubes, loop_vals):
     return match, rel[np.arange(len(cubes)), match]
 
 
-def cube_relation_check(net, rel_tol=1e-6):
+def cube_relation_check(net):
     """Verify that stacked and loop spectra are consistent for K = 3.
 
     The compensated matrix is block-cyclic for K = 3, so its cube is block
     diagonal with three blocks similar to the loop matrix: the nonzero
     stacked eigenvalues, cubed, are the loop spectrum with every value
     taken three times. The cubes are matched to it one-to-one (see
-    :func:`_match_cubes`); ``passed`` applies ``rel_tol`` to the worst
+    :func:`_match_cubes`); ``passed`` applies :data:`CUBE_TOL` to the worst
     relative mismatch.
     """
     compensated, _, loop = _loop_system(net, "cube relation check")
@@ -342,7 +345,7 @@ def cube_relation_check(net, rel_tol=1e-6):
     matches = [(complex(v), complex(q), complex(loop_vals[j]), float(e))
                for v, q, j, e in zip(vals, cubes, match, rel)]
     worst = float(rel.max()) if len(rel) else 0.0
-    return CubeRelationReport(matches, worst, worst <= rel_tol and bool(matches))
+    return CubeRelationReport(matches, worst, worst <= CUBE_TOL and bool(matches))
 
 
 def solution_to_document(sol, dims, method):

@@ -9,10 +9,11 @@ non-increasing and its trace is the feasibility probe: it collapses to
 numerical zero exactly when alignment is achievable.
 
 Every user sends one stream at unit power, the paper's setting (all
-multiplexing gains one); a config with any other stream count is refused.
+multiplexing gains one): a config with any other stream count is refused,
+and a warm start takes a solution's one precoder per user, with no config.
 Initial precoders are Haar-random unit vectors drawn from PCG64 streams
-``SeedSequence(seed, spawn_key=(i,))``, one per user. ``channel._streams``
-derives them from numpy's ``SeedSequence(seed)`` pool.
+``SeedSequence(seed, spawn_key=(i,))``, one one-word key per user, which
+``channel._streams`` derives from numpy's ``SeedSequence(seed)`` pool.
 
 One engine runs S independent runs of one (K, n_t, n_r) setting at once.
 Channels carry a leading run axis, ``(S, K, K, n_r, n_t)``, and so do the
@@ -31,13 +32,12 @@ trace and filters are bitwise the same in any batch.
 (used by the feasibility sweep) runs many networks or seeds together.
 """
 
-import numbers
 from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import _streams
+from .channel import _count, _streams
 from .errors import ConfigMismatch
 
 #: Leakage below this counts as converged by default.
@@ -50,13 +50,6 @@ DEFAULT_MAX_ITERS = 5000
 #: later one reaches WARM_DRIFT_TOL.
 WARM_INITIAL_TOL = 1e-12
 WARM_DRIFT_TOL = 1e-10
-
-
-def _count(name, x, least=1):
-    """``x`` as an ``int``; ``bool``, non-integers and ``x < least`` raise."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < least:
-        raise ValueError(f"{name} must be >= {least} and integral, got {x!r}")
-    return int(x)
 
 
 @dataclass(frozen=True)
@@ -98,7 +91,7 @@ class LeakageTrace:
 def _random_precoders(dims, seed):
     """Seeded Haar precoders, ``(K, n_t, 1)``, from one batched QR."""
     x = np.stack([rng.standard_normal((2, dims.n_t, 1)) for rng in
-                  _streams(seed, [(i,) for i in range(dims.k)])])
+                  _streams(seed, np.arange(dims.k)[:, None])])
     q, r = np.linalg.qr((x[:, 0] + 1j * x[:, 1]) * np.sqrt(0.5))
     return q * (r / np.abs(r))
 
@@ -214,12 +207,6 @@ def _run_batch(h, max_iters, tol, v):
         it += 1
 
 
-def _check_config(net, cfg):
-    if cfg.d != (1,) * net.dims.k:
-        raise ConfigMismatch(f"the probe needs one stream for each of the"
-                             f" {net.dims.k} users, got d={cfg.d}")
-
-
 def iterate(net, cfg):
     """Run alternating leakage minimization on ``net`` from the seeded
     Haar draw of precoders, as a batch of one (:func:`iterate_batch`).
@@ -263,8 +250,10 @@ def iterate_batch(nets, cfgs):
             or len({(c.d, c.max_iters, c.leakage_tol) for c in cfgs}) != 1):
         raise ConfigMismatch("a batch needs one network size and one"
                              " stream count and stopping rule")
-    cfg = cfgs[0]
-    _check_config(nets[0], cfg)
+    cfg, k = cfgs[0], nets[0].dims.k
+    if cfg.d != (1,) * k:
+        raise ConfigMismatch(f"the probe needs one stream for each of the"
+                             f" {k} users, got d={cfg.d}")
     v = np.stack([_random_precoders(nets[0].dims, c.seed) for c in cfgs])
     return _run_batch(np.stack([net.h for net in nets]), cfg.max_iters,
                       cfg.leakage_tol, v)
@@ -281,18 +270,15 @@ class WarmStartReport:
     trace: np.ndarray = field(repr=False)
 
 
-def warm_start_check(net, cfg, sol, iterations=100):
+def warm_start_check(net, sol, iterations=100):
     """Confirm an aligned solution is a fixed point of the iteration.
 
-    Feeds ``sol``'s precoders as warm start, runs ``iterations`` full
-    iterations with no early stopping, and reports whether the leakage
-    starts below :data:`WARM_INITIAL_TOL` and stays below
-    :data:`WARM_DRIFT_TOL`. Of ``cfg`` only ``d`` is read, which must give
-    one stream to each of the K users; its ``max_iters``, ``leakage_tol``
-    and ``seed`` are ignored. ``iterations`` must be an integer >= 1.
+    Feeds ``sol``'s precoders, one unit vector per user, as warm start,
+    runs ``iterations`` full iterations with no early stopping, and reports
+    whether the leakage starts below :data:`WARM_INITIAL_TOL` and stays
+    below :data:`WARM_DRIFT_TOL`. ``iterations`` must be an integer >= 1.
     """
     iterations = _count("iterations", iterations)
-    _check_config(net, cfg)
     if sol.precoders.shape != (net.dims.k, net.dims.n_t):
         raise ConfigMismatch(
             f"solution precoders have shape {sol.precoders.shape}, expected"

@@ -18,7 +18,7 @@ import pytest
 import eigenalign
 from eigenalign import analysis, closed_form
 from eigenalign.channel import NetworkDims, generate
-from eigenalign.iterative import IterativeConfig, warm_start_check
+from eigenalign.iterative import warm_start_check
 
 SWEEP_N = [2, 3, 4]
 SWEEP_K = [3, 4, 5, 6, 7, 8]
@@ -83,7 +83,7 @@ def test_criterion_2_cube_relation():
     for n in (2, 3):
         for seed in range(50):
             net = generate(NetworkDims(3, n, n), seed)
-            report = closed_form.cube_relation_check(net, rel_tol=1e-6)
+            report = closed_form.cube_relation_check(net)
             worst = max(worst, report.worst_mismatch)
             if not report.passed:
                 _report(2, "cubed stacked spectrum lands on the loop"
@@ -118,8 +118,7 @@ def test_criterion_4_warm_start_fixed_point():
     for dims, seed in cases:
         net = generate(dims, seed)
         sol = closed_form.solve_eigen_method(net)
-        cfg = IterativeConfig(d=(1,) * dims.k, seed=seed)
-        report = warm_start_check(net, cfg, sol, iterations=100)
+        report = warm_start_check(net, sol, iterations=100)
         if report.initial_leakage >= 1e-12 or report.max_leakage >= 1e-10:
             failures.append((dims.k, seed, report.initial_leakage,
                              report.max_leakage))

@@ -36,7 +36,7 @@ class TestVerify:
         broken.precoders[1] = v / np.linalg.norm(v)
         report = analysis.verify(net, broken)
         assert not report.passed
-        bound = report.align_tol * report.channel_scale
+        bound = closed_form.ALIGN_TOL * report.channel_scale
         assert report.residuals[0, 1] > bound or report.residuals[2, 1] > bound
         # the gain kernel against the link-by-link products
         gains = np.array([[abs(broken.combiners[i].conj() @ net.h[i, j]
@@ -56,7 +56,8 @@ class TestVerify:
         report = analysis.verify(net, err.value.solution)
         assert not report.passed
         assert report.rank_metrics.min() < 1e-10
-        assert report.residuals.max() <= report.align_tol * report.channel_scale
+        bound = closed_form.ALIGN_TOL * report.channel_scale
+        assert report.residuals.max() <= bound
 
     def test_shape_mismatch(self):
         net = generate(NetworkDims(3, 2, 2), 0)
@@ -255,6 +256,20 @@ class TestFeasibilitySweep:
     def test_rejects_bad_seed_sets(self, seeds):
         with pytest.raises(ValueError):
             analysis.feasibility_sweep([2], [3], seeds, max_iters=10)
+
+    @pytest.mark.parametrize("n_values, k_values, message", [
+        ([2.7], [3.9], "n_values must be >= 1 and integral, got 2.7"),
+        ([2], [3.0], "k_values must be >= 2 and integral, got 3.0"),
+        ([True], [3], "n_values must be >= 1 and integral, got True"),
+        ([2], [True], "k_values must be >= 2 and integral, got True"),
+        ([0], [3], "n_values must be >= 1 and integral, got 0"),
+        ([2], [1], "k_values must be >= 2 and integral, got 1"),
+    ])
+    def test_rejects_bad_grid_values(self, n_values, k_values, message):
+        # refused as given, never truncated to another cell
+        with pytest.raises(ValueError) as err:
+            analysis.feasibility_sweep(n_values, k_values, 1, max_iters=10)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("n_values, k_values", [([2, 2], [3]), ([2], [3, 3])])
     def test_rejects_repeated_grid_values(self, n_values, k_values):

@@ -9,7 +9,6 @@ OPTIONAL = {
     "IterativeConfig.max_iters": 5000,
     "IterativeConfig.leakage_tol": 1e-6,
     "IterativeConfig.seed": 0,
-    "cube_relation_check.rel_tol": 1e-6,
     "feasibility_sweep.max_iters": 5000,
     "feasibility_sweep.feasible_tol": 1e-6,
     "feasibility_sweep.infeasible_tol": 1e-3,

@@ -39,10 +39,26 @@ class TestGenerate:
         assert net.h.shape == (2, 2, 2, 3)
 
     def test_dims_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least 2 users"):
             channel.NetworkDims(1, 2, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least 2 users"):
+            channel.NetworkDims(True, 2, 2)
+        with pytest.raises(ValueError, match="antenna counts must be >= 1"):
             channel.NetworkDims(2, 0, 2)
+        # bool and non-integral dims are refused where they are given, not
+        # written into a document that deserialize refuses
+        for name, dims in (("k", (2.5, 2, 2)), ("k", (3.0, 2, 2)),
+                           ("n_t", (3, 2.0, 2.0)), ("n_t", (3, True, 2)),
+                           ("n_r", (3, 2, 1.5)),
+                           ("n_r", (3, 2, np.float64(2.0)))):
+            with pytest.raises(ValueError,
+                               match=f"^{name} must be >= 1 and integral"):
+                channel.NetworkDims(*dims)
+        # numpy integers are kept as int, so the document round-trips
+        dims = channel.NetworkDims(np.int64(3), np.uint8(2), np.int32(1))
+        assert all(type(x) is int for x in (dims.k, dims.n_t, dims.n_r))
+        net = channel.generate(dims, 0)
+        assert channel.deserialize(channel.serialize(net)) == net
 
 
 def _seed_sequence_rng(seed, key):
@@ -85,22 +101,35 @@ _SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 96, 2 ** 128 - 1,
 
 
 class TestStreams:
-    # keys of one to three 32-bit words in one call: the derivation absorbs
-    # the words of all keys at once, one word position at a time
-    KEYS = [(0,), (7,), (2 ** 32 + 1,), (3, 5), (2 ** 32, 0), (1, 2 ** 32 + 1),
-            (np.int64(4), 2 ** 32 - 1)]
+    # one key width per call, each entry one 32-bit word: the derivation
+    # absorbs the words of all keys at once, one word position at a time
+    KEYS = [[(0,), (7,), (2 ** 32 - 1,)],
+            [(3, 5), (2 ** 32 - 1, 0), (0, 2 ** 32 - 1), (1, 1)],
+            [(0, 0, 0), (1, 2 ** 32 - 1, 4), (9, 8, 7)]]
 
     @pytest.mark.parametrize("seed", _SEEDS + [np.uint64(2 ** 63 + 1), True])
     def test_matches_seed_sequence(self, seed):
-        rngs = channel._streams(seed, self.KEYS)
-        assert len(rngs) == len(self.KEYS)
-        for key, rng in zip(self.KEYS, rngs):
-            ref = _seed_sequence_rng(seed, key)
-            assert rng.bit_generator.state == ref.bit_generator.state
-            assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
+        for keys in self.KEYS:
+            rngs = channel._streams(seed, np.array(keys, dtype=np.uint32))
+            assert len(rngs) == len(keys)
+            for key, rng in zip(keys, rngs):
+                ref = _seed_sequence_rng(seed, key)
+                assert rng.bit_generator.state == ref.bit_generator.state
+                assert np.array_equal(rng.standard_normal(5),
+                                      ref.standard_normal(5))
 
     def test_no_keys(self):
         assert channel._streams(5, []) == []
+
+    @pytest.mark.parametrize("keys", [
+        [(1, -2)], [(2 ** 32,)], np.array([[3], [-1]]),
+        np.array([[2 ** 32]], dtype=np.int64), [(2 ** 64,)], [(1.0,)]])
+    def test_key_words_refused(self, keys):
+        # a key entry is one 32-bit word: numpy would split a larger one
+        # into several words, so it is refused rather than read as another key
+        with pytest.raises(ValueError, match=r"^spawn key entries must be"
+                           r" integers in \[0, 2\*\*32\)$"):
+            channel._streams(0, keys)
 
     @pytest.mark.parametrize("seed", _SEEDS)
     def test_generate_matches_reference(self, seed):
@@ -122,8 +151,6 @@ class TestStreams:
         dims = channel.NetworkDims(2, 1, 1)
         with pytest.raises(ValueError, match="^expected non-negative integer$"):
             channel.generate(dims, -1)
-        with pytest.raises(ValueError, match="^expected non-negative integer$"):
-            channel._streams(0, [(1, -2)])
         with pytest.raises(TypeError):
             channel.generate(dims, 1.5)
         with pytest.raises(TypeError):

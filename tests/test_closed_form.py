@@ -465,7 +465,6 @@ class TestInvariances:
     def test_spectrum_verify_and_fixed_point(self, n):
         from eigenalign.analysis import verify
         rng = np.random.Generator(np.random.PCG64(n))
-        cfg = iterative.IterativeConfig(d=(1,) * (n + 1))
         for seed in range(2):
             net = generate(NetworkDims(n + 1, n, n), seed)
             base = closed_form.build_stacked(net)
@@ -475,7 +474,7 @@ class TestInvariances:
                 assert spectrum_gap(base, moved_stacked) < 1e-11
                 sol = closed_form.solve_eigen_method(moved)
                 assert verify(moved, sol).passed
-                assert iterative.warm_start_check(moved, cfg, sol).passed
+                assert iterative.warm_start_check(moved, sol).passed
 
 
 class TestLoopMethod:
