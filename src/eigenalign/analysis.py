@@ -12,13 +12,14 @@ by fixed leakage thresholds, next to the dimension-count prediction that
 single-stream alignment works iff ``n_r + n_t - 1 >= k``.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
-from .channel import NetworkDims, _count, generate
+from .channel import NetworkDims, _count, _positive, generate
 from .closed_form import (ALIGN_TOL, RANK_TOL, _back_substitute,
                           _channel_ratios, _gain_report, _interference)
 from .errors import DimensionMismatch, ShapeMismatch, UnverifiedSolution
@@ -38,7 +39,8 @@ class VerificationReport:
     ``residuals[i, j]`` is ``|u_i^H H_ij v_j|`` for ``i != j`` (diagonal
     zero); ``rank_metrics[i]`` is ``|u_i^H H_ii v_i|``. The verdict
     compares residuals against ``ALIGN_TOL`` times the largest channel
-    Frobenius norm and gains against ``RANK_TOL * ||H_ii||_F``.
+    Frobenius norm and each gain over ``||H_ii||_F`` against ``RANK_TOL``;
+    a zero direct link never passes.
     """
 
     residuals: np.ndarray
@@ -54,11 +56,11 @@ def verify(net, sol):
         if (shape := np.shape(getattr(sol, name))) != (k, n):
             raise ShapeMismatch(
                 f"{name} have shape {shape}, expected {(k, n)}")
-    gains, direct, scale = _gain_report(net, sol.precoders, sol.combiners)
+    gains, relative, scale = _gain_report(net, sol.precoders, sol.combiners)
     residuals = np.where(np.eye(k, dtype=bool), 0.0, gains)
     rank_metrics = np.diagonal(gains).copy()
     passed = bool(residuals.max() <= ALIGN_TOL * scale
-                  and np.all(rank_metrics >= RANK_TOL * direct))
+                  and np.all(relative >= RANK_TOL))
     return VerificationReport(residuals, rank_metrics, passed, scale)
 
 
@@ -74,22 +76,27 @@ class RatePoint:
 def sum_rate_curve(net, sol, snr_db_list):
     """Interference-free rates over an SNR list for a verified solution.
 
-    Raises
-    ------
-    UnverifiedSolution
-        If ``verify`` fails: with residual interference the formula would
-        overstate the rates.
+    Raises UnverifiedSolution if ``verify`` fails (with residual
+    interference the formula would overstate the rates, and a zero direct
+    link carries none), and ValueError if an SNR's received power ``snr
+    |u_i^H H_ii v_i|^2`` is not finite.
     """
     report = verify(net, sol)
     if not report.passed:
         raise UnverifiedSolution(
             f"solution fails verification (max residual"
-            f" {report.residuals.max():.3e}); rates would be"
-            " interference-limited")
+            f" {report.residuals.max():.3e}, weakest gain"
+            f" {report.rank_metrics.min():.3e})")
     gains_sq = report.rank_metrics ** 2
+    strongest = float(gains_sq.max())
     points = []
     for snr_db in snr_db_list:
-        snr = 10.0 ** (snr_db / 10.0)
+        try:
+            snr = math.pow(10.0, snr_db / 10.0)
+        except OverflowError:
+            snr = math.inf
+        if not math.isfinite(snr * strongest):
+            raise ValueError(f"SNR {snr_db} dB gives no finite received power")
         per_user = np.log2(1.0 + snr * gains_sq)
         points.append(RatePoint(float(snr_db), per_user, float(per_user.sum())))
     return points
@@ -225,22 +232,24 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
     """Run the iterative probe over an (N, K) grid of square networks.
 
     ``seeds`` is a count (seeds 0..count-1) or a list of seeds; every value
-    may be of any integral type but ``bool``. A run is feasible when its final leakage drops below ``feasible_tol``,
-    infeasible when it still exceeds ``infeasible_tol`` at the iteration
-    cap, inconclusive otherwise; a cell verdict needs a :data:`QUORUM`
-    fraction of its runs to agree. Records are produced in sorted
-    (n, k, seed) order, so the result does not depend on how the work is
-    scheduled. Each cell runs all its seeds as one ``iterate_batch``;
-    ``progress`` is called once per record, in record order, in a burst
-    after each cell's batch.
+    may be of any integral type but ``bool``. A run is feasible when its
+    final leakage drops below ``feasible_tol``, infeasible when it still
+    exceeds ``infeasible_tol`` at the iteration cap, inconclusive otherwise;
+    a cell verdict needs a :data:`QUORUM` fraction of its runs to agree.
+    Records are produced in sorted (n, k, seed) order, so the result does
+    not depend on how the work is scheduled. Each cell runs all its seeds
+    as one ``iterate_batch``; ``progress`` is called once per record, in
+    record order, in a burst after each cell's batch.
 
-    Raises
-    ------
-    ValueError
-        If a grid value, a seed or the count is not integral or out of
-        range (N < 1, K < 2, seed < 0, count < 1), if ``seeds`` names no
-        seed, or if the grid or the seeds repeat a value.
+    Raises ValueError if a grid value, a seed or the count is not integral
+    or out of range (N < 1, K < 2, seed < 0, count < 1), if ``seeds`` names
+    no seed, if the grid or the seeds repeat a value, or if a tolerance is
+    not a number > 0 or ``feasible_tol > infeasible_tol``.
     """
+    if _positive("feasible_tol", feasible_tol) > _positive(
+            "infeasible_tol", infeasible_tol):
+        raise ValueError(f"feasible_tol {feasible_tol!r} exceeds"
+                         f" infeasible_tol {infeasible_tol!r}")
     if isinstance(seeds, numbers.Number):
         seeds = range(_count("seeds", seeds))
     # the grid first: a count of seeds becomes a list only past it
@@ -266,12 +275,9 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
             counts = {"feasible": 0, "infeasible": 0, "inconclusive": 0}
             for seed, trace in zip(seeds, iterate_batch(nets, cfgs)):
                 final = float(trace.leakage[-1])
-                if final <= feasible_tol:
-                    verdict = "feasible"
-                elif final > infeasible_tol:
-                    verdict = "infeasible"
-                else:
-                    verdict = "inconclusive"
+                verdict = ("feasible" if final <= feasible_tol else
+                           "infeasible" if final > infeasible_tol else
+                           "inconclusive")
                 counts[verdict] += 1
                 records.append(FeasibilityRecord(
                     n_t=n, n_r=n, k=k, d=(1,) * k, seed=seed,
@@ -281,15 +287,12 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
                     traces.append(trace.leakage)
                 if progress is not None:
                     progress(records[-1])
-            total = len(seeds)
-            if counts["feasible"] >= QUORUM * total:
-                cell_verdict = "feasible"
-            elif counts["infeasible"] >= QUORUM * total:
-                cell_verdict = "infeasible"
-            else:
-                cell_verdict = "inconclusive"
+            quorum = QUORUM * len(seeds)
             cells[(n, k)] = CellSummary(
-                n=n, k=k, verdict=cell_verdict,
+                n=n, k=k, verdict=(
+                    "feasible" if counts["feasible"] >= quorum else
+                    "infeasible" if counts["infeasible"] >= quorum else
+                    "inconclusive"),
                 feasible_seeds=counts["feasible"],
                 infeasible_seeds=counts["infeasible"],
                 inconclusive_seeds=counts["inconclusive"],

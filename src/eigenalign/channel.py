@@ -36,6 +36,13 @@ def _count(name, x, least=1):
     return int(x)
 
 
+def _positive(name, x):
+    """``x``; a non-real number, NaN and ``x <= 0`` raise ValueError."""
+    if not (isinstance(x, numbers.Real) and x > 0):
+        raise ValueError(f"{name} must be > 0, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class NetworkDims:
     """Dimensions of a K-user interference network (integers, not bool)."""
@@ -45,12 +52,14 @@ class NetworkDims:
     n_r: int
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ValueError(f"need at least 2 users, got k={self.k}")
-        if self.n_t < 1 or self.n_r < 1:
-            raise ValueError(
-                f"antenna counts must be >= 1, got n_t={self.n_t}, n_r={self.n_r}")
-        for name in ("k", "n_t", "n_r"):
+        names = ("k", "n_t", "n_r")   # a non-number meets the count check
+        if all(isinstance(getattr(self, x), numbers.Real) for x in names):
+            if self.k < 2:
+                raise ValueError(f"need at least 2 users, got k={self.k}")
+            if self.n_t < 1 or self.n_r < 1:
+                raise ValueError(f"antenna counts must be >= 1, got"
+                                 f" n_t={self.n_t}, n_r={self.n_r}")
+        for name in names:
             object.__setattr__(self, name, _count(name, getattr(self, name)))
 
 

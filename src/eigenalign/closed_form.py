@@ -61,7 +61,8 @@ class SolutionDiagnostics:
 
     ``alignment_residual`` is max over cross links of ``|u_i^H H_ij v_j|``
     divided by the largest channel Frobenius norm; ``rank_metrics`` holds
-    the per-user normalized direct-link gains ``|u_i^H H_ii v_i| / ||H_ii||_F``.
+    the per-user normalized direct-link gains ``|u_i^H H_ii v_i| / ||H_ii||_F``
+    (0 for a zero direct link).
     """
 
     alignment_residual: float
@@ -83,14 +84,10 @@ def _channel_ratios(net, pairs, checked=None):
     """The ratios ``inv(h[l, den]) @ h[l, c]`` for every ``(l, den)`` in
     ``pairs`` and every column ``c``, as a (len(pairs), K, n, n) array,
     from one batched solve against the whole channel rows. Every route
-    that inverts a cross channel goes through here, and checks once.
-
-    Raises
-    ------
-    SingularChannel
-        Naming the first ``(l, den)`` of ``checked`` (``pairs``, or a
-        superset) whose 2-norm condition estimate, from one batched SVD, is
-        not below :data:`CONDITION_CAP`; an exactly singular one reports inf.
+    that inverts a cross channel goes through here, and checks once:
+    SingularChannel names the first ``(l, den)`` of ``checked`` (``pairs``,
+    or a superset) whose 2-norm condition estimate, from one batched SVD,
+    is not below :data:`CONDITION_CAP`; an exactly singular one reports inf.
     """
     checked = pairs if checked is None else checked
     s = np.linalg.svd(net.h[tuple(np.transpose(checked))], compute_uv=False)
@@ -127,13 +124,8 @@ def build_stacked(net):
     :func:`coupling_mask`, zero elsewhere; its eigenvectors encode the
     precoders. All K(K-1) cross channels must pass the condition cap, not
     only the K blocks inverted; they are checked in row-major order.
-
-    Raises
-    ------
-    DimensionMismatch
-        If the channels are not square or K != N + 1.
-    SingularChannel
-        If some cross channel fails the condition cap.
+    Raises DimensionMismatch if the channels are not square or K != N + 1,
+    and SingularChannel if some cross channel fails the condition cap.
     """
     k, n_t, n_r = net.dims.k, net.dims.n_t, net.dims.n_r
     if n_t != n_r:
@@ -156,13 +148,16 @@ def _interference(net, precoders):
 
 def _gain_report(net, precoders, combiners):
     """The (K, K) grid of ``|u_i^H H_ij v_j|``, receiver i by transmitter j
-    (cross links off the diagonal, direct links on it), the K direct-link
-    Frobenius norms ``||H_ii||_F`` and the largest channel Frobenius norm.
-    Every residual and gain is read from here; callers compare."""
+    (cross links off the diagonal, direct links on it), the K direct gains
+    over ``||H_ii||_F`` (0 for a zero link, which so never passes
+    ``RANK_TOL``) and the largest channel Frobenius norm. Every residual and
+    gain is read from here; callers compare."""
     gains = np.abs(np.einsum("ia,ijab,jb->ij", np.conj(combiners), net.h,
                              precoders))
     norms = np.linalg.norm(net.h, axis=(2, 3))
-    return gains, np.diagonal(norms), float(norms.max())
+    direct = np.diagonal(norms)   # a zero link gives 0 / inf
+    return (gains, np.diagonal(gains) / np.where(direct > 0, direct, np.inf),
+            float(norms.max()))
 
 
 def _diagnosed_solution(net, precoders, combiners, eigenvalue=None,
@@ -170,11 +165,11 @@ def _diagnosed_solution(net, precoders, combiners, eigenvalue=None,
     """One stream per user: wrap the filters in an
     :class:`AlignmentSolution` with its :class:`SolutionDiagnostics`.
     Every route builds its solution here, closed-form and iterative."""
-    gains, direct, scale = _gain_report(net, precoders, combiners)
+    gains, relative, scale = _gain_report(net, precoders, combiners)
+    worst = np.max(gains, where=~np.eye(net.dims.k, dtype=bool), initial=0.0)
     diag = SolutionDiagnostics(
-        alignment_residual=float(np.max(
-            gains, where=~np.eye(net.dims.k, dtype=bool), initial=0.0) / scale),
-        rank_metrics=np.diagonal(gains) / direct,
+        alignment_residual=float(worst / scale) if scale else 0.0,  # H = 0
+        rank_metrics=relative,
         eigen_residual=eigen_residual,
     )
     return AlignmentSolution(np.asarray(precoders), combiners, eigenvalue, diag)
@@ -209,17 +204,10 @@ def solve_eigen_method(net):
     (descending ``|value|``, ties by argument) and keeps the first one with
     a nonzero eigenvalue, an in-bound eigenvector residual, and all K
     per-user blocks of usable size; the blocks, normalized, are the
-    precoders.
-
-    Raises
-    ------
-    DimensionMismatch, SingularChannel
-        Propagated from :func:`build_stacked`.
-    NoUsableEigenpair
-        If every eigenpair fails the filters (a measure-zero event for
-        generically drawn channels).
-    RankDeficientSolution
-        If interference aligns but some direct link is lost with it.
+    precoders. Raises what :func:`build_stacked` raises, NoUsableEigenpair
+    if every eigenpair fails the filters (a measure-zero event for
+    generically drawn channels), and RankDeficientSolution if interference
+    aligns but some direct link is lost with it.
     """
     compensated = build_stacked(net)
     k, n = net.dims.k, net.dims.n_t

@@ -1,35 +1,33 @@
 """Alternating leakage minimization over forward and reciprocal networks.
 
-Each half-iteration points every combiner at the weakest eigen-directions
+Each half-iteration points every combiner at the weakest eigen-direction
 of its local interference covariance; the reciprocal half does the same
-for the precoders on the conjugated links. The total leakage (sum over
-receivers of interference power surviving the combiners, normalized by
-the total cross-channel energy so thresholds are channel-scale-free) is
-non-increasing and its trace is the feasibility probe: it collapses to
-numerical zero exactly when alignment is achievable.
+for the precoders on the conjugated links. The total leakage (interference
+power surviving the combiners, normalized by the total cross-channel
+energy so thresholds are channel-scale-free) is non-increasing, and its
+trace is the feasibility probe: it collapses to numerical zero exactly when
+alignment is achievable.
 
-Every user sends one stream at unit power, the paper's setting (all
-multiplexing gains one): a config with any other stream count is refused,
-and a warm start takes a solution's one precoder per user, with no config.
-Initial precoders are Haar-random unit vectors drawn from PCG64 streams
-``SeedSequence(seed, spawn_key=(i,))``, one one-word key per user, which
-``channel._streams`` derives from numpy's ``SeedSequence(seed)`` pool.
+Every user sends one stream at unit power, the paper's setting: a config
+with any other stream count is refused, and a warm start takes a
+solution's one precoder per user. Initial precoders are Haar-random unit
+vectors from the PCG64 streams ``SeedSequence(seed, spawn_key=(i,))``,
+which ``channel._streams`` derives from numpy's ``SeedSequence(seed)``.
 
-One engine runs S independent runs of one (K, n_t, n_r) setting at once.
-Channels carry a leading run axis, ``(S, K, K, n_r, n_t)``, and so do the
+One engine runs S runs of one (K, n_t, n_r) setting at once, with a
+leading run axis on the channels, ``(S, K, K, n_r, n_t)``, and on the
 filters, ``(S, K, n, 1)``. A run keeps only its cross links, scaled by the
-exact power of two that brings their largest entry into [1/2, 1), so any
-scale runs the same bits. A half-iteration is one batched matmul and one
-batched eigen-solve: for n = 2 the closed form of ``_weakest_2x2`` on
-covariance entries formed from the link products (``eigh`` of those
-entries to rounding, up to the sign of the vector), else ``eigh``. After
-every iteration a per-run convergence mask takes the runs whose leakage
-reached the tolerance out of the batch, so each run stops where it would
-alone. Every operation acts on each run's matrices separately and the
+power of two that brings their largest entry into [1/2, 1), so any scale
+runs the same bits. A half-iteration is one batched matmul and one batched
+eigen-solve on covariances formed from the link products: the closed forms
+``_weakest_2x2`` (n = 2, ``eigh``'s pair to rounding, up to the sign of the
+vector) and ``_weakest_3x3`` (n = 3, up to phase), ``eigh`` for larger n.
+A per-run convergence mask takes each run out of the batch where it would
+stop alone. Every operation acts on each run's matrices separately and the
 solver depends on the shape only, never on the batch size, so a run's
-trace and filters are bitwise the same in any batch.
-``iterate`` and ``warm_start_check`` are batches of one; ``iterate_batch``
-(used by the feasibility sweep) runs many networks or seeds together.
+trace and filters are bitwise the same in any batch. ``iterate`` and
+``warm_start_check`` are batches of one; ``iterate_batch`` (used by the
+feasibility sweep) runs many networks or seeds together.
 """
 
 from array import array
@@ -37,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import _count, _streams
+from .channel import _count, _positive, _streams
 from .errors import ConfigMismatch
 
 #: Leakage below this counts as converged by default.
@@ -67,8 +65,7 @@ class IterativeConfig:
         object.__setattr__(self, "max_iters",
                            _count("max_iters", self.max_iters))
         object.__setattr__(self, "seed", _count("seed", self.seed, 0))
-        if not self.leakage_tol > 0:
-            raise ValueError(f"leakage_tol must be > 0, got {self.leakage_tol}")
+        _positive("leakage_tol", self.leakage_tol)
 
 
 @dataclass
@@ -137,6 +134,61 @@ def _weakest_2x2(a, c, b, values=True):
             else None), vec
 
 
+#: Rows (``3 i + j`` holds m_ij) of the factors of the cofactors m_(k+1)(i+1)
+#: m_(k+2)(i+2) - m_(k+1)(i+2) m_(k+2)(i+1) (mod 3), adj[i, k] at ``3 k + i``.
+_COFACTOR_ROWS = np.array([3 * ((k + a) % 3) + (i + b) % 3 for a, b in (
+    (1, 1), (1, 2), (2, 2), (2, 1)) for k in range(3) for i in range(3)])
+
+
+@np.errstate(all="ignore")
+def _weakest_3x3(cov, values=True):
+    """Weakest eigenpair of each Hermitian PSD 3x3 matrix of the C-ordered
+    stack ``cov``, matrix axes first: ``(3, 3, ...)``.
+
+    Each matrix is scaled by the power of two that brings its trace into
+    [1/2, 1). With ``B = A - (tr / 3) I``, ``p^2 = tr(B^2) / 6 = -tr(adj B)
+    / 3`` and ``r = det B / (2 p^3)``, the eigenvalue is ``tr / 3 + 2p
+    cos(arccos(r) / 3 + 2 pi / 3)``, the trigonometric cubic (Kopp,
+    arXiv:physics/0610206), and ``adj(A - lambda I) = (l2 - l1) (l3 - l1) x
+    x^H`` gives the vector: its column with the largest real diagonal entry,
+    normalized. That column is no longer than l2 - l1; where it is shorter
+    than 2^-7 (the two weakest eigenvalues close, or A near a multiple of I)
+    or NaN, ``eigh`` of that matrix alone gives the pair. Each step acts on
+    each matrix alone, so no result depends on the batch. Returns
+    eigenvalues ``(..., 1)``, None unless ``values``, and unit eigenvectors
+    ``(..., 3, 1)``.
+    """
+    shape = cov.shape[2:]
+    mant, exp = np.frexp(cov.reshape(9, -1)[0::4].real.sum(axis=0))
+    m = np.ldexp(cov.view(np.float64).reshape(9, -1, 2),
+                 -exp[:, None]).view(np.complex128)[..., 0]
+    q = mant / 3.0
+    m[0::4].real -= q                                        # B
+    prod = np.take(m, _COFACTOR_ROWS, axis=0)
+    prod = prod[:18] * prod[18:]
+    adj = prod[:9] - prod[9:]
+    p2 = adj[0::4].real.sum(axis=0) / -3.0
+    det = (m[:3] * adj[:3]).sum(axis=0).real   # row 0 of B, column 0 of adj
+    h = -2.0 * np.sqrt(p2)      # lambda - q = -2p cos(arccos(-r) / 3)
+    mu = h * np.cos(np.arccos(det / (h * p2)) / 3.0)
+    adj += mu * m.conj()       # adj(B - mu I) = adj B + mu B^T + mu^2 I
+    adj[0::4].real += mu * mu
+    n = adj.shape[1]
+    vec = adj.reshape(3, 3, n)[np.argmax(adj[0::4].real, axis=0), :,
+                               np.arange(n)]
+    norm = np.sqrt(np.square(vec.view(np.float64)).sum(axis=1, keepdims=True))
+    vec /= norm
+    vals = np.ldexp(q + mu, exp)[:, None] if values else None
+    if np.count_nonzero(kept := norm[:, 0] >= 2.0 ** -7) < n:
+        ref_vals, ref_vecs = np.linalg.eigh(
+            cov.reshape(3, 3, n)[:, :, ~kept].transpose(2, 0, 1))
+        vec[~kept] = ref_vecs[..., 0]
+        if values:
+            vals[~kept] = ref_vals[:, :1]
+    return (vals.reshape(shape + (1,)) if values else None,
+            vec.reshape(shape + (3, 1)))
+
+
 def _half_iteration(links, filters, values=True):
     """One half-iteration for every run and every receiver at once.
 
@@ -144,7 +196,7 @@ def _half_iteration(links, filters, values=True):
     receivers ``i`` (zero for ``i = j``); ``filters`` is ``(S, K, n, 1)``.
     Receiver ``i``'s covariance sums ``g_ij g_ij^H`` over ``j``, ``g_ij`` the
     blocks of ``links @ filters``. Returns its weakest eigenvalue ``(S, K,
-    1)`` (for n = 2 only if ``values``) and eigenvector, the new filters.
+    1)`` (for n <= 3 only if ``values``) and eigenvector, the new filters.
     """
     s, k = filters.shape[:2]
     n_out = links.shape[2] // k
@@ -155,6 +207,11 @@ def _half_iteration(links, filters, values=True):
         a_c = (power[..., 0::2] + power[..., 1::2]).sum(axis=1)
         return _weakest_2x2(a_c[..., 0], a_c[..., 1],
                             (g[..., 1] * g[..., 0].conj()).sum(axis=1), values)
+    if n_out == 3:
+        # entry (p, q) sums g_ij[p] conj(g_ij[q]) over the leading j
+        g = np.ascontiguousarray(g.transpose(1, 3, 0, 2))   # [j, :, s, i]
+        return _weakest_3x3((g[:, :, None] * g[:, None].conj()).sum(axis=0),
+                            values)
     w = np.ascontiguousarray(g.transpose(0, 2, 3, 1))   # [s, i, :, j]
     vals, vecs = np.linalg.eigh(w @ w.conj().swapaxes(-1, -2))
     return vals[..., :1], vecs[..., :1]
@@ -208,41 +265,19 @@ def _run_batch(h, max_iters, tol, v):
 
 
 def iterate(net, cfg):
-    """Run alternating leakage minimization on ``net`` from the seeded
-    Haar draw of precoders, as a batch of one (:func:`iterate_batch`).
-
-    Parameters
-    ----------
-    net : InterferenceNetwork
-    cfg : IterativeConfig
-
-    Returns
-    -------
-    LeakageTrace
-
-    Raises
-    ------
-    ConfigMismatch
-        If ``cfg.d`` is not one stream for each user of ``net``.
-    """
+    """Run alternating leakage minimization on the network ``net`` from the
+    seeded Haar draw of precoders, as a batch of one (:func:`iterate_batch`),
+    and return its :class:`LeakageTrace`. Raises ConfigMismatch if
+    ``cfg.d`` is not one stream for each user of ``net``."""
     return iterate_batch([net], [cfg])[0]
 
 
 def iterate_batch(nets, cfgs):
-    """Run ``iterate(nets[s], cfgs[s])`` for every ``s`` as one batch.
-
-    The networks must share their dimensions, and the configs everything
-    but the seed. Each trace is bitwise equal to the one its pair gives
-    alone.
-
-    Raises
-    ------
-    ValueError
-        If the batch is empty or the two lists differ in length.
-    ConfigMismatch
-        If the networks or the configs differ in more than channels and
-        seed, or the config does not fit the networks.
-    """
+    """Run ``iterate(nets[s], cfgs[s])`` for every ``s`` as one batch; each
+    trace is bitwise the one its pair gives alone. Raises ValueError if the
+    batch is empty or the lists differ in length, and ConfigMismatch if the
+    networks or the configs differ in more than channels and seed, or the
+    config does not fit the networks."""
     if not nets or len(nets) != len(cfgs):
         raise ValueError(f"a batch needs one config per network, got"
                          f" {len(nets)} networks and {len(cfgs)} configs")

@@ -23,19 +23,10 @@ def eig_general(a):
     selection deterministic. Each vector is normalized to unit Euclidean
     norm; its residual is ``||a @ vector - value * vector||``. For
     defective matrices the best-effort vectors of the QR iteration may
-    have large residuals; callers filter on them.
-
-    Parameters
-    ----------
-    a : array_like
-        Square, finite complex matrix (else numpy's ``LinAlgError``).
-
-    Returns
-    -------
-    values : ndarray of shape (n,)
-    vectors : ndarray of shape (n, n)
-        Column ``i`` belongs to ``values[i]``.
-    residuals : ndarray of shape (n,)
+    have large residuals; callers filter on them. ``a`` must be square and
+    finite (else numpy's ``LinAlgError``). Returns ``values`` (n,),
+    ``vectors`` (n, n), column ``i`` for ``values[i]``, and ``residuals``
+    (n,).
     """
     a = np.asarray(a, dtype=np.complex128)
     values, vectors = np.linalg.eig(a)
@@ -46,39 +37,12 @@ def eig_general(a):
     return values, vectors, residuals
 
 
-def null_space_orthonormal(a):
-    """Orthonormal basis of the left null space of ``a``.
-
-    Returns the matrix ``U`` whose columns are unit vectors ``u`` with
-    ``u^H a = 0`` up to ``DEFAULT_RANK_TOL * ||a||_F``. The numerical rank
-    is the number of singular values above :data:`DEFAULT_RANK_TOL` times
-    the largest one.
-
-    Parameters
-    ----------
-    a : array_like
-        Matrix whose left null space is wanted; need not be square.
-
-    Returns
-    -------
-    ndarray of shape (rows, rows - rank)
-
-    Raises
-    ------
-    EmptyNullSpace
-        If the numerical rank equals the row count.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.size == 0:
-        raise ValueError("null_space_orthonormal needs a non-empty matrix")
-    u, rank = _left_null(a)
-    return u[:, rank:]
-
-
 def _left_null(a):
     """One SVD of the stack ``a`` (..., rows, cols): left singular vectors
-    ``u`` and each rank by the rule above (left null space ``u[..., rank:]``).
-    Raises EmptyNullSpace naming the first matrix of full row rank."""
+    ``u`` and each rank, the count of singular values above
+    :data:`DEFAULT_RANK_TOL` times the largest (left null space ``u[...,
+    rank:]``). Raises EmptyNullSpace naming the first matrix of full row
+    rank."""
     u, s, _ = np.linalg.svd(a)
     rank = np.sum(s > DEFAULT_RANK_TOL * s[..., :1], axis=-1)
     if (full := np.flatnonzero(rank >= a.shape[-2])).size:

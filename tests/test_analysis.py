@@ -59,6 +59,34 @@ class TestVerify:
         bound = closed_form.ALIGN_TOL * report.channel_scale
         assert report.residuals.max() <= bound
 
+    @pytest.mark.parametrize("zeroed", ["all", "h00"])
+    def test_zero_direct_link_never_passes(self, zeroed):
+        # 0 >= RANK_TOL * ||H_00||_F holds at H_00 = 0; a zero gain must fail
+        net = generate(NetworkDims(3, 2, 2), 1)
+        sol = closed_form.solve_eigen_method(net)
+        h = net.h.copy()
+        if zeroed == "all":
+            h[...] = 0.0
+        else:
+            h[0, 0] = 0.0
+        zero = InterferenceNetwork(net.dims, h)
+        report = analysis.verify(zero, sol)
+        assert not report.passed and report.rank_metrics[0] == 0.0
+        with pytest.raises(UnverifiedSolution, match="weakest gain 0.000e"):
+            analysis.sum_rate_curve(zero, sol, [10.0])
+
+    def test_zero_direct_link_fails_rank_gate(self):
+        net = generate(NetworkDims(3, 2, 2), 1)
+        h = net.h.copy()
+        h[0, 0] = 0.0
+        zero = InterferenceNetwork(net.dims, h)
+        with pytest.raises(RankDeficientSolution, match=r"direct link of"
+                           r" user 0 .* \(gain 0.000e\+00 < 1e-06\)") as err:
+            closed_form.solve_eigen_method(zero)
+        assert err.value.user == 0
+        assert err.value.solution.diagnostics.rank_metrics[0] == 0.0
+        assert not analysis.verify(zero, err.value.solution).passed
+
     def test_shape_mismatch(self):
         net = generate(NetworkDims(3, 2, 2), 0)
         sol = closed_form.solve_eigen_method(net)
@@ -118,6 +146,20 @@ class TestRates:
         broken.precoders[2] = v / np.linalg.norm(v)
         with pytest.raises(UnverifiedSolution):
             analysis.sum_rate_curve(net, broken, [10.0])
+
+
+    @pytest.mark.parametrize("snr_db", [
+        4000.0, np.float64(4000.0), 3085.0, float("inf"), float("nan")])
+    def test_overflowing_snr_refused(self, snr_db):
+        # 10 ** (dB / 10) overflows a float above about 3082.5 dB, and the
+        # received power snr * gain^2 may overflow below it
+        net = generate(NetworkDims(3, 2, 2), 42)
+        sol = closed_form.solve_eigen_method(net)
+        assert np.isfinite(analysis.sum_rate_curve(net, sol, [3000.0])[0]
+                           .sum_rate)
+        with pytest.raises(ValueError, match=f"^SNR {snr_db} dB gives no"
+                           " finite received power$"):
+            analysis.sum_rate_curve(net, sol, [0.0, snr_db])
 
 
 class TestInfeasibilityDemo:
@@ -270,6 +312,25 @@ class TestFeasibilitySweep:
         with pytest.raises(ValueError) as err:
             analysis.feasibility_sweep(n_values, k_values, 1, max_iters=10)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("tols, message", [
+        ((1e-3, 1e-6), "feasible_tol 0.001 exceeds infeasible_tol 1e-06"),
+        (("1e-6", 1e-3), "feasible_tol must be > 0, got '1e-6'"),
+        ((1e-6, None), "infeasible_tol must be > 0, got None"),
+        ((0.0, 1e-3), "feasible_tol must be > 0, got 0.0"),
+        ((float("nan"), 1e-3), "feasible_tol must be > 0, got nan"),
+    ])
+    def test_rejects_bad_tolerances(self, tols, message):
+        # checked before any network is drawn; equal tolerances are allowed
+        with pytest.raises(ValueError) as err:
+            analysis.feasibility_sweep([2], [3], 1, max_iters=10,
+                                       feasible_tol=tols[0],
+                                       infeasible_tol=tols[1])
+        assert str(err.value) == message
+        result = analysis.feasibility_sweep([2], [3], 1, max_iters=10,
+                                            feasible_tol=1e-6,
+                                            infeasible_tol=1e-6)
+        assert len(result.records) == 1
 
     @pytest.mark.parametrize("n_values, k_values", [([2, 2], [3]), ([2], [3, 3])])
     def test_rejects_repeated_grid_values(self, n_values, k_values):

@@ -50,7 +50,9 @@ class TestGenerate:
         for name, dims in (("k", (2.5, 2, 2)), ("k", (3.0, 2, 2)),
                            ("n_t", (3, 2.0, 2.0)), ("n_t", (3, True, 2)),
                            ("n_r", (3, 2, 1.5)),
-                           ("n_r", (3, 2, np.float64(2.0)))):
+                           ("n_r", (3, 2, np.float64(2.0))),
+                           ("k", ("3", 2, 2)), ("n_t", (3, None, 2)),
+                           ("n_r", (3, 2, 2j))):
             with pytest.raises(ValueError,
                                match=f"^{name} must be >= 1 and integral"):
                 channel.NetworkDims(*dims)

@@ -148,6 +148,40 @@ class TestSolve:
 
 
 class TestVerifyAndRates:
+    @pytest.mark.parametrize("zeroed", ["all", "h00"])
+    def test_zero_direct_link_fails(self, channel_file, tmp_path, capsys,
+                                    zeroed):
+        # a zero gain never passes: solve's rank gate (H_00 = 0; the all-zero
+        # channel has no invertible cross channel), verify and rates
+        sol = tmp_path / "sol.json"
+        run(capsys, ["solve", "--method", "eigen", "--in", str(channel_file),
+                     "--out", str(sol)])
+        net = channel.deserialize(channel_file.read_bytes())
+        h = net.h.copy()
+        if zeroed == "all":
+            h[...] = 0.0
+        else:
+            h[0, 0] = 0.0
+        path = tmp_path / "zero.json"
+        path.write_bytes(channel.serialize(
+            channel.InterferenceNetwork(net.dims, h)))
+        if zeroed == "h00":
+            code, text, err = run(capsys, ["solve", "--method", "eigen",
+                                           "--in", str(path),
+                                           "--out", str(sol)])
+            assert code == 1 and err == ""
+            assert "rank_metric=0.000000e+00" in text
+            assert text.endswith("(gain 0.000e+00 < 1e-06)\n")
+        code, text, err = run(capsys, ["verify", "--channel", str(path),
+                                       "--solution", str(sol)])
+        assert code == 1 and err == "" and text.endswith("\nFAIL\n")
+        code, text, err = run(capsys, ["rates", "--channel", str(path),
+                                       "--solution", str(sol),
+                                       "--snr-db", "0:10:20"])
+        assert code == 1 and text == ""
+        assert err.startswith("error: solution fails verification")
+        assert err.count("\n") == 1
+
     def test_verify_pass(self, channel_file, tmp_path, capsys):
         sol = tmp_path / "sol.json"
         run(capsys, ["solve", "--method", "eigen", "--in", str(channel_file),
@@ -229,6 +263,12 @@ class TestVerifyAndRates:
                                         str(sol), "--snr-db", text])
             assert code == 2
             assert err.startswith("error: --snr-db needs finite")
+        # 10 ** 400 overflows a float: a usage error, not a traceback
+        code, out, err = run(capsys, ["rates", "--channel", str(channel_file),
+                                      "--solution", str(sol),
+                                      "--snr-db", "4000:1:4000"])
+        assert code == 2 and out == ""
+        assert err == "error: SNR 4000.0 dB gives no finite received power\n"
         # a STEP this fine asks for 1,000,001 points (8 MB of list alone),
         # or for more than a float holds; the bound refuses both before
         # any list exists

@@ -359,8 +359,8 @@ def zero_forcing_oracle(net, precoders):
     ``abs`` so its largest-modulus entry is real positive."""
     combiners = []
     for i in range(net.dims.k):
-        u = linalg.null_space_orthonormal(
-            interference_columns(net, precoders, i))[:, 0]
+        u, rank = linalg._left_null(interference_columns(net, precoders, i))
+        u = u[:, rank]
         lead = u[int(np.argmax(np.abs(u)))]
         combiners.append(u * np.conj(lead / abs(lead)))
     return np.stack(combiners)

@@ -35,6 +35,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="must be >= 1 and integral"):
             IterativeConfig(**kwargs)
 
+    @pytest.mark.parametrize("tol", ["a", None, float("nan"), 0.0, -1e-6,
+                                     1e-6j])
+    def test_leakage_tol_refused(self, tol):
+        # the type is checked before the range: never a bare TypeError
+        with pytest.raises(ValueError, match="^leakage_tol must be > 0, got"):
+            IterativeConfig(d=(1, 1, 1), leakage_tol=tol)
+
     @pytest.mark.parametrize("seed", [2.5, 3.0, True, False, -1, "1", None])
     def test_seed_refused(self, seed):
         # refused where the config is built, not deep inside a run
@@ -122,7 +129,7 @@ class TestIterate:
 
     @pytest.mark.parametrize("dims,seed", [((3, 2, 2), 1), ((4, 3, 3), 2)])
     def test_power_of_two_scale_runs_same_bits(self, dims, seed):
-        # the 2x2 kernel (N = 2) and eigh (N = 3) paths; the direct links
+        # the 2x2 (N = 2) and 3x3 (N = 3) kernels; the direct links
         # never interfere, so only the scale of the cross links could count
         net = generate(NetworkDims(*dims), seed)
         cfg = IterativeConfig(d=(1,) * dims[0], max_iters=300, seed=seed)
@@ -251,39 +258,159 @@ class TestWeakest2x2:
         assert np.array_equal(vecs, alone)
 
 
-def half_iteration_links(kind, s=6, k=4, n_t=3, seed=0):
-    """Links ``(S, K_tx, K_rx * 2, n_t)`` and unit filters ``(S, K, n_t, 1)``
-    of one kind, for the receive side of an N = 2 half-iteration."""
+def covariances3(kind, count=400, seed=0):
+    """Hermitian PSD 3x3 matrices of one kind, ``(count, 3, 3)``, Hermitian
+    to the bit (real diagonal, conjugate triangles)."""
     rng = np.random.Generator(np.random.PCG64(seed))
 
     def gauss(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    links, filters = gauss(s, k, k, 2, n_t), gauss(s, k, n_t, 1)
+    def hermitian(cov):
+        return (cov + cov.conj().swapaxes(-1, -2)) / 2
+
+    def gram(cols):
+        w = gauss(count, 3, cols)
+        return hermitian(w @ w.conj().swapaxes(-1, -2))
+
+    eye = np.eye(3, dtype=complex)
+    if kind in ("random", "rank_two", "rank_one"):
+        return gram({"random": 4, "rank_two": 2, "rank_one": 1}[kind])
+    if kind == "real":
+        return gram(3).real.astype(complex)
+    if kind == "diagonal":
+        cov = rng.uniform(0, 3, (count, 3, 1)) * eye
+        cov[:3] = np.diag([0.0, 2.0, 1.0]), np.diag([1.5, 1.5, 4.0]), 0 * eye
+        return cov
+    if kind == "zero":
+        return np.zeros((count, 3, 3), dtype=complex)
+    if kind == "scaled_identity":
+        return rng.uniform(0, 5, (count, 1, 1)) * eye
+    if kind == "perturbed_identity":
+        return hermitian(rng.uniform(0, 5, (count, 1, 1)) * eye
+                         + 1e-17 * gram(3))
+    if kind == "close_pair":
+        # the two weakest eigenvalues 1e-9 apart, in a random basis
+        q = np.linalg.qr(gauss(count, 3, 3))[0]
+        lam = rng.uniform(0.5, 1.0, (count, 1)) * [1.0, 1.0 + 1e-9, 3.0]
+        return hermitian((q * lam[:, None, :]) @ q.conj().swapaxes(-1, -2))
+    if kind == "tiny":
+        return 1e-150 * gram(3)
+    if kind == "huge":
+        return 1e150 * gram(3)
+    raise ValueError(kind)
+
+
+def stacked(cov):
+    """The 3x3 kernel's input: the matrix axes first, C-ordered."""
+    return np.ascontiguousarray(np.moveaxis(cov, (-2, -1), (0, 1)))
+
+
+class TestWeakest3x3:
+    """The trigonometric-cubic kernel against ``np.linalg.eigh``: values to
+    1e-14 lambda_max, vectors to 1e-12 up to a phase."""
+
+    @pytest.mark.parametrize("kind", [
+        "random", "rank_two", "rank_one", "real", "diagonal", "zero",
+        "scaled_identity", "perturbed_identity", "close_pair", "tiny",
+        "huge"])
+    def test_matches_eigh(self, kind):
+        cov = covariances3(kind)
+        vals, vecs = np.linalg.eigh(cov)
+        got_vals, got_vecs = iterative._weakest_3x3(stacked(cov))
+        assert got_vals.shape == (len(cov), 1)
+        assert got_vecs.shape == (len(cov), 3, 1)
+        assert np.isfinite(got_vals).all() and np.isfinite(got_vecs).all()
+        scale = np.abs(vals).max(axis=1)
+        assert np.all(np.abs(got_vals[:, 0] - vals[:, 0]) <= 1e-14 * scale)
+        got, ref = got_vecs[:, :, 0], vecs[:, :, 0]
+        overlap = np.sum(ref.conj() * got, axis=-1, keepdims=True)
+        phase = overlap / np.abs(overlap)
+        assert np.abs(got - ref * phase).max() <= 1e-12
+
+    def test_closed_form_decides_separated_matrices(self):
+        # eigh's bits only where the weakest pair is not separated
+        cov = covariances3("random")
+        from_eigh = np.all(iterative._weakest_3x3(stacked(cov))[1][..., 0]
+                           == np.linalg.eigh(cov)[1][..., 0], axis=1)
+        assert np.count_nonzero(from_eigh) < len(cov) // 50
+        for kind in ("rank_one", "close_pair", "perturbed_identity"):
+            cov = covariances3(kind)
+            vals, vecs = iterative._weakest_3x3(stacked(cov))
+            ref_vals, ref_vecs = np.linalg.eigh(cov)
+            assert np.array_equal(vals[:, 0], ref_vals[:, 0])
+            assert np.array_equal(vecs[..., 0], ref_vecs[..., 0])
+
+    def test_identity_gives_first_axis(self):
+        for alpha in (0.0, 1.0, 3.5, 0.1):
+            vals, vecs = iterative._weakest_3x3(
+                stacked(alpha * np.eye(3, dtype=complex)[None]))
+            assert vals[0, 0] == alpha
+            assert np.array_equal(vecs[0, :, 0], [1.0, 0.0, 0.0])
+
+    def test_batch_is_bitwise_each_alone(self):
+        cov = np.concatenate([covariances3(kind, count=5) for kind in (
+            "random", "rank_two", "close_pair", "zero")])
+        vals, vecs = iterative._weakest_3x3(
+            stacked(cov.reshape(4, 5, 3, 3)))
+        for i, one in enumerate(cov):
+            val, vec = iterative._weakest_3x3(stacked(one[None]))
+            assert np.array_equal(val[0], vals.reshape(-1, 1)[i])
+            assert np.array_equal(vec[0], vecs.reshape(-1, 3, 1)[i])
+
+    def test_vectors_without_values_bitwise(self):
+        cov = stacked(np.concatenate([covariances3(kind, count=5) for kind in (
+            "random", "rank_one", "diagonal")]))
+        vals, vecs = iterative._weakest_3x3(cov)
+        none, alone = iterative._weakest_3x3(cov, values=False)
+        assert vals is not None and none is None
+        assert np.array_equal(vecs, alone)
+
+
+def half_iteration_links(kind, s=6, k=4, n_t=3, seed=0, n_out=2):
+    """Links ``(S, K_tx, K_rx * n_out, n_t)`` and unit filters ``(S, K, n_t,
+    1)`` of one kind, for the receive side of a half-iteration."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    links, filters = gauss(s, k, k, n_out, n_t), gauss(s, k, n_t, 1)
     if kind == "real":
         links, filters = (x.real.astype(complex) for x in (links, filters))
-    elif kind == "near_rank_one":
-        # every block sends receiver i's interference along one direction
-        links = (gauss(s, 1, k, 2, 1) * gauss(s, k, k, 1, n_t)
-                 + 1e-7 * links)
+    elif kind in ("near_rank_one", "near_rank_two"):
+        # every block sends receiver i's interference along n_out - 1
+        # directions
+        links = (gauss(s, 1, k, n_out, n_out - 1)
+                 @ gauss(s, k, k, n_out - 1, n_t) + 1e-7 * links)
     elif kind == "zero_cross":
         links = np.zeros_like(links)
     filters /= np.linalg.norm(filters, axis=2, keepdims=True)
-    return links.reshape(s, k, k * 2, n_t), filters
+    return links.reshape(s, k, k * n_out, n_t), filters
 
 
 class TestHalfIteration:
-    """The fused N = 2 path against ``w @ w^H`` and ``np.linalg.eigh``."""
+    """The fused N = 2 and N = 3 paths against ``w @ w^H`` and
+    ``np.linalg.eigh``."""
 
     @pytest.mark.parametrize("kind", [
         "random", "real", "near_rank_one", "zero_cross"])
     def test_matches_covariance_eigh(self, kind):
-        links, filters = half_iteration_links(kind)
+        self.check(*half_iteration_links(kind))
+
+    @pytest.mark.parametrize("kind", [
+        "random", "real", "near_rank_two", "zero_cross"])
+    def test_three_antennas_match_covariance_eigh(self, kind):
+        self.check(*half_iteration_links(kind, n_out=3))
+
+    @staticmethod
+    def check(links, filters):
         s, k = filters.shape[:2]
+        n = links.shape[2] // k
         vals, vecs = iterative._half_iteration(links, filters)
-        assert vals.shape == (s, k, 1) and vecs.shape == (s, k, 2, 1)
+        assert vals.shape == (s, k, 1) and vecs.shape == (s, k, n, 1)
         # receiver i lines up the blocks H_ij v_j of every transmitter j
-        w = (links @ filters).reshape(s, k, k, 2).transpose(0, 2, 3, 1)
+        w = (links @ filters).reshape(s, k, k, n).transpose(0, 2, 3, 1)
         ref_vals, ref_vecs = np.linalg.eigh(w @ w.conj().swapaxes(-1, -2))
         scale = ref_vals[..., -1]
         assert np.all(np.abs(vals[..., 0] - ref_vals[..., 0]) <= 1e-14 * scale)
@@ -295,7 +422,8 @@ class TestHalfIteration:
 
 class TestBatch:
     @pytest.mark.parametrize("dims,d,cap", [((3, 2, 2), (1, 1, 1), 60),
-                                            ((4, 3, 3), (1, 1, 1, 1), 12)])
+                                            ((4, 3, 3), (1, 1, 1, 1), 12),
+                                            ((5, 3, 3), (1,) * 5, 100)])
     def test_runs_equal_single_runs(self, dims, d, cap):
         seeds = range(8)
         nets = [generate(NetworkDims(*dims), s) for s in seeds]
