@@ -76,10 +76,14 @@ class RatePoint:
 def sum_rate_curve(net, sol, snr_db_list):
     """Interference-free rates over an SNR list for a verified solution.
 
-    Raises UnverifiedSolution if ``verify`` fails (with residual
-    interference the formula would overstate the rates, and a zero direct
-    link carries none), and ValueError if an SNR's received power ``snr
-    |u_i^H H_ii v_i|^2`` is not finite.
+    Raises
+    ------
+    UnverifiedSolution
+        If ``verify`` fails: with residual interference the formula would
+        overstate the rates, and a zero direct link carries none.
+    ValueError
+        If an SNR's received power ``snr |u_i^H H_ii v_i|^2`` is not
+        finite.
     """
     report = verify(net, sol)
     if not report.passed:
@@ -241,10 +245,13 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
     as one ``iterate_batch``; ``progress`` is called once per record, in
     record order, in a burst after each cell's batch.
 
-    Raises ValueError if a grid value, a seed or the count is not integral
-    or out of range (N < 1, K < 2, seed < 0, count < 1), if ``seeds`` names
-    no seed, if the grid or the seeds repeat a value, or if a tolerance is
-    not a number > 0 or ``feasible_tol > infeasible_tol``.
+    Raises
+    ------
+    ValueError
+        If a grid value, a seed or the count is not integral or out of
+        range (N < 1, K < 2, seed < 0, count < 1), if ``seeds`` names no
+        seed, if the grid or the seeds repeat a value, or if a tolerance
+        is not a number > 0 or ``feasible_tol > infeasible_tol``.
     """
     if _positive("feasible_tol", feasible_tol) > _positive(
             "infeasible_tol", infeasible_tol):
@@ -275,9 +282,12 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
             counts = {"feasible": 0, "infeasible": 0, "inconclusive": 0}
             for seed, trace in zip(seeds, iterate_batch(nets, cfgs)):
                 final = float(trace.leakage[-1])
-                verdict = ("feasible" if final <= feasible_tol else
-                           "infeasible" if final > infeasible_tol else
-                           "inconclusive")
+                if final <= feasible_tol:
+                    verdict = "feasible"
+                elif final > infeasible_tol:
+                    verdict = "infeasible"
+                else:
+                    verdict = "inconclusive"
                 counts[verdict] += 1
                 records.append(FeasibilityRecord(
                     n_t=n, n_r=n, k=k, d=(1,) * k, seed=seed,
@@ -287,12 +297,15 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
                     traces.append(trace.leakage)
                 if progress is not None:
                     progress(records[-1])
-            quorum = QUORUM * len(seeds)
+            total = len(seeds)
+            if counts["feasible"] >= QUORUM * total:
+                cell_verdict = "feasible"
+            elif counts["infeasible"] >= QUORUM * total:
+                cell_verdict = "infeasible"
+            else:
+                cell_verdict = "inconclusive"
             cells[(n, k)] = CellSummary(
-                n=n, k=k, verdict=(
-                    "feasible" if counts["feasible"] >= quorum else
-                    "infeasible" if counts["infeasible"] >= quorum else
-                    "inconclusive"),
+                n=n, k=k, verdict=cell_verdict,
                 feasible_seeds=counts["feasible"],
                 infeasible_seeds=counts["infeasible"],
                 inconclusive_seeds=counts["inconclusive"],

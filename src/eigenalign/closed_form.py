@@ -84,10 +84,14 @@ def _channel_ratios(net, pairs, checked=None):
     """The ratios ``inv(h[l, den]) @ h[l, c]`` for every ``(l, den)`` in
     ``pairs`` and every column ``c``, as a (len(pairs), K, n, n) array,
     from one batched solve against the whole channel rows. Every route
-    that inverts a cross channel goes through here, and checks once:
-    SingularChannel names the first ``(l, den)`` of ``checked`` (``pairs``,
-    or a superset) whose 2-norm condition estimate, from one batched SVD,
-    is not below :data:`CONDITION_CAP`; an exactly singular one reports inf.
+    that inverts a cross channel goes through here, and checks once.
+
+    Raises
+    ------
+    SingularChannel
+        Naming the first ``(l, den)`` of ``checked`` (``pairs``, or a
+        superset) whose 2-norm condition estimate, from one batched SVD, is
+        not below :data:`CONDITION_CAP`; an exactly singular one reports inf.
     """
     checked = pairs if checked is None else checked
     s = np.linalg.svd(net.h[tuple(np.transpose(checked))], compute_uv=False)
@@ -124,8 +128,13 @@ def build_stacked(net):
     :func:`coupling_mask`, zero elsewhere; its eigenvectors encode the
     precoders. All K(K-1) cross channels must pass the condition cap, not
     only the K blocks inverted; they are checked in row-major order.
-    Raises DimensionMismatch if the channels are not square or K != N + 1,
-    and SingularChannel if some cross channel fails the condition cap.
+
+    Raises
+    ------
+    DimensionMismatch
+        If the channels are not square or K != N + 1.
+    SingularChannel
+        If some cross channel fails the condition cap.
     """
     k, n_t, n_r = net.dims.k, net.dims.n_t, net.dims.n_r
     if n_t != n_r:
@@ -204,10 +213,17 @@ def solve_eigen_method(net):
     (descending ``|value|``, ties by argument) and keeps the first one with
     a nonzero eigenvalue, an in-bound eigenvector residual, and all K
     per-user blocks of usable size; the blocks, normalized, are the
-    precoders. Raises what :func:`build_stacked` raises, NoUsableEigenpair
-    if every eigenpair fails the filters (a measure-zero event for
-    generically drawn channels), and RankDeficientSolution if interference
-    aligns but some direct link is lost with it.
+    precoders.
+
+    Raises
+    ------
+    DimensionMismatch, SingularChannel
+        Propagated from :func:`build_stacked`.
+    NoUsableEigenpair
+        If every eigenpair fails the filters (a measure-zero event for
+        generically drawn channels).
+    RankDeficientSolution
+        If interference aligns but some direct link is lost with it.
     """
     compensated = build_stacked(net)
     k, n = net.dims.k, net.dims.n_t

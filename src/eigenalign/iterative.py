@@ -1,33 +1,36 @@
 """Alternating leakage minimization over forward and reciprocal networks.
 
-Each half-iteration points every combiner at the weakest eigen-direction
+Each half-iteration points every combiner at the weakest eigen-directions
 of its local interference covariance; the reciprocal half does the same
-for the precoders on the conjugated links. The total leakage (interference
-power surviving the combiners, normalized by the total cross-channel
-energy so thresholds are channel-scale-free) is non-increasing, and its
-trace is the feasibility probe: it collapses to numerical zero exactly when
-alignment is achievable.
+for the precoders on the conjugated links. The total leakage (sum over
+receivers of interference power surviving the combiners, normalized by
+the total cross-channel energy so thresholds are channel-scale-free) is
+non-increasing and its trace is the feasibility probe: it collapses to
+numerical zero exactly when alignment is achievable.
 
-Every user sends one stream at unit power, the paper's setting: a config
-with any other stream count is refused, and a warm start takes a
-solution's one precoder per user. Initial precoders are Haar-random unit
-vectors from the PCG64 streams ``SeedSequence(seed, spawn_key=(i,))``,
-which ``channel._streams`` derives from numpy's ``SeedSequence(seed)``.
+Every user sends one stream at unit power, the paper's setting (all
+multiplexing gains one): a config with any other stream count is refused,
+and a warm start takes a solution's one precoder per user, with no config.
+Initial precoders are Haar-random unit vectors drawn from PCG64 streams
+``SeedSequence(seed, spawn_key=(i,))``, one one-word key per user, which
+``channel._streams`` derives from numpy's ``SeedSequence(seed)`` pool.
 
-One engine runs S runs of one (K, n_t, n_r) setting at once, with a
-leading run axis on the channels, ``(S, K, K, n_r, n_t)``, and on the
+One engine runs S independent runs of one (K, n_t, n_r) setting at once.
+Channels carry a leading run axis, ``(S, K, K, n_r, n_t)``, and so do the
 filters, ``(S, K, n, 1)``. A run keeps only its cross links, scaled by the
-power of two that brings their largest entry into [1/2, 1), so any scale
-runs the same bits. A half-iteration is one batched matmul and one batched
-eigen-solve on covariances formed from the link products: the closed forms
-``_weakest_2x2`` (n = 2, ``eigh``'s pair to rounding, up to the sign of the
-vector) and ``_weakest_3x3`` (n = 3, up to phase), ``eigh`` for larger n.
-A per-run convergence mask takes each run out of the batch where it would
-stop alone. Every operation acts on each run's matrices separately and the
+exact power of two that brings their largest entry into [1/2, 1), so any
+scale runs the same bits. A half-iteration is one batched matmul and one
+batched eigen-solve on covariance entries formed from the link products:
+for n = 2 the closed form of ``_weakest_2x2`` (``eigh`` of those entries
+to rounding, up to the sign of the vector), for n = 3 that of
+``_weakest_3x3`` (to rounding, up to phase), else ``eigh``. After
+every iteration a per-run convergence mask takes the runs whose leakage
+reached the tolerance out of the batch, so each run stops where it would
+alone. Every operation acts on each run's matrices separately and the
 solver depends on the shape only, never on the batch size, so a run's
-trace and filters are bitwise the same in any batch. ``iterate`` and
-``warm_start_check`` are batches of one; ``iterate_batch`` (used by the
-feasibility sweep) runs many networks or seeds together.
+trace and filters are bitwise the same in any batch.
+``iterate`` and ``warm_start_check`` are batches of one; ``iterate_batch``
+(used by the feasibility sweep) runs many networks or seeds together.
 """
 
 from array import array
@@ -265,19 +268,41 @@ def _run_batch(h, max_iters, tol, v):
 
 
 def iterate(net, cfg):
-    """Run alternating leakage minimization on the network ``net`` from the
-    seeded Haar draw of precoders, as a batch of one (:func:`iterate_batch`),
-    and return its :class:`LeakageTrace`. Raises ConfigMismatch if
-    ``cfg.d`` is not one stream for each user of ``net``."""
+    """Run alternating leakage minimization on ``net`` from the seeded
+    Haar draw of precoders, as a batch of one (:func:`iterate_batch`).
+
+    Parameters
+    ----------
+    net : InterferenceNetwork
+    cfg : IterativeConfig
+
+    Returns
+    -------
+    LeakageTrace
+
+    Raises
+    ------
+    ConfigMismatch
+        If ``cfg.d`` is not one stream for each user of ``net``.
+    """
     return iterate_batch([net], [cfg])[0]
 
 
 def iterate_batch(nets, cfgs):
-    """Run ``iterate(nets[s], cfgs[s])`` for every ``s`` as one batch; each
-    trace is bitwise the one its pair gives alone. Raises ValueError if the
-    batch is empty or the lists differ in length, and ConfigMismatch if the
-    networks or the configs differ in more than channels and seed, or the
-    config does not fit the networks."""
+    """Run ``iterate(nets[s], cfgs[s])`` for every ``s`` as one batch.
+
+    The networks must share their dimensions, and the configs everything
+    but the seed. Each trace is bitwise equal to the one its pair gives
+    alone.
+
+    Raises
+    ------
+    ValueError
+        If the batch is empty or the two lists differ in length.
+    ConfigMismatch
+        If the networks or the configs differ in more than channels and
+        seed, or the config does not fit the networks.
+    """
     if not nets or len(nets) != len(cfgs):
         raise ValueError(f"a batch needs one config per network, got"
                          f" {len(nets)} networks and {len(cfgs)} configs")

@@ -23,10 +23,19 @@ def eig_general(a):
     selection deterministic. Each vector is normalized to unit Euclidean
     norm; its residual is ``||a @ vector - value * vector||``. For
     defective matrices the best-effort vectors of the QR iteration may
-    have large residuals; callers filter on them. ``a`` must be square and
-    finite (else numpy's ``LinAlgError``). Returns ``values`` (n,),
-    ``vectors`` (n, n), column ``i`` for ``values[i]``, and ``residuals``
-    (n,).
+    have large residuals; callers filter on them.
+
+    Parameters
+    ----------
+    a : array_like
+        Square, finite complex matrix (else numpy's ``LinAlgError``).
+
+    Returns
+    -------
+    values : ndarray of shape (n,)
+    vectors : ndarray of shape (n, n)
+        Column ``i`` belongs to ``values[i]``.
+    residuals : ndarray of shape (n,)
     """
     a = np.asarray(a, dtype=np.complex128)
     values, vectors = np.linalg.eig(a)
