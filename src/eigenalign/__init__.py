@@ -15,10 +15,10 @@ from .analysis import (FeasibilityRecord, InfeasibilityReport, RatePoint,
 from .channel import (InterferenceNetwork, NetworkDims, deserialize,
                       generate, serialize)
 from .closed_form import (AlignmentSolution, CubeRelationReport,
-                          SolutionDiagnostics, build_stacked, coupling_mask,
-                          cube_relation_check, loop_matrix,
-                          solution_from_document, solution_to_document,
-                          solve_eigen_method, solve_loop_method)
+                          build_stacked, coupling_mask, cube_relation_check,
+                          loop_matrix, solution_from_document,
+                          solution_to_document, solve_eigen_method,
+                          solve_loop_method)
 from .errors import (ConfigMismatch, DimensionMismatch, EigenalignError,
                      EmptyNullSpace, MalformedDocument, NoUsableEigenpair,
                      RankDeficientSolution, ShapeMismatch, SingularChannel,
@@ -35,8 +35,8 @@ __all__ = [
     "FeasibilityRecord", "InfeasibilityReport", "InterferenceNetwork",
     "IterativeConfig", "LeakageTrace", "MalformedDocument", "NetworkDims",
     "NoUsableEigenpair", "RankDeficientSolution", "RatePoint", "ShapeMismatch",
-    "SingularChannel", "SolutionDiagnostics", "SweepResult",
-    "UnverifiedSolution", "VerificationReport", "WarmStartReport",
+    "SingularChannel", "SweepResult", "UnverifiedSolution",
+    "VerificationReport", "WarmStartReport",
     "build_stacked", "coupling_mask", "cube_relation_check", "deserialize",
     "eig_general", "feasibility_sweep", "generate", "infeasibility_demo",
     "iterate", "iterate_batch", "loop_matrix", "predicted_feasible",

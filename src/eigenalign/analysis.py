@@ -1,5 +1,5 @@
-"""Verification, rate curves, the 4-user counterexample, and the
-feasibility sweep.
+"""Rate curves, the 4-user counterexample, and the feasibility sweep;
+``verify`` and its report come from :mod:`eigenalign.closed_form`.
 
 Rates assume unit-power symbols, unit-norm zero-forcing combiners (which
 preserve the unit noise variance) and a perfectly suppressed interference
@@ -20,9 +20,10 @@ import numpy as np
 
 from . import linalg
 from .channel import NetworkDims, _count, _positive, generate
-from .closed_form import (ALIGN_TOL, RANK_TOL, _back_substitute,
-                          _channel_ratios, _gain_report, _interference)
-from .errors import DimensionMismatch, ShapeMismatch, UnverifiedSolution
+from .closed_form import (AlignmentSolution, VerificationReport,
+                          _back_substitute, _channel_ratios, _interference,
+                          verify)
+from .errors import DimensionMismatch, UnverifiedSolution
 from .iterative import IterativeConfig, iterate_batch
 
 #: Chordal distance above which the two eigenbases count as incompatible.
@@ -30,38 +31,6 @@ INCOMPATIBILITY_TOL = 1e-2
 
 #: Share of a cell's runs that must agree on a feasible or infeasible verdict.
 QUORUM = 0.9
-
-
-@dataclass
-class VerificationReport:
-    """Raw alignment residuals and direct-link gains with the verdict.
-
-    ``residuals[i, j]`` is ``|u_i^H H_ij v_j|`` for ``i != j`` (diagonal
-    zero); ``rank_metrics[i]`` is ``|u_i^H H_ii v_i|``. The verdict
-    compares residuals against ``ALIGN_TOL`` times the largest channel
-    Frobenius norm and each gain over ``||H_ii||_F`` against ``RANK_TOL``;
-    a zero direct link never passes.
-    """
-
-    residuals: np.ndarray
-    rank_metrics: np.ndarray
-    passed: bool
-    channel_scale: float
-
-
-def verify(net, sol):
-    """Evaluate all K(K-1) alignment residuals and K direct-link gains."""
-    k = net.dims.k
-    for name, n in (("precoders", net.dims.n_t), ("combiners", net.dims.n_r)):
-        if (shape := np.shape(getattr(sol, name))) != (k, n):
-            raise ShapeMismatch(
-                f"{name} have shape {shape}, expected {(k, n)}")
-    gains, relative, scale = _gain_report(net, sol.precoders, sol.combiners)
-    residuals = np.where(np.eye(k, dtype=bool), 0.0, gains)
-    rank_metrics = np.diagonal(gains).copy()
-    passed = bool(residuals.max() <= ALIGN_TOL * scale
-                  and np.all(relative >= RANK_TOL))
-    return VerificationReport(residuals, rank_metrics, passed, scale)
 
 
 @dataclass
@@ -82,8 +51,8 @@ def sum_rate_curve(net, sol, snr_db_list):
         If ``verify`` fails: with residual interference the formula would
         overstate the rates, and a zero direct link carries none.
     ValueError
-        If an SNR's received power ``snr |u_i^H H_ii v_i|^2`` is not
-        finite.
+        If an SNR entry is not a real number, or its received power
+        ``snr |u_i^H H_ii v_i|^2`` is not finite.
     """
     report = verify(net, sol)
     if not report.passed:
@@ -94,7 +63,10 @@ def sum_rate_curve(net, sol, snr_db_list):
     gains_sq = report.rank_metrics ** 2
     strongest = float(gains_sq.max())
     points = []
-    for snr_db in snr_db_list:
+    for i, snr_db in enumerate(snr_db_list):
+        if not isinstance(snr_db, numbers.Real):
+            raise ValueError(f"SNR entry {i} must be a real number of dB,"
+                             f" got {snr_db!r}")
         try:
             snr = math.pow(10.0, snr_db / 10.0)
         except OverflowError:
@@ -179,14 +151,13 @@ def infeasibility_demo(net):
 
     # Least-squares combiners: each receiver's weakest left singular vector.
     combiners = np.linalg.svd(_interference(net, precoders))[0][..., -1]
-    gains, _, scale = _gain_report(net, precoders, combiners)
-    worst = np.max(gains, where=~np.eye(4, dtype=bool), initial=0.0)
+    report = verify(net, AlignmentSolution(precoders, combiners, None))
 
     return InfeasibilityReport(
         distances=distances,
         min_chordal_distance=min_dist,
         closest_pair=(int(closest[0]), int(closest[1])),
-        joint_residual=float(worst / scale),
+        joint_residual=report.alignment_residual,
         incompatible=min_dist > INCOMPATIBILITY_TOL,
     )
 

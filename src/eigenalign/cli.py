@@ -102,34 +102,34 @@ def cmd_gen(args):
 
 def cmd_solve(args):
     net = channel.deserialize(_read_bytes(args.infile))
-    if args.method == "iterative":
-        trace = iterative.iterate(net, iterative.IterativeConfig(
-            d=(1,) * net.dims.k, max_iters=args.max_iters,
-            leakage_tol=args.tol, seed=args.seed))
-        sol = closed_form._diagnosed_solution(net, trace.precoders,
-                                              trace.combiners)
-        head = f" leakage={trace.leakage[-1]:.6e} iterations={trace.iterations}"
-        tail = ""
-        failure = None if trace.converged else (
-            f"leakage above threshold {args.tol:.6e} after"
-            f" {trace.iterations} iterations")
-    else:
-        solver = (closed_form.solve_eigen_method if args.method == "eigen"
-                  else closed_form.solve_loop_method)
-        try:
-            sol, failure = solver(net), None
-        except RankDeficientSolution as exc:
-            sol, failure = exc.solution, f"rank condition: {exc}"
-        lam = sol.eigenvalue
-        head = ""
-        tail = " lambda=" + ("-" if lam is None
-                             else f"{lam.real:.12g}{lam.imag:+.12g}j")
+    head, failure = "", None
+    try:
+        if args.method == "iterative":
+            trace = iterative.iterate(net, iterative.IterativeConfig(
+                d=(1,) * net.dims.k, max_iters=args.max_iters,
+                leakage_tol=args.tol, seed=args.seed))
+            head = (f" leakage={trace.leakage[-1]:.6e}"
+                    f" iterations={trace.iterations}")
+            if not trace.converged:
+                failure = (f"leakage above threshold {args.tol:.6e} after"
+                           f" {trace.iterations} iterations")
+            sol = closed_form._rank_gate(net, closed_form.AlignmentSolution(
+                trace.precoders, trace.combiners, None))
+        else:
+            sol = (closed_form.solve_eigen_method if args.method == "eigen"
+                   else closed_form.solve_loop_method)(net)
+    except RankDeficientSolution as exc:
+        sol = exc.solution
+        failure = failure or f"rank condition: {exc}"
+    lam = sol.eigenvalue   # None on the iterative route only
+    tail = "" if lam is None else f" lambda={lam.real:.12g}{lam.imag:+.12g}j"
     if args.out:
         _write_bytes(args.out, closed_form.solution_to_document(
-            sol, net.dims, args.method))
+            net, sol, args.method))
+    report = closed_form.verify(net, sol)
     print(f"method={args.method}{head}"
-          f" residual={sol.diagnostics.alignment_residual:.6e}"
-          f" rank_metric={np.min(sol.diagnostics.rank_metrics):.6e}{tail}")
+          f" residual={report.alignment_residual:.6e}"
+          f" rank_metric={np.min(report.relative_gains):.6e}{tail}")
     if failure is not None:
         print(f"FAIL {failure}")
         return EXIT_NEGATIVE

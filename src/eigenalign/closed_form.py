@@ -14,6 +14,9 @@ eigenproblem for the first precoder alone, from which the other two follow
 by back-substitution. Both routes are implemented, plus a spectral
 consistency check tying them together (each stacked eigenvalue, cubed,
 must land on the spectrum of the loop matrix).
+
+:func:`verify` alone turns filters into residuals, gains and the verdict;
+the rank gate of the solve routes and the solution documents read it.
 """
 
 import json
@@ -24,7 +27,7 @@ import numpy as np
 from . import linalg
 from .channel import _parse_vector, _read_document, _real
 from .errors import (DimensionMismatch, MalformedDocument, NoUsableEigenpair,
-                     RankDeficientSolution, SingularChannel)
+                     RankDeficientSolution, ShapeMismatch, SingularChannel)
 
 #: Version tag written into every solution document.
 SOLUTION_FORMAT = 1
@@ -56,28 +59,74 @@ def coupling_mask(k):
 
 
 @dataclass
-class SolutionDiagnostics:
-    """Residual summary attached to every solution.
-
-    ``alignment_residual`` is max over cross links of ``|u_i^H H_ij v_j|``
-    divided by the largest channel Frobenius norm; ``rank_metrics`` holds
-    the per-user normalized direct-link gains ``|u_i^H H_ii v_i| / ||H_ii||_F``
-    (0 for a zero direct link).
-    """
-
-    alignment_residual: float
-    rank_metrics: np.ndarray | None
-    eigen_residual: float | None
-
-
-@dataclass
 class AlignmentSolution:
     """Per-user unit-norm precoders and combiners, one stream each."""
 
     precoders: np.ndarray   # (K, n_t)
     combiners: np.ndarray   # (K, n_r)
     eigenvalue: complex | None
-    diagnostics: SolutionDiagnostics
+
+
+@dataclass
+class VerificationReport:
+    """Raw alignment residuals and direct-link gains with the verdict.
+
+    ``residuals[i, j]`` is ``|u_i^H H_ij v_j|`` for ``i != j`` (diagonal
+    zero), ``rank_metrics[i]`` is ``|u_i^H H_ii v_i|`` and
+    ``relative_gains[i]`` that over ``||H_ii||_F`` (0 for a zero link).
+    ``alignment_residual`` is the largest residual over ``channel_scale``,
+    the largest channel Frobenius norm (0 when all channels are zero). The
+    verdict compares residuals against ``ALIGN_TOL`` times the scale and
+    each relative gain against ``RANK_TOL``; a zero link never passes.
+    """
+
+    residuals: np.ndarray
+    rank_metrics: np.ndarray
+    passed: bool
+    channel_scale: float
+    relative_gains: np.ndarray
+    alignment_residual: float
+
+
+def verify(net, sol):
+    """Evaluate all K(K-1) alignment residuals and K direct-link gains.
+
+    Raises
+    ------
+    ShapeMismatch
+        If the filters are not ``(K, n_t)`` and ``(K, n_r)``.
+    """
+    k = net.dims.k
+    for name, n in (("precoders", net.dims.n_t), ("combiners", net.dims.n_r)):
+        if (shape := np.shape(getattr(sol, name))) != (k, n):
+            raise ShapeMismatch(
+                f"{name} have shape {shape}, expected {(k, n)}")
+    gains = np.abs(np.einsum("ia,ijab,jb->ij", np.conj(sol.combiners), net.h,
+                             sol.precoders))
+    norms = np.linalg.norm(net.h, axis=(2, 3))
+    scale = float(norms.max())
+    direct = np.diagonal(norms)   # a zero link gives 0 / inf
+    residuals = np.where(np.eye(k, dtype=bool), 0.0, gains)
+    rank_metrics = np.diagonal(gains).copy()
+    relative = rank_metrics / np.where(direct > 0, direct, np.inf)
+    worst = residuals.max()
+    passed = bool(worst <= ALIGN_TOL * scale and np.all(relative >= RANK_TOL))
+    return VerificationReport(residuals, rank_metrics, passed, scale, relative,
+                              float(worst / scale) if scale else 0.0)
+
+
+def _rank_gate(net, sol):
+    """``sol``, or RankDeficientSolution naming the weakest user (solution
+    attached) if :func:`verify` finds a direct link zero-forced away. The
+    closed-form routes and the CLI's iterative route all pass here."""
+    relative = verify(net, sol).relative_gains
+    if not np.all(relative >= RANK_TOL):
+        user = int(np.argmin(relative))
+        raise RankDeficientSolution(
+            f"direct link of user {user} is confined to the interference"
+            f" subspace (gain {relative[user]:.3e} < {RANK_TOL:.0e})",
+            user=user, solution=sol)
+    return sol
 
 
 def _channel_ratios(net, pairs, checked=None):
@@ -155,55 +204,16 @@ def _interference(net, precoders):
     return g[~np.eye(k, dtype=bool)].reshape(k, k - 1, -1).swapaxes(1, 2)
 
 
-def _gain_report(net, precoders, combiners):
-    """The (K, K) grid of ``|u_i^H H_ij v_j|``, receiver i by transmitter j
-    (cross links off the diagonal, direct links on it), the K direct gains
-    over ``||H_ii||_F`` (0 for a zero link, which so never passes
-    ``RANK_TOL``) and the largest channel Frobenius norm. Every residual and
-    gain is read from here; callers compare."""
-    gains = np.abs(np.einsum("ia,ijab,jb->ij", np.conj(combiners), net.h,
-                             precoders))
-    norms = np.linalg.norm(net.h, axis=(2, 3))
-    direct = np.diagonal(norms)   # a zero link gives 0 / inf
-    return (gains, np.diagonal(gains) / np.where(direct > 0, direct, np.inf),
-            float(norms.max()))
-
-
-def _diagnosed_solution(net, precoders, combiners, eigenvalue=None,
-                        eigen_residual=None):
-    """One stream per user: wrap the filters in an
-    :class:`AlignmentSolution` with its :class:`SolutionDiagnostics`.
-    Every route builds its solution here, closed-form and iterative."""
-    gains, relative, scale = _gain_report(net, precoders, combiners)
-    worst = np.max(gains, where=~np.eye(net.dims.k, dtype=bool), initial=0.0)
-    diag = SolutionDiagnostics(
-        alignment_residual=float(worst / scale) if scale else 0.0,  # H = 0
-        rank_metrics=relative,
-        eigen_residual=eigen_residual,
-    )
-    return AlignmentSolution(np.asarray(precoders), combiners, eigenvalue, diag)
-
-
-def _finish_solution(net, precoders, eigenvalue, eigen_residual):
+def _finish_solution(net, precoders, eigenvalue):
     """Zero-forcing combiners (each receiver's first left null vector, one
-    batched SVD, largest entry turned real positive), diagnostics and the
-    rank gate of both closed-form routes. Raises RankDeficientSolution (with
-    the solution attached) when a direct link is zero-forced away."""
+    batched SVD, largest entry turned real positive) and the rank gate of
+    both closed-form routes."""
     u, rank = linalg._left_null(_interference(net, precoders))
     combiners = u[np.arange(net.dims.k), :, rank]
     lead = np.take_along_axis(
         combiners, np.argmax(np.abs(combiners), axis=1)[:, None], axis=1)
     combiners *= np.conj(lead / np.hypot(lead.real, lead.imag))
-    sol = _diagnosed_solution(net, precoders, combiners, eigenvalue,
-                              eigen_residual)
-    rank_metrics = sol.diagnostics.rank_metrics
-    if not np.all(rank_metrics >= RANK_TOL):
-        user = int(np.argmin(rank_metrics))
-        raise RankDeficientSolution(
-            f"direct link of user {user} is confined to the interference"
-            f" subspace (gain {rank_metrics[user]:.3e} < {RANK_TOL:.0e})",
-            user=user, solution=sol)
-    return sol
+    return _rank_gate(net, AlignmentSolution(precoders, combiners, eigenvalue))
 
 
 def solve_eigen_method(net):
@@ -238,8 +248,7 @@ def solve_eigen_method(net):
             " residual, or a vanishing per-user block")
     i = int(np.argmax(usable))
     precoders = vectors[:, i].reshape(k, n) / norms[i][:, None]
-    return _finish_solution(net, precoders, complex(values[i]),
-                            float(residuals[i]))
+    return _finish_solution(net, precoders, complex(values[i]))
 
 
 def _loop_system(net, what):
@@ -291,12 +300,11 @@ def solve_loop_method(net):
     the stacked route.
     """
     _, (_, second, third), loop = _loop_system(net, "loop method")
-    values, vectors, residuals = linalg.eig_general(loop)
+    values, vectors, _ = linalg.eig_general(loop)
     v1 = vectors[:, 0]
     v3, v2 = _back_substitute(v1, ((third, 3, (1, 0)), (second, 2, (0, 2))))
     precoders = np.stack([v1, v2, v3])
-    return _finish_solution(net, precoders, complex(values[0]),
-                            float(residuals[0]))
+    return _finish_solution(net, precoders, complex(values[0]))
 
 
 @dataclass
@@ -352,24 +360,24 @@ def cube_relation_check(net):
     return CubeRelationReport(matches, worst, worst <= CUBE_TOL and bool(matches))
 
 
-def solution_to_document(sol, dims, method):
-    """Serialize a solution to the versioned JSON solution document."""
+def solution_to_document(net, sol, method):
+    """Serialize a solution to the versioned JSON solution document; its
+    ``residual`` and ``rank_metric`` are :func:`verify`'s
+    ``alignment_residual`` and weakest relative gain on ``net``."""
+    report = verify(net, sol)
     doc = {
         "format": SOLUTION_FORMAT,
-        "k": dims.k,
-        "nt": dims.n_t,
-        "nr": dims.n_r,
+        "k": net.dims.k,
+        "nt": net.dims.n_t,
+        "nr": net.dims.n_r,
         "method": method,
         "lambda": (None if sol.eigenvalue is None
                    else [float(sol.eigenvalue.real), float(sol.eigenvalue.imag)]),
-        "residual": float(sol.diagnostics.alignment_residual),
-        "rank_metric": (None if sol.diagnostics.rank_metrics is None
-                        else float(np.min(sol.diagnostics.rank_metrics))),
-        "users": [
-            {"v": [[float(x.real), float(x.imag)] for x in sol.precoders[i]],
-             "u": [[float(x.real), float(x.imag)] for x in sol.combiners[i]]}
-            for i in range(dims.k)
-        ],
+        "residual": report.alignment_residual,
+        "rank_metric": float(np.min(report.relative_gains)),
+        "users": [{"v": [[float(x.real), float(x.imag)] for x in v],
+                   "u": [[float(x.real), float(x.imag)] for x in u]}
+                  for v, u in zip(sol.precoders, sol.combiners)],
     }
     return (json.dumps(doc, indent=1) + "\n").encode("utf-8")
 
@@ -399,14 +407,9 @@ def solution_from_document(data):
     lam = doc.get("lambda")
     eigenvalue = (None if lam is None
                   else complex(_parse_vector([lam], 1, "lambda")[0]))
-    residual = doc.get("residual")
+    if (residual := doc.get("residual")) is not None:
+        _real(residual, "residual")   # checked, not kept: verify recomputes it
     method = doc.get("method", "")
     if type(method) is not str:
         raise MalformedDocument("field 'method' must be a string", "method")
-    diag = SolutionDiagnostics(
-        alignment_residual=(float("nan") if residual is None
-                            else _real(residual, "residual")),
-        rank_metrics=None,
-        eigen_residual=None,
-    )
-    return AlignmentSolution(precoders, combiners, eigenvalue, diag), dims, method
+    return AlignmentSolution(precoders, combiners, eigenvalue), dims, method

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from eigenalign import analysis, closed_form
 from eigenalign.channel import InterferenceNetwork, NetworkDims, generate
-from eigenalign.closed_form import AlignmentSolution, SolutionDiagnostics
+from eigenalign.closed_form import AlignmentSolution
 from eigenalign.errors import (DimensionMismatch, RankDeficientSolution,
                                ShapeMismatch, SingularChannel,
                                UnverifiedSolution)
@@ -14,8 +15,7 @@ from eigenalign.iterative import IterativeConfig, iterate
 
 def manual_solution(precoders, combiners):
     return AlignmentSolution(np.asarray(precoders, dtype=complex),
-                             np.asarray(combiners, dtype=complex), None,
-                             SolutionDiagnostics(0.0, None, None))
+                             np.asarray(combiners, dtype=complex), None)
 
 
 class TestVerify:
@@ -84,8 +84,9 @@ class TestVerify:
                            r" user 0 .* \(gain 0.000e\+00 < 1e-06\)") as err:
             closed_form.solve_eigen_method(zero)
         assert err.value.user == 0
-        assert err.value.solution.diagnostics.rank_metrics[0] == 0.0
-        assert not analysis.verify(zero, err.value.solution).passed
+        report = analysis.verify(zero, err.value.solution)
+        assert report.relative_gains[0] == 0.0
+        assert not report.passed
 
     def test_shape_mismatch(self):
         net = generate(NetworkDims(3, 2, 2), 0)
@@ -160,6 +161,15 @@ class TestRates:
         with pytest.raises(ValueError, match=f"^SNR {snr_db} dB gives no"
                            " finite received power$"):
             analysis.sum_rate_curve(net, sol, [0.0, snr_db])
+
+    @pytest.mark.parametrize("snr_db", ["10", None, 1 + 2j])
+    def test_non_real_snr_refused(self, snr_db):
+        # a ValueError naming the entry, not a TypeError from / or math.pow
+        net = generate(NetworkDims(3, 2, 2), 42)
+        sol = closed_form.solve_eigen_method(net)
+        with pytest.raises(ValueError, match=r"^SNR entry 1 must be a real"
+                           rf" number of dB, got {re.escape(repr(snr_db))}$"):
+            analysis.sum_rate_curve(net, sol, [0.0, snr_db, 10.0])
 
 
 class TestInfeasibilityDemo:

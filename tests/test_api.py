@@ -1,6 +1,32 @@
+import dataclasses
 import inspect
 
 import eigenalign
+
+#: The public names. Adding or removing one needs a deliberate edit here.
+PUBLIC = {
+    "AlignmentSolution", "ConfigMismatch", "CubeRelationReport",
+    "DimensionMismatch", "EigenalignError", "EmptyNullSpace",
+    "FeasibilityRecord", "InfeasibilityReport", "InterferenceNetwork",
+    "IterativeConfig", "LeakageTrace", "MalformedDocument", "NetworkDims",
+    "NoUsableEigenpair", "RankDeficientSolution", "RatePoint",
+    "ShapeMismatch", "SingularChannel", "SweepResult", "UnverifiedSolution",
+    "VerificationReport", "WarmStartReport", "build_stacked",
+    "coupling_mask", "cube_relation_check", "deserialize", "eig_general",
+    "feasibility_sweep", "generate", "infeasibility_demo", "iterate",
+    "iterate_batch", "loop_matrix", "predicted_feasible", "records_table",
+    "render_feasibility_table", "serialize", "solution_from_document",
+    "solution_to_document", "solve_eigen_method", "solve_loop_method",
+    "sum_rate_curve", "verify", "warm_start_check",
+}
+
+#: The fields of the solution and of its one report, in order.
+FIELDS = {
+    "AlignmentSolution": ["precoders", "combiners", "eigenvalue"],
+    "VerificationReport": ["residuals", "rank_metrics", "passed",
+                           "channel_scale", "relative_gains",
+                           "alignment_residual"],
+}
 
 #: Every optional parameter of the public API with its default. Error
 #: classes are left out: their optional arguments carry context, not knobs.
@@ -29,3 +55,15 @@ def test_optional_parameters_pinned():
             if p.default is not inspect.Parameter.empty:
                 found[f"{name}.{p.name}"] = p.default
     assert found == OPTIONAL
+
+
+def test_public_names_pinned():
+    assert sorted(eigenalign.__all__) == sorted(PUBLIC)
+    for name in PUBLIC:
+        assert hasattr(eigenalign, name)
+
+
+def test_solution_and_report_fields_pinned():
+    for name, fields in FIELDS.items():
+        cls = getattr(eigenalign, name)
+        assert [f.name for f in dataclasses.fields(cls)] == fields

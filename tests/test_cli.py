@@ -146,6 +146,42 @@ class TestSolve:
         assert "rank" in text
         assert out.exists()
 
+    def test_iterative_rank_gate(self, channel_file, tmp_path, capsys):
+        # H_00 = 0: a converged iterative run meets the rank gate of the
+        # closed-form routes and prints their failure line; a run that does
+        # not converge prints its leakage failure only
+        net = channel.deserialize(channel_file.read_bytes())
+        h = net.h.copy()
+        h[0, 0] = 0.0
+        path = tmp_path / "zero.json"
+        path.write_bytes(channel.serialize(
+            channel.InterferenceNetwork(net.dims, h)))
+        rank_line = ("FAIL rank condition: direct link of user 0 is"
+                     " confined to the interference subspace"
+                     " (gain 0.000e+00 < 1e-06)\n")
+        for method in ("eigen", "loop"):
+            code, text, _ = run(capsys, ["solve", "--method", method,
+                                         "--in", str(path)])
+            assert code == 1 and text.endswith(rank_line)
+        sol = tmp_path / "sol.json"
+        code, text, err = run(capsys, ["solve", "--method", "iterative",
+                                       "--in", str(path), "--seed", "1",
+                                       "--out", str(sol)])
+        assert code == 1 and err == ""
+        head, fail = text.splitlines(keepends=True)
+        assert head.startswith("method=iterative leakage=")
+        assert " rank_metric=0.000000e+00" in head and fail == rank_line
+        code, text, _ = run(capsys, ["verify", "--channel", str(path),
+                                     "--solution", str(sol)])
+        assert code == 1 and text.endswith("\nFAIL\n")
+        code, text, err = run(capsys, ["solve", "--method", "iterative",
+                                       "--in", str(path), "--seed", "1",
+                                       "--max-iters", "3"])
+        assert code == 1 and err == ""
+        assert text.count("FAIL") == 1 and "rank condition" not in text
+        assert text.endswith("\nFAIL leakage above threshold 1.000000e-06"
+                             " after 3 iterations\n")
+
 
 class TestVerifyAndRates:
     @pytest.mark.parametrize("zeroed", ["all", "h00"])
@@ -198,7 +234,10 @@ class TestVerifyAndRates:
         sol, dims, method = closed_form.solution_from_document(
             sol_path.read_bytes())
         sol.precoders[0] = np.array([1.0, 0.0])
-        sol_path.write_bytes(closed_form.solution_to_document(sol, dims, method))
+        net = channel.deserialize(channel_file.read_bytes())
+        assert dims == net.dims
+        sol_path.write_bytes(
+            closed_form.solution_to_document(net, sol, method))
         code, text, _ = run(capsys, ["verify", "--channel", str(channel_file),
                                      "--solution", str(sol_path)])
         assert code == 1

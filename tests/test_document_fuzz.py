@@ -21,7 +21,7 @@ from eigenalign.errors import MalformedDocument, ShapeMismatch
 _NET = generate(NetworkDims(3, 2, 2), 1)
 CHANNEL_DOC = json.loads(channel.serialize(generate(NetworkDims(3, 3, 2), 1)))
 SOLUTION_DOC = json.loads(closed_form.solution_to_document(
-    closed_form.solve_eigen_method(_NET), _NET.dims, "eigen"))
+    _NET, closed_form.solve_eigen_method(_NET), "eigen"))
 
 HUGE = [10 ** 400, -10 ** 400, 2 ** 63, -2 ** 64, 1e308, -1e308, 5e-324,
         float("inf"), float("-inf"), float("nan")]

@@ -548,14 +548,14 @@ def test_converged_runs_land_on_closed_form_solutions():
          for _ in nets for probe in range(12)])
     assert sum(trace.converged for trace in traces) >= 30
     for n, net in enumerate(nets):
-        values, vectors, residuals = linalg.eig_general(
+        values, vectors, _ = linalg.eig_general(
             closed_form.build_stacked(net))
         solutions = []
         for i in range(len(values)):
             blocks = vectors[:, i].reshape(3, 2)
             sol = closed_form._finish_solution(
                 net, blocks / np.linalg.norm(blocks, axis=1)[:, None],
-                complex(values[i]), float(residuals[i]))
+                complex(values[i]))
             solutions.append(np.concatenate([sol.precoders, sol.combiners]))
         apart = [chordal(x, y).max() for x in solutions for y in solutions]
         assert all(dist < 1e-6 or dist > 4 * bound for dist in apart)
