@@ -103,7 +103,14 @@ def verify(net, sol):
                 f"{name} have shape {shape}, expected {(k, n)}")
     gains = np.abs(np.einsum("ia,ijab,jb->ij", np.conj(sol.combiners), net.h,
                              sol.precoders))
-    norms = np.linalg.norm(net.h, axis=(2, 3))
+    # np.linalg.norm's Frobenius sum; channels whose squares could over- or
+    # underflow are scaled by a power of two to [1/2, 1) first, back after
+    h = np.ascontiguousarray(net.h)
+    big = np.maximum.reduce(np.abs(h.view(np.float64)), axis=None)
+    exp = 0 if 2.0 ** -400 < big < 2.0 ** 400 else np.frexp(big)[1]
+    if exp:
+        h = np.ldexp(h.view(np.float64), -exp).view(np.complex128)
+    norms = np.ldexp(np.sqrt((h.conj() * h).real.sum(axis=(2, 3))), exp)
     scale = float(norms.max())
     direct = np.diagonal(norms)   # a zero link gives 0 / inf
     residuals = np.where(np.eye(k, dtype=bool), 0.0, gains)

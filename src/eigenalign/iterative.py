@@ -19,11 +19,15 @@ One engine runs S independent runs of one (K, n_t, n_r) setting at once.
 Channels carry a leading run axis, ``(S, K, K, n_r, n_t)``, and so do the
 filters, ``(S, K, n, 1)``. A run keeps only its cross links, scaled by the
 exact power of two that brings their largest entry into [1/2, 1), so any
-scale runs the same bits. A half-iteration is one batched matmul and one
-batched eigen-solve on covariance entries formed from the link products:
-for n = 2 the closed form of ``_weakest_2x2`` (``eigh`` of those entries
-to rounding, up to the sign of the vector), for n = 3 that of
-``_weakest_3x3`` (to rounding, up to phase), else ``eigh``. After
+scale runs the same bits. With two antennas on each side a filter travels
+as its projector ``x x^H``, four real Pauli coordinates: a half-iteration
+is one real matrix-vector product per run, through a map built once from
+the links, and the closed-form projector onto each weakest eigenvector. A
+run's last covariances give its unit filters when it ends, through
+``_weakest_2x2`` (``eigh``'s vector to rounding, up to its sign). Other
+shapes take one batched matmul and one batched eigen-solve a half: the
+closed form of ``_weakest_3x3`` for n = 3 (to rounding, up to phase) on
+covariance entries formed from the link products, else ``eigh``. After
 every iteration a per-run convergence mask takes the runs whose leakage
 reached the tolerance out of the batch, so each run stops where it would
 alone. Every operation acts on each run's matrices separately and the
@@ -97,12 +101,12 @@ def _random_precoders(dims, seed):
 
 
 @np.errstate(all="ignore")
-def _weakest_2x2(a, c, b, values=True):
-    """Weakest eigenpair of each Hermitian PSD 2x2 ``[[a, b*], [b, c]]``
+def _weakest_2x2(a, c, b):
+    """Weakest eigenvector of each Hermitian PSD 2x2 ``[[a, b*], [b, c]]``
     (real ``a``, ``c`` and complex ``b`` of one shape, at least 1-D), equal
     to ``np.linalg.eigh``'s (``zheevd``, lower triangle) to rounding, but
-    for the vector's sign at ``a = c`` with complex ``b``, which follows
-    ``zheevd``'s roundings (about 9% flip; the leakage does not use it).
+    for its sign at ``a = c`` with complex ``b``, which follows ``zheevd``'s
+    roundings (about 9% flip; no leakage depends on it).
 
     ``zheevd`` turns ``b`` into the real ``beta = -|b| sign(Re b)`` (``b``
     itself when real). With ``h = (a - c) / 2`` and the cancellation-free
@@ -110,8 +114,7 @@ def _weakest_2x2(a, c, b, values=True):
     else ``(beta, -t b / beta)``, normalized; ``e1``, or ``e2 b / beta`` for
     ``a > c``, where it neglects ``b``. Power-of-two scaling, + - * /, sqrt
     and hypot act on each matrix alone, so no result depends on the batch.
-    Returns eigenvalues ``(..., 1)``, None unless ``values``, and unit
-    eigenvectors ``(..., 2, 1)``.
+    Returns unit eigenvectors ``(..., 2, 1)``.
     """
     exp = np.frexp(np.maximum(a, c))[1]
     a, c, x, y = np.ldexp((a, c, b.real, b.imag), -exp)   # x + iy = b, scaled
@@ -133,8 +136,7 @@ def _weakest_2x2(a, c, b, values=True):
         vec[split & up] = ((0.0,), (1.0,))
         e2 = split & up & (abs_b > 0)
         low[e2] = (x[e2] + 1j * y[e2]) / beta[e2]
-    return (np.ldexp(0.5 * (a + c) - r, exp)[..., None] if values
-            else None), vec
+    return vec
 
 
 #: Rows (``3 i + j`` holds m_ij) of the factors of the cofactors m_(k+1)(i+1)
@@ -192,6 +194,53 @@ def _weakest_3x3(cov, values=True):
             vec.reshape(shape + (3, 1)))
 
 
+#: The Pauli basis ``B = (I, sigma_z, sigma_x, sigma_y)``, ``tr(B_x B_y) = 2
+#: delta_xy``: ``[[a, b*], [b, c]]`` has coordinates ``m = (a + c) / 2``,
+#: ``h = (a - c) / 2``, ``Re b``, ``Im b`` and eigenvalues ``m +- r``, ``r =
+#: hypot(h, |b|)``.
+_PAULI = np.array([[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]],
+                   [[0, -1j], [1j, 0]]])
+
+
+def _real_map(h):
+    """The real map ``(S, 4K, 4K)`` of the Pauli coordinates of the filter
+    projectors ``P_j`` of all transmitters (column ``K y + j``) to those of
+    the covariances ``sum_j H_ij P_j H_ij^H`` of all receivers (row ``K x +
+    i``), for 2x2 channels ``h`` ``(S, K, K, 2, 2)``. Its transpose is the
+    map of the reverse half, ``Q_i -> sum_i H_ij^H Q_i H_ij``."""
+    s, k = h.shape[:2]
+    # tr(B_x H B_y H^H) / 2 weighs H_qa conj(H_pb) by (B_x / 2)_pq (B_y)_ab;
+    # the table is built per call: at import it cost every process ~0.3 MB
+    kron = h[..., None, :, :, None] * h.conj()[..., :, None, None, :]
+    pairs = np.multiply.outer(_PAULI / 2, _PAULI).transpose(1, 2, 4, 5, 0, 3)
+    m = (kron.reshape(s, k * k, 16) @ pairs.reshape(16, 16)).real
+    return np.ascontiguousarray(m.reshape(s, k, k, 4, 4).transpose(
+        0, 3, 1, 4, 2)).reshape(s, 4 * k, 4 * k)
+
+
+def _projector_half(maps, state, values=True):
+    """The half-iteration of n = 2 filters carried as projectors ``x x^H``.
+
+    ``maps``, a direction's :func:`_real_map`, takes the Pauli coordinates
+    in ``state[:, :4]`` to those of the covariances, ``(m, h, Re b, Im b)``.
+    The projector onto the weakest eigenvector is ``(1, -h / r, -Re b / r,
+    -Im b / r) / 2``, or ``diag(1, 0)`` (``eigh``'s ``e1``) at ``r = 0``.
+    Returns the eigenvalues ``m - r`` ``(S, K, 1)``, None unless ``values``,
+    and the new state ``(S, 8, K)``: the projectors over the covariances.
+    """
+    s = len(maps)
+    new = np.empty((s, 8, maps.shape[1] // 4))
+    q = new[:, 4:]
+    np.matmul(maps, state[:, :4].reshape(s, -1, 1), out=q.reshape(s, -1, 1))
+    r = np.hypot(q[:, 1], np.hypot(q[:, 2], q[:, 3]))
+    flat = r == 0
+    np.multiply(q[:, 1:], -0.5 / np.where(flat, 1.0, r)[:, None],
+                out=new[:, 1:4])
+    new[:, 0] = 0.5
+    np.copyto(new[:, 1], 0.5, where=flat)
+    return (q[:, 0] - r)[..., None] if values else None, new
+
+
 def _half_iteration(links, filters, values=True):
     """One half-iteration for every run and every receiver at once.
 
@@ -199,17 +248,11 @@ def _half_iteration(links, filters, values=True):
     receivers ``i`` (zero for ``i = j``); ``filters`` is ``(S, K, n, 1)``.
     Receiver ``i``'s covariance sums ``g_ij g_ij^H`` over ``j``, ``g_ij`` the
     blocks of ``links @ filters``. Returns its weakest eigenvalue ``(S, K,
-    1)`` (for n <= 3 only if ``values``) and eigenvector, the new filters.
+    1)`` (for n = 3 only if ``values``) and eigenvector, the new filters.
     """
     s, k = filters.shape[:2]
     n_out = links.shape[2] // k
     g = (links @ filters).reshape(s, k, k, n_out)   # g_ij at [s, j, i]
-    if n_out == 2:
-        # [[a, b*], [b, c]] sums |g_j0|^2, |g_j1|^2, g_j1 conj(g_j0) over j
-        power = np.square(g.view(np.float64))             # Re^2, Im^2
-        a_c = (power[..., 0::2] + power[..., 1::2]).sum(axis=1)
-        return _weakest_2x2(a_c[..., 0], a_c[..., 1],
-                            (g[..., 1] * g[..., 0].conj()).sum(axis=1), values)
     if n_out == 3:
         # entry (p, q) sums g_ij[p] conj(g_ij[q]) over the leading j
         g = np.ascontiguousarray(g.transpose(1, 3, 0, 2))   # [j, :, s, i]
@@ -234,14 +277,25 @@ def _run_batch(h, max_iters, tol, v):
     h = np.ldexp(h.view(np.float64), -exp).view(np.complex128)
     energy = (np.linalg.norm(h, axis=(3, 4)) ** 2).sum(axis=(1, 2))
     denom = np.where(energy > 0, energy, 1.0)
-    # forward[s, j] stacks H_ij over i, reverse[s, i] stacks H_ij^H over j
-    forward = h.transpose(0, 2, 1, 3, 4).reshape(s, k, k * n_r, n_t)
-    reverse = np.conjugate(h.swapaxes(3, 4)).reshape(s, k, k * n_t, n_r)
+    init = v
+    if n_t == n_r == 2:   # filters as projectors, vectors when a run ends
+        step, forward = _projector_half, _real_map(h)
+        reverse = np.ascontiguousarray(forward.swapaxes(1, 2))
+        vectors = lambda st: _weakest_2x2(st[:, 4] + st[:, 5], st[:, 4]
+                                          - st[:, 5], st[:, 6] + 1j * st[:, 7])
+        x = init[:, :, None]           # Pauli coordinates tr(B_x x x^H) / 2
+        v = np.zeros((s, 8, k))
+        v[:, :4] = (x.conj() * _PAULI / 2 * x.swapaxes(-1, -2)).real.sum(
+            axis=(3, 4)).swapaxes(1, 2)
+    else:   # forward[s, j] stacks H_ij over i, reverse[s, i] H_ij^H over j
+        step, vectors = _half_iteration, lambda filters: filters
+        forward = h.transpose(0, 2, 1, 3, 4).reshape(s, k, k * n_r, n_t)
+        reverse = np.conjugate(h.swapaxes(3, 4)).reshape(s, k, k * n_t, n_r)
 
     runs = list(range(s))                 # input index of each active run
     leakages = [array("d") for _ in runs]
     traces = [None] * len(runs)
-    vals, u = _half_iteration(forward, v)
+    vals, u = step(forward, v)
     it = 0
     while True:
         leakage = np.maximum(vals.sum(axis=(1, 2)), 0.0) / denom
@@ -251,19 +305,20 @@ def _run_batch(h, max_iters, tol, v):
         # reaches ``tol`` (or is NaN), and every run leaves at the cap
         active = (leakage > tol) & (it < max_iters)
         if not active.all():
-            for pos in np.flatnonzero(~active):
+            done = np.flatnonzero(~active)   # a run that ends at 0 keeps v
+            pre = init[done] if it == 0 else vectors(v[done])
+            for pos, x, y in zip(done, pre, vectors(u[done])):
                 r = runs[pos]
                 traces[r] = LeakageTrace(
-                    np.array(leakages[r]), v[pos, ..., 0].copy(),
-                    u[pos, ..., 0].copy(),
+                    np.array(leakages[r]), x[..., 0].copy(), y[..., 0].copy(),
                     converged=leakages[r][-1] <= tol, iterations=it)
             if not active.any():
                 return traces
             forward, reverse, v, u, denom = (
                 a[active] for a in (forward, reverse, v, u, denom))
             runs = [r for r, kept in zip(runs, active) if kept]
-        _, v = _half_iteration(reverse, u, values=False)
-        vals, u = _half_iteration(forward, v)
+        _, v = step(reverse, u, values=False)
+        vals, u = step(forward, v)
         it += 1
 
 

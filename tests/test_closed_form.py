@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -329,6 +330,23 @@ class TestEigenMethod:
             h[0, 1] = h[0, 1] * factor
             scaled = InterferenceNetwork(net.dims, h)
             assert verify(scaled, sol).passed
+
+    @pytest.mark.parametrize("factor", [1e300, 1e-300])
+    def test_extreme_channel_scales_verify(self, factor):
+        # the norms come from the channels scaled by a power of two, so
+        # entries near 1e300 do not overflow and near 1e-300 not underflow
+        net = generate(NetworkDims(3, 2, 2), 42)
+        base = closed_form.verify(net, closed_form.solve_eigen_method(net))
+        scaled = InterferenceNetwork(net.dims, net.h * factor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = closed_form.solve_eigen_method(scaled)
+            report = closed_form.verify(scaled, sol)
+        assert base.passed and report.passed
+        assert np.abs(report.relative_gains - base.relative_gains).max() <= 1e-12
+        assert abs(report.alignment_residual - base.alignment_residual) <= 1e-12
+        assert report.channel_scale == pytest.approx(factor * base.channel_scale,
+                                                     rel=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_every_eigenpair_verifies(self, n):

@@ -200,34 +200,28 @@ def entries(cov):
 
 
 class TestWeakest2x2:
-    """The closed-form kernel against ``np.linalg.eigh``: the phase of the
-    vector included, except its sign at ``a = c`` with complex ``b``."""
+    """The closed-form vectors, which an N = 2 run ends with, against
+    ``np.linalg.eigh``: the phase included, except the sign at ``a = c``
+    with complex ``b``. The eigenvalues are checked on the projector step
+    (``TestProjectorHalf``), which computes them."""
 
     @pytest.mark.parametrize("kind", [
         "random", "near_rank_one", "real", "diagonal", "zero",
         "scaled_identity", "tiny", "huge"])
     def test_matches_eigh(self, kind):
         cov = covariances(kind)
-        vals, vecs = np.linalg.eigh(cov)
-        got_vals, got_vecs = iterative._weakest_2x2(*entries(cov))
-        assert got_vals.shape == (len(cov), 1)
+        _, vecs = np.linalg.eigh(cov)
+        got_vecs = iterative._weakest_2x2(*entries(cov))
         assert got_vecs.shape == (len(cov), 2, 1)
         assert np.isfinite(got_vecs).all()
-        scale = np.abs(vals).max(axis=1)
-        assert np.all(np.abs(got_vals[:, 0] - vals[:, 0]) <= 1e-14 * scale)
         assert np.abs(got_vecs[:, :, 0] - vecs[:, :, 0]).max() <= 1e-12
 
     def test_equal_diagonal_matches_eigh_up_to_sign(self):
         # at a = c zheevd's sign follows its own roundings; the eigenvalue,
         # and so the leakage, does not depend on it
-        cov = covariances("random")
-        cov[:, 0, 0] = cov[:, 1, 1] = np.maximum(cov[:, 0, 0].real,
-                                                cov[:, 1, 1].real)
-        vals, vecs = np.linalg.eigh(cov)
-        got_vals, got_vecs = iterative._weakest_2x2(*entries(cov))
-        scale = np.abs(vals).max(axis=1)
-        assert np.all(np.abs(got_vals[:, 0] - vals[:, 0]) <= 1e-14 * scale)
-        got, ref = got_vecs[:, :, 0], vecs[:, :, 0]
+        cov = equal_diagonal(covariances("random"))
+        _, vecs = np.linalg.eigh(cov)
+        got, ref = iterative._weakest_2x2(*entries(cov))[..., 0], vecs[..., 0]
         flip = np.abs(got + ref).max(axis=1) < np.abs(got - ref).max(axis=1)
         assert flip.any()
         sign = np.where(flip, -1.0, 1.0)[:, None]
@@ -235,27 +229,98 @@ class TestWeakest2x2:
 
     def test_identity_gives_first_axis(self):
         for alpha in (0.0, 1.0, 3.5):
-            _, vecs = iterative._weakest_2x2(
+            vecs = iterative._weakest_2x2(
                 *entries(alpha * np.eye(2, dtype=complex)[None]))
             assert np.array_equal(vecs[0, :, 0], [1.0, 0.0])
 
     def test_batch_is_bitwise_each_alone(self):
         cov = np.concatenate([covariances(kind, count=5) for kind in (
             "random", "near_rank_one", "diagonal", "zero")])
-        vals, vecs = iterative._weakest_2x2(*entries(cov.reshape(4, 5, 2, 2)))
+        vecs = iterative._weakest_2x2(*entries(cov.reshape(4, 5, 2, 2)))
         for i, one in enumerate(cov):
-            val, vec = iterative._weakest_2x2(*entries(one[None]))
-            assert np.array_equal(val[0], vals.reshape(-1, 1)[i])
+            vec = iterative._weakest_2x2(*entries(one[None]))
             assert np.array_equal(vec[0], vecs.reshape(-1, 2, 1)[i])
 
-    def test_vectors_without_values_bitwise(self):
-        # the reverse half reads only the vectors
+
+def equal_diagonal(cov):
+    """``cov`` with both diagonal entries set to the larger one."""
+    cov = cov.copy()
+    cov[:, 0, 0] = cov[:, 1, 1] = np.maximum(cov[:, 0, 0].real,
+                                            cov[:, 1, 1].real)
+    return cov
+
+
+def pauli(cov):
+    """Pauli coordinates ``(m, h, Re b, Im b)`` of ``[[a, b*], [b, c]]``
+    stacks ``(..., 2, 2)``, on a new second-to-last axis."""
+    a, c, b = entries(cov)
+    return np.stack([(a + c) / 2, (a - c) / 2, b.real, b.imag], axis=-2)
+
+
+def projector_step(cov, values=True):
+    """The projector step on each of ``S`` runs' ``K`` covariances, ``cov``
+    ``(S, K, 2, 2)``: with identity maps the step's covariances are its
+    input. Returns the eigenvalues ``(S, K)`` and the new state."""
+    s, k = cov.shape[:2]
+    state = np.zeros((s, 8, k))
+    state[:, :4] = pauli(cov)
+    maps = np.broadcast_to(np.eye(4 * k), (s, 4 * k, 4 * k)).copy()
+    vals, new = iterative._projector_half(maps, state, values)
+    return None if vals is None else vals[..., 0], new
+
+
+def projector(state):
+    """The 2x2 projectors ``(S, K, 2, 2)`` of a state's Pauli coordinates."""
+    half, t, x, y = np.moveaxis(state[:, :4], 1, 0)
+    return np.stack([np.stack([half + t, x - 1j * y], axis=-1),
+                     np.stack([x + 1j * y, half - t], axis=-1)], axis=-2)
+
+
+class TestProjectorHalf:
+    """The N = 2 step on projectors against ``np.linalg.eigh``: eigenvalues
+    to 1e-14 of the largest, projectors to 1e-12 of ``x x^H``."""
+
+    @pytest.mark.parametrize("kind", [
+        "random", "near_rank_one", "real", "diagonal", "zero",
+        "scaled_identity", "tiny", "huge", "equal_diagonal"])
+    def test_matches_eigh(self, kind):
+        cov = (equal_diagonal(covariances("random")) if kind == "equal_diagonal"
+               else covariances(kind))
+        vals, vecs = np.linalg.eigh(cov)
+        got_vals, state = projector_step(cov[:, None])
+        assert got_vals.shape == (len(cov), 1)
+        assert state.shape == (len(cov), 8, 1)
+        assert np.isfinite(state).all()
+        scale = np.abs(vals).max(axis=1)
+        assert np.all(np.abs(got_vals[:, 0] - vals[:, 0]) <= 1e-14 * scale)
+        ref = vecs[:, :, :1] * vecs[:, None, :, 0].conj()
+        assert np.abs(projector(state)[:, 0] - ref).max() <= 1e-12
+        assert np.array_equal(state[:, 4:], pauli(cov[:, None]))
+
+    @pytest.mark.parametrize("kind", ["zero", "scaled_identity"])
+    def test_multiples_of_identity_give_first_axis(self, kind):
+        # e1 e1^H, as eigh's first axis
+        _, state = projector_step(covariances(kind)[:, None])
+        assert np.array_equal(projector(state)[:, 0],
+                              np.broadcast_to([[1, 0], [0, 0]], (400, 2, 2)))
+
+    def test_batch_is_bitwise_each_alone(self):
         cov = np.concatenate([covariances(kind, count=5) for kind in (
             "random", "near_rank_one", "diagonal", "zero")])
-        vals, vecs = iterative._weakest_2x2(*entries(cov))
-        none, alone = iterative._weakest_2x2(*entries(cov), values=False)
+        vals, state = projector_step(cov.reshape(4, 5, 2, 2))
+        for i, one in enumerate(cov):
+            val, alone = projector_step(one[None, None])
+            assert np.array_equal(val[0, 0], vals[i // 5, i % 5])
+            assert np.array_equal(alone[0, :, 0], state[i // 5, :, i % 5])
+
+    def test_state_without_values_bitwise(self):
+        # the reverse half reads only the new state
+        cov = np.concatenate([covariances(kind, count=5) for kind in (
+            "random", "near_rank_one", "diagonal", "zero")])[None]
+        vals, state = projector_step(cov)
+        none, alone = projector_step(cov, values=False)
         assert vals is not None and none is None
-        assert np.array_equal(vecs, alone)
+        assert np.array_equal(state, alone)
 
 
 def covariances3(kind, count=400, seed=0):
@@ -390,13 +455,36 @@ def half_iteration_links(kind, s=6, k=4, n_t=3, seed=0, n_out=2):
 
 
 class TestHalfIteration:
-    """The fused N = 2 and N = 3 paths against ``w @ w^H`` and
-    ``np.linalg.eigh``."""
+    """The half-iterations against ``w @ w^H`` and ``np.linalg.eigh``: the
+    fused N = 3 path, ``eigh`` (a 2-antenna side of a non-square network)
+    and the N = 2 projector step through its real map."""
 
     @pytest.mark.parametrize("kind", [
         "random", "real", "near_rank_one", "zero_cross"])
     def test_matches_covariance_eigh(self, kind):
         self.check(*half_iteration_links(kind))
+
+    @pytest.mark.parametrize("kind", [
+        "random", "real", "near_rank_one", "zero_cross"])
+    def test_projectors_match_covariance_eigh(self, kind):
+        links, filters = half_iteration_links(kind, n_t=2)
+        h = links.reshape(links.shape[:2] + (-1, 2, 2)).swapaxes(1, 2)
+        s, k = filters.shape[:2]
+        x = filters[..., 0]
+        state = np.zeros((s, 8, k))
+        state[:, :4] = pauli(x[..., :, None] * x[..., None, :].conj())
+        vals, new = iterative._projector_half(iterative._real_map(h),
+                                              state)
+        assert vals.shape == (s, k, 1) and new.shape == (s, 8, k)
+        w = (links @ filters).reshape(s, k, k, 2).transpose(0, 2, 3, 1)
+        cov = w @ w.conj().swapaxes(-1, -2)
+        ref_vals, ref_vecs = np.linalg.eigh(cov)
+        scale = ref_vals[..., -1]
+        assert np.all(np.abs(vals[..., 0] - ref_vals[..., 0]) <= 1e-14 * scale)
+        assert np.abs(np.moveaxis(new[:, 4:], 1, -1) - pauli(cov).swapaxes(
+            -1, -2)).max() <= 1e-14 * scale.max()
+        ref = ref_vecs[..., :1] * ref_vecs[..., None, :, 0].conj()
+        assert np.abs(projector(new) - ref).max() <= 1e-12
 
     @pytest.mark.parametrize("kind", [
         "random", "real", "near_rank_two", "zero_cross"])
@@ -423,7 +511,9 @@ class TestHalfIteration:
 class TestBatch:
     @pytest.mark.parametrize("dims,d,cap", [((3, 2, 2), (1, 1, 1), 60),
                                             ((4, 3, 3), (1, 1, 1, 1), 12),
-                                            ((5, 3, 3), (1,) * 5, 100)])
+                                            ((5, 3, 3), (1,) * 5, 100),
+                                            ((4, 2, 3), (1,) * 4, 60),
+                                            ((4, 3, 2), (1,) * 4, 60)])
     def test_runs_equal_single_runs(self, dims, d, cap):
         seeds = range(8)
         nets = [generate(NetworkDims(*dims), s) for s in seeds]
@@ -438,9 +528,9 @@ class TestBatch:
             assert got.iterations == alone.iterations
             assert got.converged == alone.converged
             assert np.array_equal(got.leakage, alone.leakage)
-            for a, b in ((got.precoders, alone.precoders),
-                         (got.combiners, alone.combiners)):
-                assert a.shape == b.shape == (dims[0], dims[1])
+            for a, b, n in ((got.precoders, alone.precoders, dims[1]),
+                            (got.combiners, alone.combiners, dims[2])):
+                assert a.shape == b.shape == (dims[0], n)
                 assert np.array_equal(a, b)
 
     def test_validation(self):
@@ -565,3 +655,44 @@ def test_converged_runs_land_on_closed_form_solutions():
             filters = np.concatenate([trace.precoders, trace.combiners])
             assert min(chordal(filters, sol).max()
                        for sol in solutions) < bound
+
+
+def reference_run(net, cfg):
+    """The probe in vector form, with explicit sums over the cross links and
+    ``np.linalg.eigh``, from the engine's seeded precoders: ``(iterations,
+    final leakage, precoders, combiners)``."""
+    h, k = net.h, net.dims.k
+    cross = [(i, j) for i in range(k) for j in range(k) if i != j]
+    energy = sum(np.linalg.norm(h[i, j]) ** 2 for i, j in cross)
+    v = iterative._random_precoders(net.dims, cfg.seed)[..., 0]
+    for it in range(cfg.max_iters + 1):
+        if it:   # precoder j: the weakest direction of sum_i H_ij^H u u^H H_ij
+            g = {(i, j): h[i, j].conj().T @ u[i] for i, j in cross}
+            v = [np.linalg.eigh(sum(np.outer(g[i, j], g[i, j].conj())
+                                    for i in range(k) if i != j))[1][:, 0]
+                 for j in range(k)]
+        g = {(i, j): h[i, j] @ v[j] for i, j in cross}
+        eig = [np.linalg.eigh(sum(np.outer(g[i, j], g[i, j].conj())
+                                  for j in range(k) if j != i))
+               for i in range(k)]
+        u = [vecs[:, 0] for _, vecs in eig]
+        leakage = max(sum(vals[0] for vals, _ in eig), 0.0) / energy
+        if leakage <= cfg.leakage_tol:
+            break
+    return it, leakage, np.array(v), np.array(u)
+
+
+@pytest.mark.parametrize("k,seeds,cap", [(3, range(30), 5000),
+                                         (4, range(10), 200)])
+def test_iterate_matches_vector_form_reference(k, seeds, cap):
+    # an oracle that shares only the seeded draw with the engine: no
+    # projectors, no power-of-two scaling, no closed form, no batch
+    for seed in seeds:
+        net = generate(NetworkDims(k, 2, 2), seed)
+        cfg = IterativeConfig(d=(1,) * k, max_iters=cap, seed=seed)
+        trace = iterate(net, cfg)
+        iterations, leakage, precoders, combiners = reference_run(net, cfg)
+        assert trace.iterations == iterations
+        assert abs(trace.leakage[-1] - leakage) <= 1e-9 * leakage
+        assert chordal(trace.precoders, precoders).max() < 1e-6
+        assert chordal(trace.combiners, combiners).max() < 1e-6
