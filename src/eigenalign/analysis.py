@@ -212,9 +212,9 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
     exceeds ``infeasible_tol`` at the iteration cap, inconclusive otherwise;
     a cell verdict needs a :data:`QUORUM` fraction of its runs to agree.
     Records are produced in sorted (n, k, seed) order, so the result does
-    not depend on how the work is scheduled. Each cell runs all its seeds
-    as one ``iterate_batch``; ``progress`` is called once per record, in
-    record order, in a burst after each cell's batch.
+    not depend on how the work is scheduled. Each N runs all its cells and
+    seeds as one ``iterate_batch``; ``progress`` is called once per record,
+    in record order, in a burst after each N's batch.
 
     Raises
     ------
@@ -245,13 +245,15 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
     traces = [] if keep_traces else None
     cells = {}
     for n in n_values:
+        grid = [(k, seed) for k in k_values for seed in seeds]
+        batch = iter(iterate_batch(
+            [generate(NetworkDims(k, n, n), seed) for k, seed in grid],
+            [IterativeConfig(d=(1,) * k, max_iters=max_iters,
+                             leakage_tol=feasible_tol, seed=seed)
+             for k, seed in grid]))
         for k in k_values:
-            nets = [generate(NetworkDims(k, n, n), seed) for seed in seeds]
-            cfgs = [IterativeConfig(d=(1,) * k, max_iters=max_iters,
-                                    leakage_tol=feasible_tol, seed=seed)
-                    for seed in seeds]
             counts = {"feasible": 0, "infeasible": 0, "inconclusive": 0}
-            for seed, trace in zip(seeds, iterate_batch(nets, cfgs)):
+            for seed, trace in zip(seeds, batch):
                 final = float(trace.leakage[-1])
                 if final <= feasible_tol:
                     verdict = "feasible"

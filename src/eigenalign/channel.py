@@ -43,6 +43,16 @@ def _positive(name, x):
     return x
 
 
+def _numeric(name, x):
+    """``x`` as a complex array; text or a non-number raises ValueError."""
+    try:
+        if (a := np.asarray(x)).dtype.kind not in "SUV":
+            return a.astype(np.complex128, copy=False)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must be an array of numbers")
+
+
 @dataclass(frozen=True)
 class NetworkDims:
     """Dimensions of a K-user interference network (integers, not bool)."""
@@ -77,7 +87,7 @@ class InterferenceNetwork:
 
     def __post_init__(self):
         expected = (self.dims.k, self.dims.k, self.dims.n_r, self.dims.n_t)
-        h = np.asarray(self.h, dtype=np.complex128)
+        h = _numeric("channel entries", self.h)
         if h.shape != expected:
             raise ShapeMismatch(
                 f"channel grid has shape {h.shape}, expected {expected}")

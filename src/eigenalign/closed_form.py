@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channel import _parse_vector, _read_document, _real
+from .channel import _numeric, _parse_vector, _read_document, _real
 from .errors import (DimensionMismatch, MalformedDocument, NoUsableEigenpair,
                      RankDeficientSolution, ShapeMismatch, SingularChannel)
 
@@ -93,16 +93,20 @@ def verify(net, sol):
 
     Raises
     ------
+    ValueError
+        If a filter array holds text or an entry that is not a number.
     ShapeMismatch
         If the filters are not ``(K, n_t)`` and ``(K, n_r)``.
     """
     k = net.dims.k
-    for name, n in (("precoders", net.dims.n_t), ("combiners", net.dims.n_r)):
-        if (shape := np.shape(getattr(sol, name))) != (k, n):
+    pre = _numeric("precoders", sol.precoders)
+    comb = _numeric("combiners", sol.combiners)
+    for name, x, n in (("precoders", pre, net.dims.n_t),
+                       ("combiners", comb, net.dims.n_r)):
+        if x.shape != (k, n):
             raise ShapeMismatch(
-                f"{name} have shape {shape}, expected {(k, n)}")
-    gains = np.abs(np.einsum("ia,ijab,jb->ij", np.conj(sol.combiners), net.h,
-                             sol.precoders))
+                f"{name} have shape {x.shape}, expected {(k, n)}")
+    gains = np.abs(np.einsum("ia,ijab,jb->ij", np.conj(comb), net.h, pre))
     # np.linalg.norm's Frobenius sum; channels whose squares could over- or
     # underflow are scaled by a power of two to [1/2, 1) first, back after
     h = np.ascontiguousarray(net.h)

@@ -15,26 +15,21 @@ Initial precoders are Haar-random unit vectors drawn from PCG64 streams
 ``SeedSequence(seed, spawn_key=(i,))``, one one-word key per user, which
 ``channel._streams`` derives from numpy's ``SeedSequence(seed)`` pool.
 
-One engine runs S independent runs of one (K, n_t, n_r) setting at once.
-Channels carry a leading run axis, ``(S, K, K, n_r, n_t)``, and so do the
-filters, ``(S, K, n, 1)``. A run keeps only its cross links, scaled by the
-exact power of two that brings their largest entry into [1/2, 1), so any
-scale runs the same bits. With two antennas on each side a filter travels
-as its projector ``x x^H``, four real Pauli coordinates: a half-iteration
-is one real matrix-vector product per run, through a map built once from
-the links, and the closed-form projector onto each weakest eigenvector. A
-run's last covariances give its unit filters when it ends, through
-``_weakest_2x2`` (``eigh``'s vector to rounding, up to its sign). Other
-shapes take one batched matmul and one batched eigen-solve a half: the
-closed form of ``_weakest_3x3`` for n = 3 (to rounding, up to phase) on
-covariance entries formed from the link products, else ``eigh``. After
-every iteration a per-run convergence mask takes the runs whose leakage
-reached the tolerance out of the batch, so each run stops where it would
-alone. Every operation acts on each run's matrices separately and the
-solver depends on the shape only, never on the batch size, so a run's
-trace and filters are bitwise the same in any batch.
-``iterate`` and ``warm_start_check`` are batches of one; ``iterate_batch``
-(used by the feasibility sweep) runs many networks or seeds together.
+One engine runs independent runs that share their antenna counts. A run
+keeps only its cross links, scaled by the exact power of two that brings
+their largest entry into [1/2, 1), so any scale runs the same bits. Runs
+of one K form a group, whose linear step fills its part of one buffer of
+every run's receivers; the eigen-solve, the leakage and the convergence
+mask then act once on the whole buffer, and a run leaves the batch when
+its leakage reaches the tolerance. With two antennas on each side a
+filter travels as its projector ``x x^H``: a half-iteration is one real
+matrix-vector product per run and the closed-form projector onto each
+weakest eigenvector. Other shapes take a matmul per group and one
+eigen-solve a half, ``_weakest_3x3``'s closed form for n = 3, else
+``eigh``. Every operation acts on each run's matrices alone and the
+solver depends on the shape only, so a run is bitwise the same in any
+batch. ``iterate`` and ``warm_start_check`` are batches of one; the
+feasibility sweep runs one ``iterate_batch`` per antenna count.
 """
 
 from array import array
@@ -42,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import _count, _positive, _streams
+from .channel import _count, _numeric, _positive, _streams
 from .errors import ConfigMismatch
 
 #: Leakage below this counts as converged by default.
@@ -164,22 +159,22 @@ def _weakest_3x3(cov, values=True):
     ``(..., 3, 1)``.
     """
     shape = cov.shape[2:]
-    mant, exp = np.frexp(cov.reshape(9, -1)[0::4].real.sum(axis=0))
+    mant, exp = np.frexp(np.add.reduce(cov.reshape(9, -1)[0::4].real))
     m = np.ldexp(cov.view(np.float64).reshape(9, -1, 2),
                  -exp[:, None]).view(np.complex128)[..., 0]
     q = mant / 3.0
     m[0::4].real -= q                                        # B
-    prod = np.take(m, _COFACTOR_ROWS, axis=0)
+    prod = m.take(_COFACTOR_ROWS, axis=0)
     prod = prod[:18] * prod[18:]
     adj = prod[:9] - prod[9:]
-    p2 = adj[0::4].real.sum(axis=0) / -3.0
-    det = (m[:3] * adj[:3]).sum(axis=0).real   # row 0 of B, column 0 of adj
+    p2 = np.add.reduce(adj[0::4].real) / -3.0
+    det = np.add.reduce(m[:3] * adj[:3]).real   # row 0 of B, column 0 of adj
     h = -2.0 * np.sqrt(p2)      # lambda - q = -2p cos(arccos(-r) / 3)
     mu = h * np.cos(np.arccos(det / (h * p2)) / 3.0)
     adj += mu * m.conj()       # adj(B - mu I) = adj B + mu B^T + mu^2 I
     adj[0::4].real += mu * mu
     n = adj.shape[1]
-    vec = adj.reshape(3, 3, n)[np.argmax(adj[0::4].real, axis=0), :,
+    vec = adj.reshape(3, 3, n)[adj[0::4].real.argmax(axis=0), :,
                                np.arange(n)]
     norm = np.sqrt(np.square(vec.view(np.float64)).sum(axis=1, keepdims=True))
     vec /= norm
@@ -204,9 +199,9 @@ _PAULI = np.array([[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]],
 
 def _real_map(h):
     """The real map ``(S, 4K, 4K)`` of the Pauli coordinates of the filter
-    projectors ``P_j`` of all transmitters (column ``K y + j``) to those of
-    the covariances ``sum_j H_ij P_j H_ij^H`` of all receivers (row ``K x +
-    i``), for 2x2 channels ``h`` ``(S, K, K, 2, 2)``. Its transpose is the
+    projectors ``P_j`` of all transmitters (column ``4 j + y``) to those of
+    the covariances ``sum_j H_ij P_j H_ij^H`` of all receivers (row ``4 i +
+    x``), for 2x2 channels ``h`` ``(S, K, K, 2, 2)``. Its transpose is the
     map of the reverse half, ``Q_i -> sum_i H_ij^H Q_i H_ij``."""
     s, k = h.shape[:2]
     # tr(B_x H B_y H^H) / 2 weighs H_qa conj(H_pb) by (B_x / 2)_pq (B_y)_ab;
@@ -215,110 +210,134 @@ def _real_map(h):
     pairs = np.multiply.outer(_PAULI / 2, _PAULI).transpose(1, 2, 4, 5, 0, 3)
     m = (kron.reshape(s, k * k, 16) @ pairs.reshape(16, 16)).real
     return np.ascontiguousarray(m.reshape(s, k, k, 4, 4).transpose(
-        0, 3, 1, 4, 2)).reshape(s, 4 * k, 4 * k)
+        0, 1, 3, 2, 4)).reshape(s, 4 * k, 4 * k)
 
 
-def _projector_half(maps, state, values=True):
-    """The half-iteration of n = 2 filters carried as projectors ``x x^H``.
-
-    ``maps``, a direction's :func:`_real_map`, takes the Pauli coordinates
-    in ``state[:, :4]`` to those of the covariances, ``(m, h, Re b, Im b)``.
-    The projector onto the weakest eigenvector is ``(1, -h / r, -Re b / r,
-    -Im b / r) / 2``, or ``diag(1, 0)`` (``eigh``'s ``e1``) at ``r = 0``.
-    Returns the eigenvalues ``m - r`` ``(S, K, 1)``, None unless ``values``,
-    and the new state ``(S, 8, K)``: the projectors over the covariances.
+def _projector_half(maps, rows, state, values=True):
+    """The half-iteration of n = 2 filters carried as projectors ``x x^H``:
+    ``maps[g]``, group ``g``'s :func:`_real_map`, takes the Pauli rows
+    ``state[0, rows[g]]`` to the covariances' ``(m, h, Re b, Im b)``, whose
+    weakest projector is ``(1, -h / r, -Re b / r, -Im b / r) / 2``, or
+    ``diag(1, 0)`` (``eigh``'s ``e1``) at ``r = 0``. Returns the eigenvalues
+    ``m - r`` ``(R,)``, None unless ``values``, and the new state ``(2, R,
+    4)``: the projectors over the covariances.
     """
-    s = len(maps)
-    new = np.empty((s, 8, maps.shape[1] // 4))
-    q = new[:, 4:]
-    np.matmul(maps, state[:, :4].reshape(s, -1, 1), out=q.reshape(s, -1, 1))
+    new = np.empty((2,) + state.shape[1:])
+    p, q = new[0], new[1]
+    for m, part in zip(maps, rows):   # each run's own map product
+        np.matmul(m, state[0, part].reshape(len(m), -1, 1),
+                  out=q[part].reshape(len(m), -1, 1))
     r = np.hypot(q[:, 1], np.hypot(q[:, 2], q[:, 3]))
-    flat = r == 0
-    np.multiply(q[:, 1:], -0.5 / np.where(flat, 1.0, r)[:, None],
-                out=new[:, 1:4])
-    new[:, 0] = 0.5
-    np.copyto(new[:, 1], 0.5, where=flat)
-    return (q[:, 0] - r)[..., None] if values else None, new
+    safe = r if r.all() else np.where(r == 0, 1.0, r)
+    np.multiply(q[:, 1:], -0.5 / safe[:, None], out=p[:, 1:])
+    p[:, 0] = 0.5
+    if safe is not r:   # diag(1, 0) at a multiple of I
+        p[r == 0, 1] = 0.5
+    return q[:, 0] - r if values else None, new
 
 
-def _half_iteration(links, filters, values=True):
-    """One half-iteration for every run and every receiver at once.
-
-    ``links[s, j]`` stacks transmitter ``j``'s channels ``H_ij`` to all
-    receivers ``i`` (zero for ``i = j``); ``filters`` is ``(S, K, n, 1)``.
-    Receiver ``i``'s covariance sums ``g_ij g_ij^H`` over ``j``, ``g_ij`` the
-    blocks of ``links @ filters``. Returns its weakest eigenvalue ``(S, K,
-    1)`` (for n = 3 only if ``values``) and eigenvector, the new filters.
+def _half_iteration(links, rows, filters, values=True):
+    """One half-iteration for every run and every receiver at once:
+    ``links[g][s, j]`` stacks group ``g``'s ``H_ij`` over the receivers
+    ``i`` (zero for ``i = j``), its filters ``filters[rows[g]]`` of ``(R, n,
+    1)``. Receiver ``i``'s covariance sums ``g_ij g_ij^H`` over ``j``,
+    ``g_ij`` the blocks of ``links @ filters``. Returns its weakest
+    eigenvalue ``(R, 1)`` (for n = 3 only if ``values``) and eigenvector.
     """
-    s, k = filters.shape[:2]
-    n_out = links.shape[2] // k
-    g = (links @ filters).reshape(s, k, k, n_out)   # g_ij at [s, j, i]
-    if n_out == 3:
-        # entry (p, q) sums g_ij[p] conj(g_ij[q]) over the leading j
-        g = np.ascontiguousarray(g.transpose(1, 3, 0, 2))   # [j, :, s, i]
-        return _weakest_3x3((g[:, :, None] * g[:, None].conj()).sum(axis=0),
-                            values)
-    w = np.ascontiguousarray(g.transpose(0, 2, 3, 1))   # [s, i, :, j]
-    vals, vecs = np.linalg.eigh(w @ w.conj().swapaxes(-1, -2))
-    return vals[..., :1], vecs[..., :1]
+    parts = []
+    for link, part in zip(links, rows):
+        s, k = link.shape[:2]
+        n = link.shape[2] // k
+        g = (link @ filters[part].reshape(s, k, -1, 1)).reshape(s, k, k, n)
+        if n == 3:   # g_ij at [s, j, i]; (p, q) sums g_ij[p] conj(g_ij[q])
+            g = np.ascontiguousarray(g.transpose(1, 3, 0, 2))   # [j, :, s, i]
+            parts.append(np.add.reduce(g[:, :, None] * g[:, None].conj(
+                )).reshape(3, 3, -1))
+        else:
+            w = np.ascontiguousarray(g.transpose(0, 2, 3, 1))   # [s, i, :, j]
+            parts.append((w @ w.conj().swapaxes(-1, -2)).reshape(-1, n, n))
+    if n == 3:
+        return _weakest_3x3(np.concatenate(parts, axis=2), values)
+    vals, vecs = np.linalg.eigh(np.concatenate(parts))
+    return vals[:, :1], vecs[..., :1]
 
 
-def _run_batch(h, max_iters, tol, v):
-    """The iteration engine: ``S`` independent runs of one setting.
+def _run_batch(hs, vs, max_iters, tol):
+    """The iteration engine: run ``s`` on channels ``hs[s]`` ``(K, K, n_r,
+    n_t)`` from precoders ``vs[s]`` ``(K, n_t, 1)``, one ``LeakageTrace``
+    a run, in input order."""
+    n_r, n_t = hs[0].shape[2:]
+    runs = sorted(range(len(hs)), key=lambda s: len(hs[s]))   # by K
+    fwd, rev, denom, state = [], [], [], []
+    for k in sorted({len(h) for h in hs}):
+        group = [r for r in runs if len(hs[r]) == k]
+        h, v = (np.stack([x[r] for r in group]) for x in (hs, vs))
+        # the cross links only, scaled per run by a power of two to [1/2, 1)
+        h = h * (1.0 - np.eye(k))[:, :, None, None]
+        exp = np.frexp(np.abs(h).max(axis=(1, 2, 3, 4), keepdims=True))[1]
+        h = np.ldexp(h.view(np.float64), -exp).view(np.complex128)
+        energy = (np.linalg.norm(h, axis=(3, 4)) ** 2).sum(axis=(1, 2))
+        denom.append(np.where(energy > 0, energy, 1.0))
+        if n_t == n_r == 2:   # a row of Pauli coordinates tr(B_x x x^H) / 2
+            x = v[:, :, None]
+            state.append((x.conj() * _PAULI / 2 * x.swapaxes(-1, -2)).real.sum(
+                axis=(3, 4)).reshape(1, -1, 4))
+            fwd.append(_real_map(h))
+            rev.append(np.ascontiguousarray(fwd[-1].swapaxes(1, 2)))
+        else:   # forward[s, j] stacks H_ij over i, reverse[s, i] H_ij^H over j
+            state.append(v.reshape(-1, n_t, 1))
+            fwd.append(h.transpose(0, 2, 1, 3, 4).reshape(-1, k, k * n_r, n_t))
+            rev.append(h.swapaxes(3, 4).conj().reshape(-1, k, k * n_t, n_r))
+    del h   # the scaled channels live on in the links only
+    if n_t == n_r == 2:   # projectors, and vectors from state[1] at the end
+        step, axis = _projector_half, 1
+        vectors = lambda st: _weakest_2x2(
+            st[1, :, 0] + st[1, :, 1], st[1, :, 0] - st[1, :, 1],
+            st[1, :, 2] + 1j * st[1, :, 3])
+    else:
+        step, axis, vectors = _half_iteration, 0, np.asarray
+    v = np.concatenate(state, axis)
 
-    ``h`` stacks the runs' channels, ``(S, K, K, n_r, n_t)``, and ``v``
-    their initial precoders, ``(S, K, n_t, 1)``. Returns one
-    ``LeakageTrace`` per run, in input order.
-    """
-    s, k, _, n_r, n_t = h.shape
-    # the cross links only, scaled per run by a power of two to [1/2, 1)
-    h = h * (1.0 - np.eye(k))[:, :, None, None]
-    exp = np.frexp(np.abs(h).max(axis=(1, 2, 3, 4), keepdims=True))[1]
-    h = np.ldexp(h.view(np.float64), -exp).view(np.complex128)
-    energy = (np.linalg.norm(h, axis=(3, 4)) ** 2).sum(axis=(1, 2))
-    denom = np.where(energy > 0, energy, 1.0)
-    init = v
-    if n_t == n_r == 2:   # filters as projectors, vectors when a run ends
-        step, forward = _projector_half, _real_map(h)
-        reverse = np.ascontiguousarray(forward.swapaxes(1, 2))
-        vectors = lambda st: _weakest_2x2(st[:, 4] + st[:, 5], st[:, 4]
-                                          - st[:, 5], st[:, 6] + 1j * st[:, 7])
-        x = init[:, :, None]           # Pauli coordinates tr(B_x x x^H) / 2
-        v = np.zeros((s, 8, k))
-        v[:, :4] = (x.conj() * _PAULI / 2 * x.swapaxes(-1, -2)).real.sum(
-            axis=(3, 4)).swapaxes(1, 2)
-    else:   # forward[s, j] stacks H_ij over i, reverse[s, i] H_ij^H over j
-        step, vectors = _half_iteration, lambda filters: filters
-        forward = h.transpose(0, 2, 1, 3, 4).reshape(s, k, k * n_r, n_t)
-        reverse = np.conjugate(h.swapaxes(3, 4)).reshape(s, k, k * n_t, n_r)
+    def layout():   # each group's receivers in the buffers
+        ends = np.cumsum([0, *users])[np.cumsum([0, *map(len, fwd)])].tolist()
+        return [slice(a, b) for a, b in zip(ends, ends[1:])]
 
-    runs = list(range(s))                 # input index of each active run
-    leakages = [array("d") for _ in runs]
-    traces = [None] * len(runs)
-    vals, u = step(forward, v)
+    users = np.array([len(hs[r]) for r in runs])   # K of each active run
+    leakages, traces = [array("d") for _ in runs], [None] * len(runs)
+    denom, rows = np.concatenate(denom), layout()
+    vals, u = step(fwd, rows, v)
     it = 0
     while True:
-        leakage = np.maximum(vals.sum(axis=(1, 2)), 0.0) / denom
+        leakage = np.maximum(np.concatenate([np.add.reduce(vals[r].reshape(
+            len(f), -1), axis=1) for f, r in zip(fwd, rows)]), 0.0) / denom
         for r, value in zip(runs, leakage.tolist()):
             leakages[r].append(value)
         # the convergence mask: a run leaves the batch once its leakage
         # reaches ``tol`` (or is NaN), and every run leaves at the cap
-        active = (leakage > tol) & (it < max_iters)
+        active = leakage > tol if it < max_iters else np.zeros(len(runs), bool)
         if not active.all():
-            done = np.flatnonzero(~active)   # a run that ends at 0 keeps v
-            pre = init[done] if it == 0 else vectors(v[done])
-            for pos, x, y in zip(done, pre, vectors(u[done])):
-                r = runs[pos]
+            done, kept = np.flatnonzero(~active), np.repeat(active, users)
+            ends = np.cumsum(users[done])[:-1]   # split the rows run by run
+            pre = ([vs[runs[p]] for p in done] if it == 0 else   # as drawn
+                   np.split(vectors(np.compress(~kept, v, axis)), ends))
+            for p, x, y in zip(done, pre, np.split(
+                    vectors(np.compress(~kept, u, axis)), ends)):
+                r = runs[p]   # the trace reads the leakages without a copy
                 traces[r] = LeakageTrace(
-                    np.array(leakages[r]), x[..., 0].copy(), y[..., 0].copy(),
-                    converged=leakages[r][-1] <= tol, iterations=it)
+                    np.frombuffer(leakages[r]), x[..., 0].copy(),
+                    y[..., 0].copy(), converged=leakages[r][-1] <= tol,
+                    iterations=it)
             if not active.any():
                 return traces
-            forward, reverse, v, u, denom = (
-                a[active] for a in (forward, reverse, v, u, denom))
-            runs = [r for r, kept in zip(runs, active) if kept]
-        _, v = step(reverse, u, values=False)
-        vals, u = step(forward, v)
+            groups = np.split(active, np.cumsum([len(f) for f in fwd])[:-1])
+            fwd, rev = ([x[m] for x, m in zip(xs, groups) if m.any()]
+                        for xs in (fwd, rev))   # an emptied group drops out
+            v, u = (np.compress(kept, x, axis) for x in (v, u))
+            denom, users = denom[active], users[active]
+            runs = [r for r, keep in zip(runs, active) if keep]
+            rows = layout()
+        _, v = step(rev, rows, u, values=False)
+        vals, u = step(fwd, rows, v)
         it += 1
 
 
@@ -346,32 +365,34 @@ def iterate(net, cfg):
 def iterate_batch(nets, cfgs):
     """Run ``iterate(nets[s], cfgs[s])`` for every ``s`` as one batch.
 
-    The networks must share their dimensions, and the configs everything
-    but the seed. Each trace is bitwise equal to the one its pair gives
-    alone.
+    The networks must share their antenna counts, and the configs their
+    stopping rule; user counts and seeds may differ. The eigen-solves of
+    all runs are one per half-iteration. Each trace is bitwise equal to
+    the one its pair gives alone.
 
     Raises
     ------
     ValueError
         If the batch is empty or the two lists differ in length.
     ConfigMismatch
-        If the networks or the configs differ in more than channels and
-        seed, or the config does not fit the networks.
+        If the networks differ in antenna counts or the configs in their
+        stopping rule, or a config does not fit its network.
     """
     if not nets or len(nets) != len(cfgs):
         raise ValueError(f"a batch needs one config per network, got"
                          f" {len(nets)} networks and {len(cfgs)} configs")
-    if (len({net.dims for net in nets}) != 1
-            or len({(c.d, c.max_iters, c.leakage_tol) for c in cfgs}) != 1):
-        raise ConfigMismatch("a batch needs one network size and one"
-                             " stream count and stopping rule")
-    cfg, k = cfgs[0], nets[0].dims.k
-    if cfg.d != (1,) * k:
-        raise ConfigMismatch(f"the probe needs one stream for each of the"
-                             f" {k} users, got d={cfg.d}")
-    v = np.stack([_random_precoders(nets[0].dims, c.seed) for c in cfgs])
-    return _run_batch(np.stack([net.h for net in nets]), cfg.max_iters,
-                      cfg.leakage_tol, v)
+    if (len({(net.dims.n_t, net.dims.n_r) for net in nets}) != 1
+            or len({(c.max_iters, c.leakage_tol) for c in cfgs}) != 1):
+        raise ConfigMismatch("a batch needs one pair of antenna counts and"
+                             " one stopping rule")
+    for net, cfg in zip(nets, cfgs):
+        if cfg.d != (1,) * net.dims.k:
+            raise ConfigMismatch(f"the probe needs one stream for each of the"
+                                 f" {net.dims.k} users, got d={cfg.d}")
+    return _run_batch([net.h for net in nets],
+                      [_random_precoders(net.dims, c.seed)
+                       for net, c in zip(nets, cfgs)],
+                      cfgs[0].max_iters, cfgs[0].leakage_tol)
 
 
 @dataclass
@@ -394,13 +415,13 @@ def warm_start_check(net, sol, iterations=100):
     below :data:`WARM_DRIFT_TOL`. ``iterations`` must be an integer >= 1.
     """
     iterations = _count("iterations", iterations)
-    if sol.precoders.shape != (net.dims.k, net.dims.n_t):
+    pre = _numeric("solution precoders", sol.precoders)
+    if pre.shape != (net.dims.k, net.dims.n_t):
         raise ConfigMismatch(
-            f"solution precoders have shape {sol.precoders.shape}, expected"
+            f"solution precoders have shape {pre.shape}, expected"
             f" {(net.dims.k, net.dims.n_t)}")
     # no leakage falls below -inf, so every run makes all ``iterations``
-    init = np.array(sol.precoders, dtype=np.complex128)[None, :, :, None]
-    trace = _run_batch(net.h[None], iterations, -np.inf, init)[0]
+    trace = _run_batch([net.h], [pre[..., None]], iterations, -np.inf)[0]
     initial, peak = float(trace.leakage[0]), float(trace.leakage.max())
     return WarmStartReport(
         initial_leakage=initial, max_leakage=peak, iterations=trace.iterations,

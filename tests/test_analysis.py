@@ -10,7 +10,7 @@ from eigenalign.closed_form import AlignmentSolution
 from eigenalign.errors import (DimensionMismatch, RankDeficientSolution,
                                ShapeMismatch, SingularChannel,
                                UnverifiedSolution)
-from eigenalign.iterative import IterativeConfig, iterate
+from eigenalign.iterative import IterativeConfig, iterate, iterate_batch
 
 
 def manual_solution(precoders, combiners):
@@ -47,6 +47,20 @@ class TestVerify:
                                    atol=1e-14)
         np.testing.assert_allclose(report.rank_metrics, np.diag(gains),
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("name", ["precoders", "combiners"])
+    @pytest.mark.parametrize("bad", [
+        np.full((3, 2), object(), dtype=object), np.full((3, 2), "a"),
+        np.full((3, 2), "1")])
+    def test_non_numeric_filters_refused(self, name, bad):
+        # a ValueError naming the filters, never a TypeError from einsum
+        net = generate(NetworkDims(3, 2, 2), 42)
+        sol = closed_form.solve_eigen_method(net)
+        filters = {"precoders": sol.precoders, "combiners": sol.combiners}
+        filters[name] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be an array of"
+                           " numbers$"):
+            analysis.verify(net, AlignmentSolution(**filters, eigenvalue=None))
 
     def test_degenerate_identity_network_fails_rank(self):
         h = np.tile(np.eye(2, dtype=complex), (3, 3, 1, 1))
@@ -295,6 +309,27 @@ class TestFeasibilitySweep:
             assert rec.iterations == alone.iterations
             assert rec.final_leakage == float(alone.leakage[-1])
             assert np.array_equal(trace, alone.leakage)
+
+    def test_one_batch_per_n(self, monkeypatch):
+        # every cell of an N shares one iterate_batch; records and progress
+        # keep the sorted (n, k, seed) order
+        calls, seen = [], []
+
+        def spy(nets, cfgs):
+            calls.append([(net.dims.n_t, net.dims.k, cfg.seed)
+                          for net, cfg in zip(nets, cfgs)])
+            return iterate_batch(nets, cfgs)
+
+        monkeypatch.setattr(analysis, "iterate_batch", spy)
+        result = analysis.feasibility_sweep([3, 2], [4, 3], seeds=[2, 0],
+                                            max_iters=30,
+                                            progress=seen.append)
+        order = [(n, k, seed) for n in (2, 3) for k in (3, 4)
+                 for seed in (0, 2)]
+        assert calls == [order[:4], order[4:]]
+        assert [(r.n_t, r.k, r.seed) for r in result.records] == order
+        assert seen == result.records and all(
+            a is b for a, b in zip(seen, result.records))
 
     def test_progress_once_per_record_in_order(self):
         seen = []

@@ -334,3 +334,18 @@ class TestNetworkValidation:
         h[0, 0] = np.inf
         with pytest.raises(ValueError):
             channel.InterferenceNetwork(channel.NetworkDims(2, 1, 1), h)
+
+    @pytest.mark.parametrize("h", [
+        np.full((3, 3, 2, 2), object(), dtype=object), "x",
+        np.full((3, 3, 2, 2), "1")])
+    def test_non_numeric_rejected(self, h):
+        # a ValueError, never a TypeError from the complex conversion
+        with pytest.raises(ValueError, match="^channel entries must be an"
+                           " array of numbers$"):
+            channel.InterferenceNetwork(channel.NetworkDims(3, 2, 2), h)
+
+    def test_numeric_object_array_accepted(self):
+        net = channel.generate(channel.NetworkDims(3, 2, 2), 0)
+        again = channel.InterferenceNetwork(net.dims, net.h.astype(object))
+        assert again.h.dtype == np.complex128
+        assert np.array_equal(again.h, net.h)

@@ -252,26 +252,28 @@ def equal_diagonal(cov):
 
 def pauli(cov):
     """Pauli coordinates ``(m, h, Re b, Im b)`` of ``[[a, b*], [b, c]]``
-    stacks ``(..., 2, 2)``, on a new second-to-last axis."""
+    stacks ``(..., 2, 2)``, on a new last axis."""
     a, c, b = entries(cov)
-    return np.stack([(a + c) / 2, (a - c) / 2, b.real, b.imag], axis=-2)
+    return np.stack([(a + c) / 2, (a - c) / 2, b.real, b.imag], axis=-1)
 
 
 def projector_step(cov, values=True):
     """The projector step on each of ``S`` runs' ``K`` covariances, ``cov``
     ``(S, K, 2, 2)``: with identity maps the step's covariances are its
-    input. Returns the eigenvalues ``(S, K)`` and the new state."""
+    input. Returns the eigenvalues ``(S, K)`` and the new state ``(2, S, K,
+    4)``, projectors over covariances."""
     s, k = cov.shape[:2]
-    state = np.zeros((s, 8, k))
-    state[:, :4] = pauli(cov)
     maps = np.broadcast_to(np.eye(4 * k), (s, 4 * k, 4 * k)).copy()
-    vals, new = iterative._projector_half(maps, state, values)
-    return None if vals is None else vals[..., 0], new
+    vals, new = iterative._projector_half(
+        [maps], [slice(0, s * k)], pauli(cov).reshape(1, -1, 4), values)
+    return None if vals is None else vals.reshape(s, k), new.reshape(
+        2, s, k, 4)
 
 
-def projector(state):
-    """The 2x2 projectors ``(S, K, 2, 2)`` of a state's Pauli coordinates."""
-    half, t, x, y = np.moveaxis(state[:, :4], 1, 0)
+def projector(coords):
+    """The 2x2 projectors ``(..., 2, 2)`` of Pauli coordinates ``(...,
+    4)``."""
+    half, t, x, y = np.moveaxis(coords, -1, 0)
     return np.stack([np.stack([half + t, x - 1j * y], axis=-1),
                      np.stack([x + 1j * y, half - t], axis=-1)], axis=-2)
 
@@ -289,19 +291,19 @@ class TestProjectorHalf:
         vals, vecs = np.linalg.eigh(cov)
         got_vals, state = projector_step(cov[:, None])
         assert got_vals.shape == (len(cov), 1)
-        assert state.shape == (len(cov), 8, 1)
+        assert state.shape == (2, len(cov), 1, 4)
         assert np.isfinite(state).all()
         scale = np.abs(vals).max(axis=1)
         assert np.all(np.abs(got_vals[:, 0] - vals[:, 0]) <= 1e-14 * scale)
         ref = vecs[:, :, :1] * vecs[:, None, :, 0].conj()
-        assert np.abs(projector(state)[:, 0] - ref).max() <= 1e-12
-        assert np.array_equal(state[:, 4:], pauli(cov[:, None]))
+        assert np.abs(projector(state[0, :, 0]) - ref).max() <= 1e-12
+        assert np.array_equal(state[1], pauli(cov[:, None]))
 
     @pytest.mark.parametrize("kind", ["zero", "scaled_identity"])
     def test_multiples_of_identity_give_first_axis(self, kind):
         # e1 e1^H, as eigh's first axis
         _, state = projector_step(covariances(kind)[:, None])
-        assert np.array_equal(projector(state)[:, 0],
+        assert np.array_equal(projector(state[0, :, 0]),
                               np.broadcast_to([[1, 0], [0, 0]], (400, 2, 2)))
 
     def test_batch_is_bitwise_each_alone(self):
@@ -311,7 +313,7 @@ class TestProjectorHalf:
         for i, one in enumerate(cov):
             val, alone = projector_step(one[None, None])
             assert np.array_equal(val[0, 0], vals[i // 5, i % 5])
-            assert np.array_equal(alone[0, :, 0], state[i // 5, :, i % 5])
+            assert np.array_equal(alone[:, 0, 0], state[:, i // 5, i % 5])
 
     def test_state_without_values_bitwise(self):
         # the reverse half reads only the new state
@@ -432,80 +434,148 @@ class TestWeakest3x3:
         assert np.array_equal(vecs, alone)
 
 
-def half_iteration_links(kind, s=6, k=4, n_t=3, seed=0, n_out=2):
-    """Links ``(S, K_tx, K_rx * n_out, n_t)`` and unit filters ``(S, K, n_t,
-    1)`` of one kind, for the receive side of a half-iteration."""
+def half_iteration_grid(kind, s=6, k=4, n_t=3, seed=0, n_out=2):
+    """A channel grid ``(S, K, K, n_out, n_t)``, ``[s, i, j]`` the link from
+    transmitter ``j`` to receiver ``i``, and unit filters ``(S, K, n_t, 1)``
+    of one kind, for the receive side of a half-iteration."""
     rng = np.random.Generator(np.random.PCG64(seed))
 
     def gauss(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    links, filters = gauss(s, k, k, n_out, n_t), gauss(s, k, n_t, 1)
+    h, filters = gauss(s, k, k, n_out, n_t), gauss(s, k, n_t, 1)
     if kind == "real":
-        links, filters = (x.real.astype(complex) for x in (links, filters))
+        h, filters = (x.real.astype(complex) for x in (h, filters))
     elif kind in ("near_rank_one", "near_rank_two"):
-        # every block sends receiver i's interference along n_out - 1
+        # every link into receiver i sends along the same n_out - 1
         # directions
-        links = (gauss(s, 1, k, n_out, n_out - 1)
-                 @ gauss(s, k, k, n_out - 1, n_t) + 1e-7 * links)
+        h = gauss(s, k, 1, n_out, n_out - 1) @ gauss(s, k, k, n_out - 1,
+                                                   n_t) + 1e-7 * h
     elif kind == "zero_cross":
-        links = np.zeros_like(links)
+        h = h * np.eye(k)[:, :, None, None]
     filters /= np.linalg.norm(filters, axis=2, keepdims=True)
-    return links.reshape(s, k, k * n_out, n_t), filters
+    return h, filters
+
+
+def reference_covariances(h, filters):
+    """Receiver ``i``'s covariance ``sum_{j != i} H_ij v_j v_j^H H_ij^H``,
+    one receiver and one transmitter at a time, straight from the grid:
+    ``(S, K, n_out, n_out)``."""
+    s, k, _, n_out, _ = h.shape
+    cov = np.zeros((s, k, n_out, n_out), dtype=complex)
+    for r in range(s):
+        for i in range(k):
+            for j in range(k):
+                if j != i:
+                    g = h[r, i, j] @ filters[r, j]
+                    cov[r, i] += g @ g.conj().T
+    return cov
+
+
+def engine_links(h):
+    """The engine's forward links of a grid: ``[s, j]`` stacks the cross
+    links ``H_ij`` of transmitter ``j`` over the receivers ``i``."""
+    s, k, _, n_out, n_t = h.shape
+    cross = h * (1.0 - np.eye(k))[:, :, None, None]
+    return cross.transpose(0, 2, 1, 3, 4).reshape(s, k, k * n_out, n_t)
+
+
+def group_rows(grids):
+    """Each grid's receivers in the engine's flat buffers, grid after
+    grid."""
+    ends = np.cumsum([0] + [h.shape[0] * h.shape[1] for h, _ in grids])
+    return [slice(a, b) for a, b in zip(ends, ends[1:])]
+
+
+def assert_weakest_pairs(vals, vecs, cov):
+    """Weakest eigenvalues ``(R,)`` to 1e-14 of the largest and unit
+    vectors ``(R, n)`` to 1e-12 up to a phase, against ``eigh`` of the
+    covariances ``(R, n, n)``."""
+    ref_vals, ref_vecs = np.linalg.eigh(cov)
+    scale = ref_vals[..., -1]
+    assert np.all(np.abs(vals - ref_vals[..., 0]) <= 1e-14 * scale)
+    ref = ref_vecs[..., 0]
+    overlap = np.sum(ref.conj() * vecs, axis=-1, keepdims=True)
+    phase = overlap / np.abs(overlap)
+    assert np.abs(vecs - ref * phase).max() <= 1e-12
 
 
 class TestHalfIteration:
-    """The half-iterations against ``w @ w^H`` and ``np.linalg.eigh``: the
-    fused N = 3 path, ``eigh`` (a 2-antenna side of a non-square network)
-    and the N = 2 projector step through its real map."""
+    """The half-iterations against a per-receiver oracle that sums ``H_ij
+    v_j v_j^H H_ij^H`` over ``j != i`` from the channel grid: the fused N =
+    3 path, ``eigh`` (a 2-antenna side of a non-square network) and the N
+    = 2 projector step through its real map, each on one group and on
+    groups of different K in one call."""
 
     @pytest.mark.parametrize("kind", [
         "random", "real", "near_rank_one", "zero_cross"])
     def test_matches_covariance_eigh(self, kind):
-        self.check(*half_iteration_links(kind))
-
-    @pytest.mark.parametrize("kind", [
-        "random", "real", "near_rank_one", "zero_cross"])
-    def test_projectors_match_covariance_eigh(self, kind):
-        links, filters = half_iteration_links(kind, n_t=2)
-        h = links.reshape(links.shape[:2] + (-1, 2, 2)).swapaxes(1, 2)
-        s, k = filters.shape[:2]
-        x = filters[..., 0]
-        state = np.zeros((s, 8, k))
-        state[:, :4] = pauli(x[..., :, None] * x[..., None, :].conj())
-        vals, new = iterative._projector_half(iterative._real_map(h),
-                                              state)
-        assert vals.shape == (s, k, 1) and new.shape == (s, 8, k)
-        w = (links @ filters).reshape(s, k, k, 2).transpose(0, 2, 3, 1)
-        cov = w @ w.conj().swapaxes(-1, -2)
-        ref_vals, ref_vecs = np.linalg.eigh(cov)
-        scale = ref_vals[..., -1]
-        assert np.all(np.abs(vals[..., 0] - ref_vals[..., 0]) <= 1e-14 * scale)
-        assert np.abs(np.moveaxis(new[:, 4:], 1, -1) - pauli(cov).swapaxes(
-            -1, -2)).max() <= 1e-14 * scale.max()
-        ref = ref_vecs[..., :1] * ref_vecs[..., None, :, 0].conj()
-        assert np.abs(projector(new) - ref).max() <= 1e-12
+        self.check([half_iteration_grid(kind)])
 
     @pytest.mark.parametrize("kind", [
         "random", "real", "near_rank_two", "zero_cross"])
     def test_three_antennas_match_covariance_eigh(self, kind):
-        self.check(*half_iteration_links(kind, n_out=3))
+        self.check([half_iteration_grid(kind, n_out=3)])
+
+    @pytest.mark.parametrize("n_out", [2, 3])
+    def test_groups_of_different_k(self, n_out):
+        self.check([half_iteration_grid("random", s=s, k=k, seed=k,
+                                        n_out=n_out)
+                    for s, k in ((3, 3), (1, 5), (4, 4))])
+
+    @pytest.mark.parametrize("kind", [
+        "random", "real", "near_rank_one", "zero_cross"])
+    def test_projectors_match_covariance_eigh(self, kind):
+        self.check_projectors([half_iteration_grid(kind, n_t=2)])
+
+    def test_projector_groups_of_different_k(self):
+        self.check_projectors([half_iteration_grid("random", s=s, k=k,
+                                                   n_t=2, seed=k)
+                               for s, k in ((3, 3), (1, 5), (4, 4))])
 
     @staticmethod
-    def check(links, filters):
-        s, k = filters.shape[:2]
-        n = links.shape[2] // k
-        vals, vecs = iterative._half_iteration(links, filters)
-        assert vals.shape == (s, k, 1) and vecs.shape == (s, k, n, 1)
-        # receiver i lines up the blocks H_ij v_j of every transmitter j
-        w = (links @ filters).reshape(s, k, k, n).transpose(0, 2, 3, 1)
-        ref_vals, ref_vecs = np.linalg.eigh(w @ w.conj().swapaxes(-1, -2))
-        scale = ref_vals[..., -1]
-        assert np.all(np.abs(vals[..., 0] - ref_vals[..., 0]) <= 1e-14 * scale)
-        got, ref = vecs[..., 0], ref_vecs[..., 0]
-        overlap = np.sum(ref.conj() * got, axis=-1, keepdims=True)
-        phase = overlap / np.abs(overlap)
-        assert np.abs(got - ref * phase).max() <= 1e-12
+    def check(grids):
+        filters = np.concatenate([f.reshape(-1, *f.shape[2:])
+                                  for _, f in grids])
+        vals, vecs = iterative._half_iteration(
+            [engine_links(h) for h, _ in grids], group_rows(grids), filters)
+        cov = np.concatenate([reference_covariances(h, f).reshape(
+            -1, *h.shape[3:4] * 2) for h, f in grids])
+        assert vals.shape == (len(cov), 1)
+        assert vecs.shape == (len(cov), len(cov[0]), 1)
+        assert_weakest_pairs(vals[:, 0], vecs[..., 0], cov)
+
+    @staticmethod
+    def check_projectors(grids):
+        x = np.concatenate([f[..., 0].reshape(-1, 2) for _, f in grids])
+        vals, new = iterative._projector_half(
+            [iterative._real_map(h * (1.0 - np.eye(h.shape[1]))[
+                :, :, None, None]) for h, _ in grids], group_rows(grids),
+            pauli(x[:, :, None] * x[:, None, :].conj())[None])
+        cov = np.concatenate([reference_covariances(h, f).reshape(-1, 2, 2)
+                              for h, f in grids])
+        assert vals.shape == (len(cov),) and new.shape == (2, len(cov), 4)
+        ref_vals, ref_vecs = np.linalg.eigh(cov)
+        scale = ref_vals[:, -1]
+        assert np.all(np.abs(vals - ref_vals[:, 0]) <= 1e-14 * scale)
+        assert np.all(np.abs(new[1] - pauli(cov)) <= 1e-14 * scale[:, None])
+        ref = ref_vecs[..., :1] * ref_vecs[..., None, :, 0].conj()
+        assert np.abs(projector(new[0]) - ref).max() <= 1e-12
+
+
+def assert_single_runs(nets, cfgs, batch):
+    """Every trace of ``batch`` is bitwise the single ``iterate`` of its
+    pair: leakage, iteration count and filters."""
+    for net, cfg, got in zip(nets, cfgs, batch, strict=True):
+        alone = iterate(net, cfg)
+        assert got.iterations == alone.iterations
+        assert got.converged == alone.converged
+        assert np.array_equal(got.leakage, alone.leakage)
+        dims = net.dims
+        for a, b, n in ((got.precoders, alone.precoders, dims.n_t),
+                        (got.combiners, alone.combiners, dims.n_r)):
+            assert a.shape == b.shape == (dims.k, n)
+            assert np.array_equal(a, b)
 
 
 class TestBatch:
@@ -523,15 +593,25 @@ class TestBatch:
         stops = [t.iterations for t in batch]
         # runs leave the batch at different iterations, some at the cap
         assert cap in stops and min(stops) < cap
-        for net, cfg, got in zip(nets, cfgs, batch):
-            alone = iterate(net, cfg)
-            assert got.iterations == alone.iterations
-            assert got.converged == alone.converged
-            assert np.array_equal(got.leakage, alone.leakage)
-            for a, b, n in ((got.precoders, alone.precoders, dims[1]),
-                            (got.combiners, alone.combiners, dims[2])):
-                assert a.shape == b.shape == (dims[0], n)
-                assert np.array_equal(a, b)
+        assert_single_runs(nets, cfgs, batch)
+
+    @pytest.mark.parametrize("users,n_t,n_r,cap,seeds", [
+        ((5, 3, 4), 2, 2, 60, (0, 1, 3, 4)), ((5, 4), 3, 3, 12, (1, 3, 4, 7)),
+        ((5, 4), 2, 3, 60, (0, 5, 8))])
+    def test_mixed_user_counts_equal_single_runs(self, users, n_t, n_r, cap,
+                                                 seeds):
+        # user counts interleaved: the batch groups its runs by K and
+        # returns them in input order
+        pairs = [(k, seed) for seed in seeds for k in users]
+        nets = [generate(NetworkDims(k, n_t, n_r), seed) for k, seed in pairs]
+        cfgs = [IterativeConfig(d=(1,) * k, max_iters=cap, leakage_tol=1e-6,
+                                seed=seed) for k, seed in pairs]
+        batch = iterate_batch(nets, cfgs)
+        ends = [max(t.iterations for t, (kk, _) in zip(batch, pairs)
+                    if kk == k) for k in users]
+        # one group empties and drops out while another runs to the cap
+        assert min(ends) < cap == max(ends)
+        assert_single_runs(nets, cfgs, batch)
 
     def test_validation(self):
         net = generate(NetworkDims(3, 2, 2), 0)
@@ -540,13 +620,26 @@ class TestBatch:
             iterate_batch([], [])
         with pytest.raises(ValueError):
             iterate_batch([net], [cfg, cfg])
-        with pytest.raises(ConfigMismatch):
+        with pytest.raises(ConfigMismatch, match="antenna counts"):
             iterate_batch([net, generate(NetworkDims(3, 3, 3), 1)], [cfg, cfg])
-        with pytest.raises(ConfigMismatch):
+        with pytest.raises(ConfigMismatch, match="antenna counts"):
+            iterate_batch([net, generate(NetworkDims(4, 2, 3), 1)],
+                          [cfg, IterativeConfig(d=(1,) * 4)])
+        with pytest.raises(ConfigMismatch, match="stopping rule"):
             iterate_batch([net, net],
                           [cfg, IterativeConfig(d=(1, 1, 1), max_iters=10)])
         with pytest.raises(ConfigMismatch):
             iterate_batch([net], [IterativeConfig(d=(1, 1))])
+
+    def test_each_config_fits_its_own_network(self):
+        # mixed user counts are fine; a d that fits another run's network
+        # is not
+        nets = [generate(NetworkDims(k, 2, 2), 0) for k in (3, 4)]
+        with pytest.raises(ConfigMismatch, match="one stream for each of"
+                           r" the 4 users, got d=\(1, 1, 1\)"):
+            iterate_batch(nets, [IterativeConfig(d=(1, 1, 1))] * 2)
+        with pytest.raises(ConfigMismatch, match="the 3 users"):
+            iterate_batch(nets, [IterativeConfig(d=(1,) * 4)] * 2)
 
 
 class TestWarmStart:
@@ -606,6 +699,16 @@ class TestWarmStart:
                               seed=15)
         trace = iterate(net, cfg)
         assert trace.leakage[0] > 1e-3
+
+    @pytest.mark.parametrize("bad", [
+        np.full((3, 2), object(), dtype=object), np.full((3, 2), "a")])
+    def test_non_numeric_precoders_refused(self, bad):
+        net = generate(NetworkDims(3, 2, 2), 42)
+        sol = closed_form.solve_eigen_method(net)
+        sol.precoders = bad
+        with pytest.raises(ValueError, match="^solution precoders must be an"
+                           " array of numbers$"):
+            warm_start_check(net, sol)
 
     def test_multistream_config_rejected(self):
         # a solution for 2 antennas does not fit a network with 4: the
