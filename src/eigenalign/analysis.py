@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .channel import NetworkDims, _count, _positive, generate
+from .channel import NetworkDims, _count, _networks, _positive
 from .closed_form import (AlignmentSolution, VerificationReport,
                           _back_substitute, _channel_ratios, _interference,
                           verify)
@@ -212,9 +212,9 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
     exceeds ``infeasible_tol`` at the iteration cap, inconclusive otherwise;
     a cell verdict needs a :data:`QUORUM` fraction of its runs to agree.
     Records are produced in sorted (n, k, seed) order, so the result does
-    not depend on how the work is scheduled. Each N runs all its cells and
-    seeds as one ``iterate_batch``; ``progress`` is called once per record,
-    in record order, in a burst after each N's batch.
+    not depend on how the work is scheduled. Each N draws a cell's networks
+    at once and runs all its cells as one ``iterate_batch``; ``progress`` is
+    called once per record, in record order, after each N's batch.
 
     Raises
     ------
@@ -245,12 +245,11 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
     traces = [] if keep_traces else None
     cells = {}
     for n in n_values:
-        grid = [(k, seed) for k in k_values for seed in seeds]
-        batch = iter(iterate_batch(
-            [generate(NetworkDims(k, n, n), seed) for k, seed in grid],
-            [IterativeConfig(d=(1,) * k, max_iters=max_iters,
-                             leakage_tol=feasible_tol, seed=seed)
-             for k, seed in grid]))
+        nets = [net for k in k_values
+                for net in _networks(NetworkDims(k, n, n), seeds)]
+        batch = iter(iterate_batch(nets, [IterativeConfig(
+            d=(1,) * net.dims.k, max_iters=max_iters, leakage_tol=feasible_tol,
+            seed=net.seed) for net in nets]))
         for k in k_values:
             counts = {"feasible": 0, "infeasible": 0, "inconclusive": 0}
             for seed, trace in zip(seeds, batch):

@@ -9,9 +9,9 @@ Gaussian with unit variance (real and imaginary parts each of variance
 1/2), the standard rich-scattering fading model. Reproducibility rule:
 entries of ``h[i, j]`` come from the PCG64 stream seeded with
 ``SeedSequence(seed, spawn_key=(i, j))``, real part drawn before imaginary
-part, so identical seeds give bit-identical networks on any platform.
-The seed's pool comes from numpy's ``SeedSequence(seed)``; the package derives
-the key stage itself, with numpy's per-key SeedSequence as the test oracle.
+part, so identical seeds give bit-identical networks on any platform. One
+derivation, from each seed's numpy ``SeedSequence(seed).pool``, serves a
+batch of seeds and keys; numpy's per-key SeedSequence is the test oracle.
 """
 
 import json
@@ -108,11 +108,12 @@ class InterferenceNetwork:
 
 
 # SeedSequence's hash (fixed by NEP 19) works mod 2**32: its constants start
-# at INIT_A and step by MULT_A, and ``generate_state`` has 8 of its own.
+# at INIT_A and step by MULT_A, generate_state has 8 more (both as columns).
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_HC_FIRST = np.array([[_INIT_A * _MULT_A ** n & _M32] for n in range(5)], np.uint32)
 _STATE_HASH = np.array(list(accumulate([0x58f38ded] * 8, lambda h, m: h * m & _M32,
-                                       initial=0x8b51f9dd)), dtype=np.uint32)
+                                       initial=0x8b51f9dd)), np.uint32)[:, None]
 
 
 def _hashmix(v, hc, hc_next):
@@ -144,40 +145,54 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def _streams(seed, keys):
-    """One Generator per spawn key, bit-identical to
-    ``Generator(PCG64(SeedSequence(seed, spawn_key=key)))``. ``keys`` is an
-    ``(n, width)`` integer array of 32-bit words, one key a row. The pool
-    after the seed's words is numpy's ``SeedSequence(seed).pool``; the key
-    words are absorbed for all keys at once, a column at a time; then
-    ``generate_state(4, uint64)``."""
+def _streams(seeds, keys):
+    """Generators bit-identical to ``Generator(PCG64(SeedSequence(seeds[r],
+    spawn_key=keys[r])))``, made one a row as they are consumed. ``keys`` is
+    an ``(n, width)`` integer array of 32-bit words, one key a row. Each
+    distinct seed is checked before anything is derived and its pool taken
+    from numpy's ``SeedSequence(seed).pool`` once; the key words of all rows
+    are absorbed a column at a time; then ``generate_state(4, uint64)``."""
     keys = np.asarray(keys)
     if keys.size and (keys.dtype.kind not in "iu" or keys.min() < 0
                       or keys.max() > _M32):
         raise ValueError("spawn key entries must be integers in [0, 2**32)")
-    # the seed's words (at least four, zero-padded) took 4 hashmix steps each;
-    # _words first, as SeedSequence(None) would draw OS entropy
-    step = 4 * max(len(_words(seed)), 4)
-    pool = np.tile(np.random.SeedSequence(seed).pool, (len(keys), 1))
-    hc = np.array([_INIT_A * pow(_MULT_A, n, 1 << 32) & _M32
-                   for n in range(step, step + 5)], dtype=np.uint32)
+    index = {}
+    rows = [index.setdefault(operator.index(s), len(index)) for s in seeds]
+    # a seed's words (at least four, zero-padded) took 4 hashmix steps each
+    hc = _HC_FIRST * np.array([pow(_MULT_A, 4 * max(len(_words(s)), 4), 1 << 32)
+                               for s in index], np.uint32)[rows]
+    pool = np.array([np.random.SeedSequence(s).pool for s in index],
+                    np.uint32).reshape(-1, 4)[rows].T
     for col in keys.astype(np.uint32).T:
-        pool = _mix(pool, _hashmix(col[:, None], hc[:4], hc[1:]))
+        pool = _mix(pool, _hashmix(col, hc[:4], hc[1:]))
         hc *= pow(_MULT_A, 4, 1 << 32)
-    state = _hashmix(np.tile(pool, 2), _STATE_HASH[:-1], _STATE_HASH[1:])
-    return [np.random.Generator(np.random.PCG64(_SeedWords(w)))
-            for w in state.astype("<u4").view("<u8").astype(np.uint64)]
+    state = _hashmix(np.tile(pool, (2, 1)), _STATE_HASH[:-1], _STATE_HASH[1:])
+    return (np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in
+            state.T.astype("<u4", order="C").view("<u8").astype(np.uint64))
+
+
+def _gaussians(seeds, keys, shape):
+    """Unit-variance circular complex Gaussians ``(n,) + shape``, row ``r``
+    from the stream of ``(seeds[r], keys[r])``: real parts, then imaginary."""
+    x = np.empty((len(keys), 2) + shape)
+    for rng, out in zip(_streams(seeds, keys), x):
+        rng.standard_normal(out=out)
+    return np.sqrt(0.5) * (x[:, 0] + 1j * x[:, 1])
+
+
+def _networks(dims, seeds):
+    """``generate(dims, seed)`` for every seed, from one stream derivation;
+    each network owns a copy of its grid, so none keeps the batch alive."""
+    k, shape = dims.k, (dims.n_r, dims.n_t)
+    keys = np.indices((len(seeds), k, k)).reshape(3, -1)[1:].T
+    grids = _gaussians([s for s in seeds for _ in range(k * k)], keys, shape)
+    return [InterferenceNetwork(dims, h.copy(), seed=int(s)) for s, h in
+            zip(seeds, grids.reshape((-1, k, k) + shape))]
 
 
 def generate(dims, seed):
     """Draw a random network, a pure function of ``(dims, seed)``."""
-    k = dims.k
-    x = np.empty((k * k, 2, dims.n_r, dims.n_t))
-    for rng, out in zip(_streams(seed, np.indices((k, k)).reshape(2, -1).T), x):
-        rng.standard_normal(out=out)
-    h = np.sqrt(0.5) * (x[:, 0] + 1j * x[:, 1])
-    return InterferenceNetwork(dims, h.reshape(k, k, dims.n_r, dims.n_t),
-                               seed=int(seed))
+    return _networks(dims, [seed])[0]
 
 
 def serialize(net):

@@ -12,8 +12,8 @@ Every user sends one stream at unit power, the paper's setting (all
 multiplexing gains one): a config with any other stream count is refused,
 and a warm start takes a solution's one precoder per user, with no config.
 Initial precoders are Haar-random unit vectors drawn from PCG64 streams
-``SeedSequence(seed, spawn_key=(i,))``, one one-word key per user, which
-``channel._streams`` derives from numpy's ``SeedSequence(seed)`` pool.
+``SeedSequence(seed, spawn_key=(i,))``, one one-word key per user; a batch
+draws every run's streams in one derivation and one QR.
 
 One engine runs independent runs that share their antenna counts. A run
 keeps only its cross links, scaled by the exact power of two that brings
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import _count, _numeric, _positive, _streams
+from .channel import _count, _gaussians, _numeric, _positive
 from .errors import ConfigMismatch
 
 #: Leakage below this counts as converged by default.
@@ -87,12 +87,11 @@ class LeakageTrace:
     iterations: int
 
 
-def _random_precoders(dims, seed):
-    """Seeded Haar precoders, ``(K, n_t, 1)``, from one batched QR."""
-    x = np.stack([rng.standard_normal((2, dims.n_t, 1)) for rng in
-                  _streams(seed, np.arange(dims.k)[:, None])])
-    q, r = np.linalg.qr((x[:, 0] + 1j * x[:, 1]) * np.sqrt(0.5))
-    return q * (r / np.abs(r))
+def _random_precoders(n_t, ks, seeds):
+    """Seeded Haar precoders ``(ks[s], n_t, 1)`` of each seed, one QR."""
+    rows = [(seed, (i,)) for k, seed in zip(ks, seeds) for i in range(k)]
+    q, r = np.linalg.qr(_gaussians(*zip(*rows), (n_t, 1)))
+    return np.split(q * (r / np.abs(r)), np.cumsum(ks)[:-1])
 
 
 @np.errstate(all="ignore")
@@ -179,7 +178,8 @@ def _weakest_3x3(cov, values=True):
     norm = np.sqrt(np.square(vec.view(np.float64)).sum(axis=1, keepdims=True))
     vec /= norm
     vals = np.ldexp(q + mu, exp)[:, None] if values else None
-    if np.count_nonzero(kept := norm[:, 0] >= 2.0 ** -7) < n:
+    if not norm.min() >= 2.0 ** -7:   # NaN too
+        kept = norm[:, 0] >= 2.0 ** -7
         ref_vals, ref_vecs = np.linalg.eigh(
             cov.reshape(3, 3, n)[:, :, ~kept].transpose(2, 0, 1))
         vec[~kept] = ref_vecs[..., 0]
@@ -244,21 +244,22 @@ def _half_iteration(links, rows, filters, values=True):
     ``g_ij`` the blocks of ``links @ filters``. Returns its weakest
     eigenvalue ``(R, 1)`` (for n = 3 only if ``values``) and eigenvector.
     """
-    parts = []
+    n = links[0].shape[2] // links[0].shape[1]
+    cov = np.empty((3, 3, len(filters)) if n == 3 else (len(filters), n, n),
+                   dtype=np.complex128)
     for link, part in zip(links, rows):
         s, k = link.shape[:2]
-        n = link.shape[2] // k
         g = (link @ filters[part].reshape(s, k, -1, 1)).reshape(s, k, k, n)
         if n == 3:   # g_ij at [s, j, i]; (p, q) sums g_ij[p] conj(g_ij[q])
             g = np.ascontiguousarray(g.transpose(1, 3, 0, 2))   # [j, :, s, i]
-            parts.append(np.add.reduce(g[:, :, None] * g[:, None].conj(
-                )).reshape(3, 3, -1))
+            np.add.reduce(g[:, :, None] * g[:, None].conj(),
+                          out=cov[:, :, part].reshape(3, 3, s, k))
         else:
             w = np.ascontiguousarray(g.transpose(0, 2, 3, 1))   # [s, i, :, j]
-            parts.append((w @ w.conj().swapaxes(-1, -2)).reshape(-1, n, n))
+            cov[part] = (w @ w.conj().swapaxes(-1, -2)).reshape(-1, n, n)
     if n == 3:
-        return _weakest_3x3(np.concatenate(parts, axis=2), values)
-    vals, vecs = np.linalg.eigh(np.concatenate(parts))
+        return _weakest_3x3(cov, values)
+    vals, vecs = np.linalg.eigh(cov)
     return vals[:, :1], vecs[..., :1]
 
 
@@ -389,10 +390,10 @@ def iterate_batch(nets, cfgs):
         if cfg.d != (1,) * net.dims.k:
             raise ConfigMismatch(f"the probe needs one stream for each of the"
                                  f" {net.dims.k} users, got d={cfg.d}")
-    return _run_batch([net.h for net in nets],
-                      [_random_precoders(net.dims, c.seed)
-                       for net, c in zip(nets, cfgs)],
-                      cfgs[0].max_iters, cfgs[0].leakage_tol)
+    pre = _random_precoders(nets[0].dims.n_t, [net.dims.k for net in nets],
+                            [c.seed for c in cfgs])
+    return _run_batch([net.h for net in nets], pre, cfgs[0].max_iters,
+                      cfgs[0].leakage_tol)
 
 
 @dataclass

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eigenalign import analysis, closed_form
+from eigenalign import analysis, channel, closed_form
 from eigenalign.channel import InterferenceNetwork, NetworkDims, generate
 from eigenalign.closed_form import AlignmentSolution
 from eigenalign.errors import (DimensionMismatch, RankDeficientSolution,
@@ -330,6 +330,36 @@ class TestFeasibilitySweep:
         assert [(r.n_t, r.k, r.seed) for r in result.records] == order
         assert seen == result.records and all(
             a is b for a, b in zip(seen, result.records))
+
+    def test_one_stream_derivation_per_cell_and_batch(self, monkeypatch):
+        # an (n, k) cell's channels come from one stream derivation and the
+        # starting precoders of an N's batch from one more; the networks
+        # handed to the probe are bitwise those of generate
+        derivations, handed = [], []
+        streams = channel._streams
+
+        def spy_streams(seeds, keys):
+            derivations.append((np.shape(keys)[1], len(keys)))
+            return streams(seeds, keys)
+
+        def spy_batch(nets, cfgs):
+            handed.extend(nets)
+            return iterate_batch(nets, cfgs)
+
+        monkeypatch.setattr(channel, "_streams", spy_streams)
+        monkeypatch.setattr(analysis, "iterate_batch", spy_batch)
+        analysis.feasibility_sweep([3, 2], [4, 3], seeds=[2, 0, 5],
+                                   max_iters=5)
+        # key width 2 is a channel draw (3 seeds x K^2 keys), width 1 the
+        # precoders (3 seeds x (3 + 4) keys)
+        assert derivations == [(2, 27), (2, 48), (1, 21)] * 2
+        grid = [(n, k, seed) for n in (2, 3) for k in (3, 4)
+                for seed in (0, 2, 5)]
+        assert len(handed) == len(grid)
+        for net, (n, k, seed) in zip(handed, grid):
+            ref = generate(NetworkDims(k, n, n), seed)
+            assert (net.dims, net.seed) == (ref.dims, ref.seed)
+            assert net.h.tobytes() == ref.h.tobytes()
 
     def test_progress_once_per_record_in_order(self):
         seen = []

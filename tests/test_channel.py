@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,20 +109,53 @@ class TestStreams:
     KEYS = [[(0,), (7,), (2 ** 32 - 1,)],
             [(3, 5), (2 ** 32 - 1, 0), (0, 2 ** 32 - 1), (1, 1)],
             [(0, 0, 0), (1, 2 ** 32 - 1, 4), (9, 8, 7)]]
+    ODD_SEEDS = [np.uint64(2 ** 63 + 1), True]
 
-    @pytest.mark.parametrize("seed", _SEEDS + [np.uint64(2 ** 63 + 1), True])
+    @staticmethod
+    def check(seeds, keys):
+        rngs = channel._streams(seeds, np.array(keys, dtype=np.uint32))
+        count = 0
+        for seed, key, rng in zip(seeds, keys, rngs):
+            ref = _seed_sequence_rng(seed, key)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(rng.standard_normal(5),
+                                  ref.standard_normal(5))
+            count += 1
+        assert count == len(keys) and next(rngs, None) is None
+
+    @pytest.mark.parametrize("seed", _SEEDS + ODD_SEEDS)
     def test_matches_seed_sequence(self, seed):
         for keys in self.KEYS:
-            rngs = channel._streams(seed, np.array(keys, dtype=np.uint32))
-            assert len(rngs) == len(keys)
-            for key, rng in zip(keys, rngs):
-                ref = _seed_sequence_rng(seed, key)
-                assert rng.bit_generator.state == ref.bit_generator.state
-                assert np.array_equal(rng.standard_normal(5),
-                                      ref.standard_normal(5))
+            self.check([seed] * len(keys), keys)
+
+    def test_mixed_seeds_in_one_call(self):
+        # every seed, of one to six words (two hash steps before the keys),
+        # in one call, each on every key of a width, repeated and
+        # interleaved
+        seeds = _SEEDS + self.ODD_SEEDS
+        for keys in self.KEYS:
+            rows = [(seed, key) for key in keys for seed in seeds]
+            rows += rows[::-3]
+            self.check([seed for seed, _ in rows], [key for _, key in rows])
 
     def test_no_keys(self):
-        assert channel._streams(5, []) == []
+        # the streams come lazily: an empty derivation yields nothing
+        assert list(channel._streams([], [])) == []
+        assert list(channel._streams([], np.empty((0, 2), int))) == []
+
+    def test_generators_made_one_at_a_time(self):
+        # forty (5, 3, 3) networks are 1000 streams: live together their
+        # Generators alone would trace some 0.8 MB
+        dims = channel.NetworkDims(5, 3, 3)
+        channel._networks(dims, range(40))
+        tracemalloc.start()
+        try:
+            nets = channel._networks(dims, range(40))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 750_000
+        assert nets[7].h.tobytes() == _reference_generate(dims, 7).tobytes()
 
     @pytest.mark.parametrize("keys", [
         [(1, -2)], [(2 ** 32,)], np.array([[3], [-1]]),
@@ -131,7 +165,7 @@ class TestStreams:
         # into several words, so it is refused rather than read as another key
         with pytest.raises(ValueError, match=r"^spawn key entries must be"
                            r" integers in \[0, 2\*\*32\)$"):
-            channel._streams(0, keys)
+            channel._streams([0] * len(keys), keys)
 
     @pytest.mark.parametrize("seed", _SEEDS)
     def test_generate_matches_reference(self, seed):
@@ -146,8 +180,24 @@ class TestStreams:
         for dims in (channel.NetworkDims(3, 2, 2),
                      channel.NetworkDims(4, 3, 3),
                      channel.NetworkDims(3, 4, 2)):
-            got = iterative._random_precoders(dims, seed)
+            got, = iterative._random_precoders(dims.n_t, [dims.k], [seed])
             assert got.tobytes() == _reference_precoders(dims, seed).tobytes()
+
+    @pytest.mark.parametrize("n_t, n_r", [(2, 2), (3, 3), (1, 4), (4, 2)])
+    def test_batched_draws_match_reference(self, n_t, n_r):
+        # every K from 2 to 6 and seeds of every word count: each K's
+        # networks from one draw, every run's precoders from one draw
+        ks = [2 + i % 5 for i in range(len(_SEEDS))]
+        for k in range(2, 7):
+            dims = channel.NetworkDims(k, n_t, n_r)
+            for seed, net in zip(_SEEDS, channel._networks(dims, _SEEDS)):
+                ref = _reference_generate(dims, seed)
+                assert net.h.tobytes() == ref.tobytes() and net.seed == seed
+        got = iterative._random_precoders(n_t, ks, _SEEDS)
+        assert [x.shape for x in got] == [(k, n_t, 1) for k in ks]
+        for k, seed, x in zip(ks, _SEEDS, got):
+            ref = _reference_precoders(channel.NetworkDims(k, n_t, n_r), seed)
+            assert x.tobytes() == ref.tobytes()
 
     def test_seed_contract(self):
         dims = channel.NetworkDims(2, 1, 1)
@@ -158,6 +208,21 @@ class TestStreams:
         with pytest.raises(TypeError):
             channel.generate(dims, None)
         assert channel.generate(dims, np.int64(9)) == channel.generate(dims, 9)
+
+    @pytest.mark.parametrize("bad, error", [
+        (-1, ValueError), (-(2 ** 160), ValueError), (1.0, TypeError),
+        (2.5, TypeError), (None, TypeError), ("3", TypeError)])
+    def test_batched_seed_contract(self, bad, error):
+        # every distinct seed is checked when the streams are asked for,
+        # before a single one is derived; a batch fails as a whole
+        keys = np.zeros((4, 1), dtype=np.uint32)
+        match = "^expected non-negative integer$" if error is ValueError else None
+        with pytest.raises(error, match=match):
+            channel._streams([2 ** 160 + 1, 3, bad, 3], keys)
+        with pytest.raises(error, match=match):
+            channel._networks(channel.NetworkDims(2, 1, 1), [0, 2 ** 64, bad])
+        with pytest.raises(error, match=match):
+            iterative._random_precoders(2, [3, 2], [1, bad])
 
 
 def _oracle(net):

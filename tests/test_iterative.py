@@ -767,7 +767,7 @@ def reference_run(net, cfg):
     h, k = net.h, net.dims.k
     cross = [(i, j) for i in range(k) for j in range(k) if i != j]
     energy = sum(np.linalg.norm(h[i, j]) ** 2 for i, j in cross)
-    v = iterative._random_precoders(net.dims, cfg.seed)[..., 0]
+    v = iterative._random_precoders(net.dims.n_t, [k], [cfg.seed])[0][..., 0]
     for it in range(cfg.max_iters + 1):
         if it:   # precoder j: the weakest direction of sum_i H_ij^H u u^H H_ij
             g = {(i, j): h[i, j].conj().T @ u[i] for i, j in cross}
