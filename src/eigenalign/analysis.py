@@ -51,17 +51,23 @@ def sum_rate_curve(net, sol, snr_db_list):
         If ``verify`` fails: with residual interference the formula would
         overstate the rates, and a zero direct link carries none.
     ValueError
-        If an SNR entry is not a real number, or its received power
-        ``snr |u_i^H H_ii v_i|^2`` is not finite.
+        If ``snr_db_list`` is not iterable, an SNR entry is not a real
+        number, or its received power ``snr |u_i^H H_ii v_i|^2`` is not
+        finite (at any SNR once the strongest gain's square overflows).
     """
+    try:
+        snr_db_list = list(snr_db_list)
+    except TypeError:
+        raise ValueError(f"snr_db_list must be an iterable of SNRs in dB,"
+                         f" got {snr_db_list!r}") from None
     report = verify(net, sol)
     if not report.passed:
         raise UnverifiedSolution(
             f"solution fails verification (max residual"
             f" {report.residuals.max():.3e}, weakest gain"
             f" {report.rank_metrics.min():.3e})")
-    gains_sq = report.rank_metrics ** 2
-    strongest = float(gains_sq.max())
+    strongest = float(report.rank_metrics.max())
+    strongest *= strongest   # a float's product is inf, not a warning
     points = []
     for i, snr_db in enumerate(snr_db_list):
         if not isinstance(snr_db, numbers.Real):
@@ -73,7 +79,7 @@ def sum_rate_curve(net, sol, snr_db_list):
             snr = math.inf
         if not math.isfinite(snr * strongest):
             raise ValueError(f"SNR {snr_db} dB gives no finite received power")
-        per_user = np.log2(1.0 + snr * gains_sq)
+        per_user = np.log2(1.0 + snr * report.rank_metrics ** 2)
         points.append(RatePoint(float(snr_db), per_user, float(per_user.sum())))
     return points
 
@@ -234,6 +240,11 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
     checked = []
     for name, values, least in (("n_values", n_values, 1),
                                 ("k_values", k_values, 2), ("seeds", seeds, 0)):
+        try:
+            values = list(values)
+        except TypeError:
+            raise ValueError(f"{name} must be an iterable of integers,"
+                             f" got {values!r}") from None
         checked.append(sorted(_count(name, x, least) for x in values))
         if len(set(checked[-1])) != len(checked[-1]):
             raise ValueError(f"{name} must be distinct, got {checked[-1]}")

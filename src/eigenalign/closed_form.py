@@ -88,16 +88,33 @@ class VerificationReport:
     alignment_residual: float
 
 
+def _power_scaled(h):
+    """``h`` and 0 if its largest real or imaginary part lies in (2^-400,
+    2^400), else ``h`` times the power of two ``2^-e`` that brings it into
+    [1/2, 1), and ``e``: within the window no square of an entry over- or
+    underflows."""
+    h = np.ascontiguousarray(h)
+    big = np.maximum.reduce(np.abs(h.view(np.float64)), axis=None)
+    if 2.0 ** -400 < big < 2.0 ** 400:
+        return h, 0
+    exp = np.frexp(big)[1]
+    return np.ldexp(h.view(np.float64), -exp).view(np.complex128), exp
+
+
 def verify(net, sol):
     """Evaluate all K(K-1) alignment residuals and K direct-link gains.
 
     Raises
     ------
     ValueError
-        If a filter array holds text or an entry that is not a number.
+        If ``sol`` is not an AlignmentSolution, or a filter array holds
+        text or an entry that is not a number.
     ShapeMismatch
         If the filters are not ``(K, n_t)`` and ``(K, n_r)``.
     """
+    if not isinstance(sol, AlignmentSolution):
+        raise ValueError(f"sol must be an AlignmentSolution, got"
+                         f" {type(sol).__name__}")
     k = net.dims.k
     pre = _numeric("precoders", sol.precoders)
     comb = _numeric("combiners", sol.combiners)
@@ -107,13 +124,9 @@ def verify(net, sol):
             raise ShapeMismatch(
                 f"{name} have shape {x.shape}, expected {(k, n)}")
     gains = np.abs(np.einsum("ia,ijab,jb->ij", np.conj(comb), net.h, pre))
-    # np.linalg.norm's Frobenius sum; channels whose squares could over- or
-    # underflow are scaled by a power of two to [1/2, 1) first, back after
-    h = np.ascontiguousarray(net.h)
-    big = np.maximum.reduce(np.abs(h.view(np.float64)), axis=None)
-    exp = 0 if 2.0 ** -400 < big < 2.0 ** 400 else np.frexp(big)[1]
-    if exp:
-        h = np.ldexp(h.view(np.float64), -exp).view(np.complex128)
+    # np.linalg.norm's Frobenius sum, on channels scaled out of over- and
+    # underflow by a power of two, scaled back after
+    h, exp = _power_scaled(net.h)
     norms = np.ldexp(np.sqrt((h.conj() * h).real.sum(axis=(2, 3))), exp)
     scale = float(norms.max())
     direct = np.diagonal(norms)   # a zero link gives 0 / inf
@@ -154,7 +167,8 @@ def _channel_ratios(net, pairs, checked=None):
         not below :data:`CONDITION_CAP`; an exactly singular one reports inf.
     """
     checked = pairs if checked is None else checked
-    s = np.linalg.svd(net.h[tuple(np.transpose(checked))], compute_uv=False)
+    h = _power_scaled(net.h)[0]   # the ratios do not change under a scale
+    s = np.linalg.svd(h[tuple(np.transpose(checked))], compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(s[:, -1] == 0.0, np.inf, s[:, 0] / s[:, -1])
     bad = np.flatnonzero(cond >= CONDITION_CAP)
@@ -166,8 +180,8 @@ def _channel_ratios(net, pairs, checked=None):
             pair=(l, den))
     l, den = np.transpose(pairs)
     k, n_r, n_t = net.dims.k, net.dims.n_r, net.dims.n_t
-    rows = net.h[l].transpose(0, 2, 1, 3).reshape(len(pairs), n_r, k * n_t)
-    out = np.linalg.solve(net.h[l, den], rows)
+    rows = h[l].transpose(0, 2, 1, 3).reshape(len(pairs), n_r, k * n_t)
+    out = np.linalg.solve(h[l, den], rows)
     return out.reshape(len(pairs), n_t, k, n_t).transpose(0, 2, 1, 3)
 
 

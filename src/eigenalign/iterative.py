@@ -24,9 +24,10 @@ mask then act once on the whole buffer, and a run leaves the batch when
 its leakage reaches the tolerance. With two antennas on each side a
 filter travels as its projector ``x x^H``: a half-iteration is one real
 matrix-vector product per run and the closed-form projector onto each
-weakest eigenvector. Other shapes take a matmul per group and one
-eigen-solve a half, ``_weakest_3x3``'s closed form for n = 3, else
-``eigh``. Every operation acts on each run's matrices alone and the
+weakest eigenvector, and a run leaving the batch takes its unit filters
+from ``eigh`` of its last covariances. Other shapes take a matmul per
+group and one eigen-solve a half, ``_weakest_3x3``'s closed form for n =
+3, else ``eigh``. Every operation acts on each run's matrices alone and the
 solver depends on the shape only, so a run is bitwise the same in any
 batch. ``iterate`` and ``warm_start_check`` are batches of one; the
 feasibility sweep runs one ``iterate_batch`` per antenna count.
@@ -92,45 +93,6 @@ def _random_precoders(n_t, ks, seeds):
     rows = [(seed, (i,)) for k, seed in zip(ks, seeds) for i in range(k)]
     q, r = np.linalg.qr(_gaussians(*zip(*rows), (n_t, 1)))
     return np.split(q * (r / np.abs(r)), np.cumsum(ks)[:-1])
-
-
-@np.errstate(all="ignore")
-def _weakest_2x2(a, c, b):
-    """Weakest eigenvector of each Hermitian PSD 2x2 ``[[a, b*], [b, c]]``
-    (real ``a``, ``c`` and complex ``b`` of one shape, at least 1-D), equal
-    to ``np.linalg.eigh``'s (``zheevd``, lower triangle) to rounding, but
-    for its sign at ``a = c`` with complex ``b``, which follows ``zheevd``'s
-    roundings (about 9% flip; no leakage depends on it).
-
-    ``zheevd`` turns ``b`` into the real ``beta = -|b| sign(Re b)`` (``b``
-    itself when real). With ``h = (a - c) / 2`` and the cancellation-free
-    ``t = |h| + hypot(h, |b|)``, its vector is ``(-t, b)`` for ``a <= c``,
-    else ``(beta, -t b / beta)``, normalized; ``e1``, or ``e2 b / beta`` for
-    ``a > c``, where it neglects ``b``. Power-of-two scaling, + - * /, sqrt
-    and hypot act on each matrix alone, so no result depends on the batch.
-    Returns unit eigenvectors ``(..., 2, 1)``.
-    """
-    exp = np.frexp(np.maximum(a, c))[1]
-    a, c, x, y = np.ldexp((a, c, b.real, b.imag), -exp)   # x + iy = b, scaled
-    vec = np.empty(exp.shape + (2, 1), dtype=np.complex128)
-    low = vec[..., 1, 0]
-    abs_b = np.hypot(x, y)
-    h = 0.5 * (a - c)
-    r = np.hypot(h, abs_b)
-    nt = -r - np.abs(h)                   # -t
-    norm = np.hypot(nt, abs_b)
-    beta = np.copysign(abs_b, np.where(y, -x, x))
-    up = h > 0
-    vec[..., 0, 0] = np.where(up, beta, nt) / norm
-    ratio = np.where(up, nt / beta, 1.0) / norm
-    low.real, low.imag = ratio * x, ratio * y
-    split = abs_b * abs_b <= 2.0 ** -106 * a * c   # unit roundoff squared
-    if np.count_nonzero(split):  # zheevd's negligible b; replaces 0/0 lanes
-        vec[split] = ((1.0,), (0.0,))
-        vec[split & up] = ((0.0,), (1.0,))
-        e2 = split & up & (abs_b > 0)
-        low[e2] = (x[e2] + 1j * y[e2]) / beta[e2]
-    return vec
 
 
 #: Rows (``3 i + j`` holds m_ij) of the factors of the cofactors m_(k+1)(i+1)
@@ -290,11 +252,10 @@ def _run_batch(hs, vs, max_iters, tol):
             fwd.append(h.transpose(0, 2, 1, 3, 4).reshape(-1, k, k * n_r, n_t))
             rev.append(h.swapaxes(3, 4).conj().reshape(-1, k, k * n_t, n_r))
     del h   # the scaled channels live on in the links only
-    if n_t == n_r == 2:   # projectors, and vectors from state[1] at the end
-        step, axis = _projector_half, 1
-        vectors = lambda st: _weakest_2x2(
-            st[1, :, 0] + st[1, :, 1], st[1, :, 0] - st[1, :, 1],
-            st[1, :, 2] + 1j * st[1, :, 3])
+    if n_t == n_r == 2:   # projectors; at the end, eigh of the covariances
+        step, axis = _projector_half, 1   # rebuilt from state[1]'s coordinates
+        vectors = lambda st: np.linalg.eigh(
+            (st[1] @ _PAULI.reshape(4, 4)).reshape(-1, 2, 2))[1][..., :1]
     else:
         step, axis, vectors = _half_iteration, 0, np.asarray
     v = np.concatenate(state, axis)

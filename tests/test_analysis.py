@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,23 @@ class TestRates:
                            " finite received power$"):
             analysis.sum_rate_curve(net, sol, [0.0, snr_db])
 
+    @pytest.mark.parametrize("factor", [1e200, 1e-310])
+    def test_extreme_channel_scales(self, factor):
+        # at 1e200 the gains' squares overflow, so every SNR is refused
+        # before any square is taken; at 1e-310 they underflow to no rate
+        net = generate(NetworkDims(3, 2, 2), 1)
+        scaled = InterferenceNetwork(net.dims, net.h * factor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = closed_form.solve_eigen_method(scaled)
+            if factor > 1:
+                with pytest.raises(ValueError, match="^SNR 0.0 dB gives no"
+                                   " finite received power$"):
+                    analysis.sum_rate_curve(scaled, sol, [0.0, 10.0])
+                return
+            points = analysis.sum_rate_curve(scaled, sol, [0.0, 10.0])
+        assert [p.sum_rate for p in points] == [0.0, 0.0]
+
     @pytest.mark.parametrize("snr_db", ["10", None, 1 + 2j])
     def test_non_real_snr_refused(self, snr_db):
         # a ValueError naming the entry, not a TypeError from / or math.pow
@@ -264,6 +282,19 @@ class TestInfeasibilityDemo:
         a = analysis.infeasibility_demo(net)
         b = analysis.infeasibility_demo(rotated)
         assert abs(a.min_chordal_distance - b.min_chordal_distance) < 1e-9
+
+    @pytest.mark.parametrize("factor", [1e200, 1e-310])
+    def test_extreme_channel_scales(self, factor):
+        net = generate(NetworkDims(4, 2, 2), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = analysis.infeasibility_demo(
+                InterferenceNetwork(net.dims, net.h * factor))
+        base = analysis.infeasibility_demo(net)
+        assert got.closest_pair == base.closest_pair
+        assert np.abs(got.distances - base.distances).max() <= 1e-12
+        assert got.joint_residual == pytest.approx(base.joint_residual,
+                                                   rel=1e-9)
 
     def test_dimension_gate(self):
         with pytest.raises(DimensionMismatch):

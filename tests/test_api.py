@@ -1,6 +1,8 @@
 import dataclasses
 import inspect
 
+import pytest
+
 import eigenalign
 
 #: The public names. Adding or removing one needs a deliberate edit here.
@@ -67,3 +69,22 @@ def test_solution_and_report_fields_pinned():
     for name, fields in FIELDS.items():
         cls = getattr(eigenalign, name)
         assert [f.name for f in dataclasses.fields(cls)] == fields
+
+
+#: A call of an entry point with one wrong argument, by that argument.
+WRONG_ARGUMENT = {
+    "snr_db_list": lambda net, sol: eigenalign.sum_rate_curve(net, sol, 10.0),
+    "n_values": lambda net, sol: eigenalign.feasibility_sweep(None, [3], 2),
+    "k_values": lambda net, sol: eigenalign.feasibility_sweep([2], 3, 2),
+    "seeds": lambda net, sol: eigenalign.feasibility_sweep([2], [3], None),
+    "sol": lambda net, sol: eigenalign.verify(net, None),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_ARGUMENT)
+def test_entry_points_name_a_wrong_argument(name):
+    # a ValueError naming the argument, not a TypeError or AttributeError
+    net = eigenalign.generate(eigenalign.NetworkDims(3, 2, 2), 42)
+    sol = eigenalign.solve_eigen_method(net)
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        WRONG_ARGUMENT[name](net, sol)

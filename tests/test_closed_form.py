@@ -331,10 +331,11 @@ class TestEigenMethod:
             scaled = InterferenceNetwork(net.dims, h)
             assert verify(scaled, sol).passed
 
-    @pytest.mark.parametrize("factor", [1e300, 1e-300])
+    @pytest.mark.parametrize("factor", [1e300, 1e200, 1e-300, 1e-310])
     def test_extreme_channel_scales_verify(self, factor):
-        # the norms come from the channels scaled by a power of two, so
-        # entries near 1e300 do not overflow and near 1e-300 not underflow
+        # the norms and the channel ratios come from the channels scaled by
+        # a power of two, so entries near 1e300 do not overflow and
+        # subnormal ones near 1e-310 do not reach LAPACK
         net = generate(NetworkDims(3, 2, 2), 42)
         base = closed_form.verify(net, closed_form.solve_eigen_method(net))
         scaled = InterferenceNetwork(net.dims, net.h * factor)
@@ -530,6 +531,18 @@ class TestLoopMethod:
         with pytest.raises(DimensionMismatch):
             closed_form.solve_loop_method(generate(NetworkDims(4, 2, 2), 0))
 
+    @pytest.mark.parametrize("factor", [1e200, 1e-310])
+    def test_extreme_channel_scales(self, factor):
+        net = generate(NetworkDims(3, 2, 2), 1)
+        scaled = InterferenceNetwork(net.dims, net.h * factor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = closed_form.solve_loop_method(scaled)
+            report = closed_form.verify(scaled, sol)
+        base = closed_form.verify(net, closed_form.solve_loop_method(net))
+        assert report.passed
+        assert np.abs(report.relative_gains - base.relative_gains).max() <= 1e-12
+
     @pytest.mark.parametrize("zeroed, user", [((1, 0), 3), ((0, 2), 2)])
     def test_back_substitution_failure(self, zeroed, user):
         # a zero numerator passes the condition check but annihilates the
@@ -571,6 +584,20 @@ class TestCubeRelation:
     def test_wrong_user_count(self):
         with pytest.raises(DimensionMismatch):
             closed_form.cube_relation_check(generate(NetworkDims(4, 3, 3), 0))
+
+    @pytest.mark.parametrize("factor", [1e200, 1e-310])
+    def test_extreme_channel_scales(self, factor):
+        net = generate(NetworkDims(3, 2, 2), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = closed_form.cube_relation_check(
+                InterferenceNetwork(net.dims, net.h * factor))
+        base = closed_form.cube_relation_check(net)
+        assert report.passed and len(report.matches) == len(base.matches)
+        # the cubes, whose order among equal moduli follows rounding
+        got, ref = (np.array([m[1] for m in r.matches]) for r in (report, base))
+        assert np.abs(got[:, None] - ref).min(axis=1).max() <= 1e-12 * np.abs(
+            ref).max()
 
     def test_loop_value_taken_at_most_three_times(self):
         # 1.2 lies nearest to 1, which nearest-neighbour matching would

@@ -195,51 +195,80 @@ def covariances(kind, count=400, seed=0):
 
 
 def entries(cov):
-    """The kernel's inputs ``a``, ``c`` and ``b`` of ``[[a, b*], [b, c]]``."""
+    """The entries ``a``, ``c`` and ``b`` of ``[[a, b*], [b, c]]``."""
     return cov[..., 0, 0].real, cov[..., 1, 1].real, cov[..., 1, 0]
 
 
-class TestWeakest2x2:
-    """The closed-form vectors, which an N = 2 run ends with, against
-    ``np.linalg.eigh``: the phase included, except the sign at ``a = c``
-    with complex ``b``. The eigenvalues are checked on the projector step
-    (``TestProjectorHalf``), which computes them."""
+def interference_covariances(net, filters, reverse=False):
+    """Every receiver's interference covariance ``(K, n, n)`` from unit
+    transmit filters ``(K, n)``; ``reverse``, every transmitter's from
+    receive filters over the conjugated links."""
+    h = net.h * (1.0 - np.eye(net.dims.k))[:, :, None, None]
+    if reverse:
+        h = h.transpose(1, 0, 3, 2).conj()
+    g = (h @ filters[None, :, :, None])[..., 0]   # H_ij x_j at [i, j]
+    return np.einsum("ija,ijb->iab", g, g.conj())
 
-    @pytest.mark.parametrize("kind", [
-        "random", "near_rank_one", "real", "diagonal", "zero",
-        "scaled_identity", "tiny", "huge"])
-    def test_matches_eigh(self, kind):
-        cov = covariances(kind)
-        _, vecs = np.linalg.eigh(cov)
-        got_vecs = iterative._weakest_2x2(*entries(cov))
-        assert got_vecs.shape == (len(cov), 2, 1)
-        assert np.isfinite(got_vecs).all()
-        assert np.abs(got_vecs[:, :, 0] - vecs[:, :, 0]).max() <= 1e-12
 
-    def test_equal_diagonal_matches_eigh_up_to_sign(self):
-        # at a = c zheevd's sign follows its own roundings; the eigenvalue,
-        # and so the leakage, does not depend on it
-        cov = equal_diagonal(covariances("random"))
-        _, vecs = np.linalg.eigh(cov)
-        got, ref = iterative._weakest_2x2(*entries(cov))[..., 0], vecs[..., 0]
-        flip = np.abs(got + ref).max(axis=1) < np.abs(got - ref).max(axis=1)
-        assert flip.any()
-        sign = np.where(flip, -1.0, 1.0)[:, None]
-        assert np.abs(got - sign * ref).max() <= 1e-12
+class TestExit2x2:
+    """An N = 2 run carries projectors and forms its unit filters once,
+    from ``eigh`` of its last covariances, when it leaves the batch."""
 
-    def test_identity_gives_first_axis(self):
-        for alpha in (0.0, 1.0, 3.5):
-            vecs = iterative._weakest_2x2(
-                *entries(alpha * np.eye(2, dtype=complex)[None]))
-            assert np.array_equal(vecs[0, :, 0], [1.0, 0.0])
+    NETS = [generate(NetworkDims(k, 2, 2), seed)
+            for k, seed in ((3, 1), (4, 0), (5, 2), (3, 42))]
 
-    def test_batch_is_bitwise_each_alone(self):
-        cov = np.concatenate([covariances(kind, count=5) for kind in (
-            "random", "near_rank_one", "diagonal", "zero")])
-        vecs = iterative._weakest_2x2(*entries(cov.reshape(4, 5, 2, 2)))
-        for i, one in enumerate(cov):
-            vec = iterative._weakest_2x2(*entries(one[None]))
-            assert np.array_equal(vec[0], vecs.reshape(-1, 2, 1)[i])
+    def traces(self, cap):
+        return iterate_batch(self.NETS, [IterativeConfig(
+            d=(1,) * net.dims.k, max_iters=cap, seed=net.seed)
+            for net in self.NETS])
+
+    def test_filters_are_unit_vectors(self):
+        for trace in self.traces(500):
+            for filters in (trace.precoders, trace.combiners):
+                assert np.abs(np.linalg.norm(filters, axis=1) - 1).max() < 1e-14
+
+    def test_filters_are_eighs_weakest_vectors(self):
+        # a run capped at c ends on the reverse half from its combiners at
+        # c - 1, then on the forward half from its new precoders
+        for net, old, new in zip(self.NETS, self.traces(1), self.traces(2)):
+            assert old.iterations == 1 and new.iterations == 2
+            for filters, cov in (
+                    (new.precoders, interference_covariances(
+                        net, old.combiners, reverse=True)),
+                    (new.combiners, interference_covariances(
+                        net, new.precoders))):
+                ref = np.linalg.eigh(cov)[1][..., 0]
+                assert np.abs(filters - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("scale", [0.0, 1.0, 3.7, 2.0 ** -600])
+    def test_zero_or_scalar_identity_covariance_gives_e1(self, scale):
+        # every precoder e1 and the cross links I or the swap, alternating
+        # around the ring: each covariance, either way, is scale^2 I
+        rng = np.random.Generator(np.random.PCG64(7))
+        h = rng.standard_normal((3, 3, 2, 2)) + 0j
+        for i, j in [(i, j) for i in range(3) for j in range(3) if i != j]:
+            h[i, j] = scale * (np.eye(2) if (i - j) % 3 == 1
+                               else np.eye(2)[::-1])
+        e1 = np.tile([1.0 + 0j, 0.0], (3, 1))
+        trace = iterative._run_batch([h], [e1[..., None]], 3, -np.inf)[0]
+        assert trace.iterations == 3
+        assert np.array_equal(trace.precoders, e1)
+        assert np.array_equal(trace.combiners, e1)
+
+    def test_exit_at_start_in_mixed_batch_equals_single_run(self):
+        # a run without cross links leaves at iteration 0, with its drawn
+        # precoders and e1 combiners, beside runs of other user counts
+        nets = [self.NETS[1], zero_cross_network(3, 2), self.NETS[0],
+                zero_cross_network(5, 2, seed=1)]
+        cfgs = [IterativeConfig(d=(1,) * net.dims.k, max_iters=40, seed=s)
+                for s, net in enumerate(nets)]
+        batch = iterate_batch(nets, cfgs)
+        stops = [t.iterations for t in batch]
+        assert stops[1::2] == [0, 0] and 0 < stops[2] < stops[0] == 40
+        for trace in batch[1::2]:
+            assert np.array_equal(trace.combiners, np.tile(
+                [1.0, 0.0], (len(trace.combiners), 1)))
+        assert_single_runs(nets, cfgs, batch)
 
 
 def equal_diagonal(cov):
