@@ -241,6 +241,25 @@ def _finish_solution(net, precoders, eigenvalue):
     return _rank_gate(net, AlignmentSolution(precoders, combiners, eigenvalue))
 
 
+def _stacked_eigenpairs(a, tol):
+    """Each ``(value, unit vector, residual)`` of ``a`` with ``|value| >
+    tol`` in ``eig_general``'s order, each vector by inverse iteration; all
+    from ``eig_general`` once a value has a neighbour within ``tol`` (no
+    unique vector) or its shifted solve fails."""
+    values = np.linalg.eigvals(a)
+    values = values[linalg._order(values)]
+    try:
+        for value in values[np.abs(values) > tol]:
+            if np.count_nonzero(np.abs(values - value) <= tol) > 1:
+                raise np.linalg.LinAlgError("eigenvalue not separated")
+            vector = linalg._eigenvector(a, value)
+            yield value, vector, np.linalg.norm(a @ vector - value * vector)
+    except np.linalg.LinAlgError:
+        values, vectors, residuals = linalg.eig_general(a)
+        big = np.abs(values) > tol
+        yield from zip(values[big], vectors.T[big], residuals[big])
+
+
 def solve_eigen_method(net):
     """Solve alignment through the stacked eigenvalue problem.
 
@@ -248,7 +267,8 @@ def solve_eigen_method(net):
     (descending ``|value|``, ties by argument) and keeps the first one with
     a nonzero eigenvalue, an in-bound eigenvector residual, and all K
     per-user blocks of usable size; the blocks, normalized, are the
-    precoders.
+    precoders. Only the eigenvalues are solved for all pairs; each scanned
+    vector comes from inverse iteration (see :func:`_stacked_eigenpairs`).
 
     Raises
     ------
@@ -262,18 +282,15 @@ def solve_eigen_method(net):
     """
     compensated = build_stacked(net)
     k, n = net.dims.k, net.dims.n_t
-    scale = float(np.linalg.norm(compensated))
-    values, vectors, residuals = linalg.eig_general(compensated)
-    norms = np.linalg.norm(vectors.T.reshape(-1, k, n), axis=2)
-    usable = ((np.abs(values) > 1e-8 * scale) & (residuals <= 1e-8 * scale)
-              & np.all(norms >= BLOCK_TOL / np.sqrt(k), axis=1))
-    if not usable.any():
-        raise NoUsableEigenpair(
-            "every eigenpair has a near-zero eigenvalue, an out-of-bound"
-            " residual, or a vanishing per-user block")
-    i = int(np.argmax(usable))
-    precoders = vectors[:, i].reshape(k, n) / norms[i][:, None]
-    return _finish_solution(net, precoders, complex(values[i]))
+    tol = 1e-8 * float(np.linalg.norm(compensated))
+    for value, vector, residual in _stacked_eigenpairs(compensated, tol):
+        norms = np.linalg.norm(vector.reshape(k, n), axis=1)
+        if residual <= tol and np.all(norms >= BLOCK_TOL / np.sqrt(k)):
+            precoders = vector.reshape(k, n) / norms[:, None]
+            return _finish_solution(net, precoders, complex(value))
+    raise NoUsableEigenpair(
+        "every eigenpair has a near-zero eigenvalue, an out-of-bound"
+        " residual, or a vanishing per-user block")
 
 
 def _loop_system(net, what):
@@ -373,8 +390,8 @@ def cube_relation_check(net):
     relative mismatch.
     """
     compensated, _, loop = _loop_system(net, "cube relation check")
-    stacked_vals = linalg.eig_general(compensated)[0]
-    loop_vals = linalg.eig_general(loop)[0]
+    stacked_vals, loop_vals = (v[linalg._order(v)] for v in (
+        np.linalg.eigvals(compensated), np.linalg.eigvals(loop)))
 
     vals = stacked_vals[np.abs(stacked_vals) > 1e-8 * np.abs(stacked_vals).max()]
     cubes = vals ** 3

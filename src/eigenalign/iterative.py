@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import _count, _gaussians, _numeric, _positive
+from .closed_form import AlignmentSolution
 from .errors import ConfigMismatch
 
 #: Leakage below this counts as converged by default.
@@ -63,6 +64,9 @@ class IterativeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not np.iterable(self.d):
+            raise ValueError(f"d must be an iterable of stream counts, got"
+                             f" {self.d!r}")
         object.__setattr__(self, "d", tuple(_count("stream count", x)
                                             for x in self.d))
         object.__setattr__(self, "max_iters",
@@ -376,6 +380,9 @@ def warm_start_check(net, sol, iterations=100):
     whether the leakage starts below :data:`WARM_INITIAL_TOL` and stays
     below :data:`WARM_DRIFT_TOL`. ``iterations`` must be an integer >= 1.
     """
+    if not isinstance(sol, AlignmentSolution):
+        raise ValueError(f"sol must be an AlignmentSolution, got"
+                         f" {type(sol).__name__}")
     iterations = _count("iterations", iterations)
     pre = _numeric("solution precoders", sol.precoders)
     if pre.shape != (net.dims.k, net.dims.n_t):

@@ -4,7 +4,9 @@ Everything here operates on plain ``numpy.ndarray`` objects with dtype
 ``complex128``. The heavy lifting (QR iteration, SVD, LU) is delegated to
 LAPACK through ``numpy.linalg``; what this module adds is the contract the
 rest of the package relies on: a fixed deterministic eigenvalue ordering
-and residuals reported alongside eigenvectors.
+and residuals reported alongside eigenvectors. A caller that needs one
+eigenvector takes the values from ``np.linalg.eigvals`` in that order and
+the vector of one computed value by inverse iteration.
 """
 
 import numpy as np
@@ -39,11 +41,32 @@ def eig_general(a):
     """
     a = np.asarray(a, dtype=np.complex128)
     values, vectors = np.linalg.eig(a)
-    order = np.lexsort((np.angle(values), -np.abs(values)))
+    order = _order(values)
     values = values[order]
     vectors = vectors[:, order] / np.linalg.norm(vectors[:, order], axis=0)
     residuals = np.linalg.norm(a @ vectors - vectors * values, axis=0)
     return values, vectors, residuals
+
+
+def _order(values):
+    """:func:`eig_general`'s order: descending ``|value|``, ties by argument."""
+    return np.lexsort((np.angle(values), -np.abs(values)))
+
+
+def _eigenvector(a, value):
+    """The unit eigenvector of ``a`` for its computed eigenvalue ``value``:
+    two inverse-iteration steps on ``a - value I`` from the ones vector,
+    the largest-modulus entry made real positive as zgeev does. Numpy's
+    LinAlgError if a step's solve fails or leaves no finite vector."""
+    shifted = a.copy()
+    shifted.flat[::len(a) + 1] -= value
+    x = np.ones(len(a), dtype=np.complex128)
+    for _ in range(2):
+        x = np.linalg.solve(shifted, x)
+        if not 0 < abs(lead := x[np.argmax(np.abs(x))]) < np.inf:
+            raise np.linalg.LinAlgError("inverse iteration left no vector")
+        x /= lead
+    return x / np.linalg.norm(x)
 
 
 def _left_null(a):

@@ -71,20 +71,25 @@ def test_solution_and_report_fields_pinned():
         assert [f.name for f in dataclasses.fields(cls)] == fields
 
 
-#: A call of an entry point with one wrong argument, by that argument.
+#: A call of an entry point with one wrong argument, by that argument (then
+#: "/" and the entry point, where two entry points share the name).
 WRONG_ARGUMENT = {
     "snr_db_list": lambda net, sol: eigenalign.sum_rate_curve(net, sol, 10.0),
     "n_values": lambda net, sol: eigenalign.feasibility_sweep(None, [3], 2),
     "k_values": lambda net, sol: eigenalign.feasibility_sweep([2], 3, 2),
     "seeds": lambda net, sol: eigenalign.feasibility_sweep([2], [3], None),
     "sol": lambda net, sol: eigenalign.verify(net, None),
+    "sol/warm_start_check": lambda net, sol: eigenalign.warm_start_check(
+        net, None),
+    "d": lambda net, sol: eigenalign.IterativeConfig(d=3),
 }
 
 
 @pytest.mark.parametrize("name", WRONG_ARGUMENT)
 def test_entry_points_name_a_wrong_argument(name):
-    # a ValueError naming the argument, not a TypeError or AttributeError
+    # a ValueError naming the argument (the id up to any "/"), not a
+    # TypeError or AttributeError
     net = eigenalign.generate(eigenalign.NetworkDims(3, 2, 2), 42)
     sol = eigenalign.solve_eigen_method(net)
-    with pytest.raises(ValueError, match=f"^{name} must be "):
+    with pytest.raises(ValueError, match=f"^{name.split('/')[0]} must be "):
         WRONG_ARGUMENT[name](net, sol)

@@ -372,6 +372,78 @@ class TestEigenMethod:
                 assert alignment_residual(net, sol) < 1e-8 * channel_scale(net)
 
 
+def eig_general_solution(net):
+    """The eigen route's pick among all of ``eig_general``'s eigenpairs:
+    the first with a nonzero value, an in-bound residual and usable
+    blocks, finished into a solution (None if there is none)."""
+    compensated = closed_form.build_stacked(net)
+    k, n = net.dims.k, net.dims.n_t
+    tol = 1e-8 * np.linalg.norm(compensated)
+    values, vectors, residuals = linalg.eig_general(compensated)
+    for value, vector, residual in zip(values, vectors.T, residuals):
+        norms = np.linalg.norm(vector.reshape(k, n), axis=1)
+        if (abs(value) > tol and residual <= tol
+                and np.all(norms >= closed_form.BLOCK_TOL / np.sqrt(k))):
+            return closed_form._finish_solution(
+                net, vector.reshape(k, n) / norms[:, None], complex(value))
+    return None
+
+
+#: A small-integer K = 3, N = 2 network whose first candidate eigenvalue,
+#: 2^(1/3), comes out of ``eigvals`` such that LU finds the shifted matrix
+#: exactly singular.
+SINGULAR_SHIFT = [[[[0, 1], [2, 1]], [[-2, -1], [1, 2]], [[2, 2], [0, -2]]],
+                  [[[-1, -2], [-2, 0]], [[0, 0], [1, 0]], [[1, 1], [2, -2]]],
+                  [[[-1, 0], [0, -1]], [[1, 1], [-2, 0]], [[1, -1], [0, -2]]]]
+
+
+class TestEigenPath:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_eig_general_reference(self, n):
+        for seed in range(20):
+            net = generate(NetworkDims(n + 1, n, n), seed)
+            sol = closed_form.solve_eigen_method(net)
+            ref = eig_general_solution(net)
+            assert sol.eigenvalue == ref.eigenvalue   # bitwise
+            assert np.abs(sol.precoders - ref.precoders).max() <= 1e-12
+            assert np.abs(sol.combiners - ref.combiners).max() <= 1e-12
+
+    def test_singular_shift_falls_back(self):
+        net = InterferenceNetwork(NetworkDims(3, 2, 2),
+                                  np.array(SINGULAR_SHIFT, dtype=complex))
+        compensated = closed_form.build_stacked(net)
+        values = np.linalg.eigvals(compensated)
+        first = values[linalg._order(values)][0]
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg._eigenvector(compensated, first)
+        # no LinAlgError: the scan starts over with eig_general's vectors
+        sol = closed_form.solve_eigen_method(net)
+        assert closed_form.verify(net, sol).passed
+        ref = eig_general_solution(net)
+        assert sol.eigenvalue == ref.eigenvalue
+        assert np.array_equal(sol.precoders, ref.precoders)
+        assert np.array_equal(sol.combiners, ref.combiners)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_overflowing_inverse_iteration_falls_back(self, n):
+        # at each receiver every cross channel but the inverted one is
+        # scaled by 1e-300: the compensated entries are near 1e-300, the
+        # shifted solve overflows, and the scan starts over with
+        # eig_general's vectors instead of dividing inf by inf
+        net = generate(NetworkDims(n + 1, n, n), 1)
+        h = net.h.copy()
+        for l in range(n + 1):
+            for c in set(range(n + 1)) - {l, (l + 1) % (n + 1)}:
+                h[l, c] *= 1e-300
+        net = InterferenceNetwork(net.dims, h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = closed_form.solve_eigen_method(net)
+        ref = eig_general_solution(net)
+        assert sol.eigenvalue == ref.eigenvalue
+        assert np.array_equal(sol.precoders, ref.precoders)
+
+
 def interference_columns(net, precoders, receiver):
     """Receiver ``receiver``'s interference matrix, one column at a time."""
     return np.column_stack([net.h[receiver, j] @ precoders[j]
@@ -598,6 +670,23 @@ class TestCubeRelation:
         got, ref = (np.array([m[1] for m in r.matches]) for r in (report, base))
         assert np.abs(got[:, None] - ref).min(axis=1).max() <= 1e-12 * np.abs(
             ref).max()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_reports_equal_eig_general_reference(self, n):
+        # the report built from eig_general's two spectra, bit for bit
+        for seed in range(10):
+            net = generate(NetworkDims(3, n, n), seed)
+            compensated, _, loop = closed_form._loop_system(net, "")
+            stacked = linalg.eig_general(compensated)[0]
+            loop_vals = linalg.eig_general(loop)[0]
+            vals = stacked[np.abs(stacked) > 1e-8 * np.abs(stacked).max()]
+            match, rel = closed_form._match_cubes(vals ** 3, loop_vals)
+            ref = [(complex(v), complex(v ** 3), complex(loop_vals[j]),
+                    float(e))
+                   for v, j, e in zip(vals, match, rel)]
+            report = closed_form.cube_relation_check(net)
+            assert report.matches == ref
+            assert report.worst_mismatch == max(rel)
 
     def test_loop_value_taken_at_most_three_times(self):
         # 1.2 lies nearest to 1, which nearest-neighbour matching would

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from eigenalign import linalg
+from eigenalign import closed_form, linalg
+from eigenalign.channel import NetworkDims, generate
 from eigenalign.errors import EmptyNullSpace
 
 
@@ -77,6 +78,28 @@ class TestEigGeneral:
         a[0, 0] = np.nan
         with pytest.raises(ValueError):
             linalg.eig_general(a)
+
+
+class TestEigenvector:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_eig_general(self, n):
+        # every eigenpair of twenty stacked matrices: the same unit vector
+        # as zgeev's, phase included (largest entry real positive)
+        for seed in range(20):
+            a = closed_form.build_stacked(
+                generate(NetworkDims(n + 1, n, n), seed))
+            values, vectors, _ = linalg.eig_general(a)
+            for value, vector in zip(values, vectors.T):
+                got = linalg._eigenvector(a, value)
+                assert np.abs(got - vector).max() <= 1e-12
+
+    @pytest.mark.parametrize("value", [1.0, 2.0])
+    def test_singular_shift_raises(self, value):
+        # an exactly computed eigenvalue of a triangular matrix leaves an
+        # exact zero pivot
+        a = np.array([[1.0, 5.0], [0.0, 2.0]], dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg._eigenvector(a, value)
 
 
 def null_space_orthonormal(a):
