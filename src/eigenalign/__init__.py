@@ -24,7 +24,7 @@ from .errors import (ConfigMismatch, DimensionMismatch, EigenalignError,
                      RankDeficientSolution, ShapeMismatch, SingularChannel,
                      UnverifiedSolution)
 from .iterative import (IterativeConfig, LeakageTrace, WarmStartReport,
-                        iterate, iterate_batch, warm_start_check)
+                        iterate, warm_start_check)
 from .linalg import eig_general
 
 __version__ = "0.1.0"
@@ -39,8 +39,8 @@ __all__ = [
     "VerificationReport", "WarmStartReport",
     "build_stacked", "coupling_mask", "cube_relation_check", "deserialize",
     "eig_general", "feasibility_sweep", "generate", "infeasibility_demo",
-    "iterate", "iterate_batch", "loop_matrix", "predicted_feasible",
-    "records_table", "render_feasibility_table", "serialize",
-    "solution_from_document", "solution_to_document", "solve_eigen_method",
-    "solve_loop_method", "sum_rate_curve", "verify", "warm_start_check",
+    "iterate", "loop_matrix", "predicted_feasible", "records_table",
+    "render_feasibility_table", "serialize", "solution_from_document",
+    "solution_to_document", "solve_eigen_method", "solve_loop_method",
+    "sum_rate_curve", "verify", "warm_start_check",
 ]

@@ -22,9 +22,9 @@ from . import linalg
 from .channel import NetworkDims, _count, _networks, _positive
 from .closed_form import (AlignmentSolution, VerificationReport,
                           _back_substitute, _channel_ratios, _interference,
-                          verify)
+                          _power_scaled, verify)
 from .errors import DimensionMismatch, UnverifiedSolution
-from .iterative import IterativeConfig, iterate_batch
+from .iterative import _random_precoders, _run_batch
 
 #: Chordal distance above which the two eigenbases count as incompatible.
 INCOMPATIBILITY_TOL = 1e-2
@@ -125,7 +125,9 @@ def infeasibility_demo(net):
 
     # Every ratio inv(h[l, den]) h[l, num] used below, by denominator.
     dens = [(0, 1), (3, 2), (1, 0), (2, 3), (3, 1)]
-    ratios = dict(zip(dens, _channel_ratios(net, dens)))
+    # each ratio scaled: no loop product, nor its square, over- or underflows
+    ratios = dict(zip(dens, _power_scaled(_channel_ratios(net, dens), 8,
+                                          axes=(2, 3))[0]))
 
     def ratio(l, den, num):
         return ratios[l, den][num]
@@ -219,17 +221,19 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
     a cell verdict needs a :data:`QUORUM` fraction of its runs to agree.
     Records are produced in sorted (n, k, seed) order, so the result does
     not depend on how the work is scheduled. Each N draws a cell's networks
-    at once and runs all its cells as one ``iterate_batch``; ``progress`` is
-    called once per record, in record order, after each N's batch.
+    at once and runs all its cells as one engine batch, each run bitwise its
+    seed's ``iterate``; ``progress`` is called once per record, in record
+    order, after each N's batch.
 
     Raises
     ------
     ValueError
-        If a grid value, a seed or the count is not integral or out of
-        range (N < 1, K < 2, seed < 0, count < 1), if ``seeds`` names no
-        seed, if the grid or the seeds repeat a value, or if a tolerance
-        is not a number > 0 or ``feasible_tol > infeasible_tol``.
+        If a grid value, a seed, the count or ``max_iters`` is not integral
+        or out of range (N < 1, K < 2, seed < 0, count < 1, max_iters < 1),
+        if ``seeds`` names no seed, if the grid or the seeds repeat a value,
+        or if a tolerance is not a number > 0 or exceeds the other.
     """
+    max_iters = _count("max_iters", max_iters)
     if _positive("feasible_tol", feasible_tol) > _positive(
             "infeasible_tol", infeasible_tol):
         raise ValueError(f"feasible_tol {feasible_tol!r} exceeds"
@@ -256,21 +260,17 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
     traces = [] if keep_traces else None
     cells = {}
     for n in n_values:
-        nets = [net for k in k_values
-                for net in _networks(NetworkDims(k, n, n), seeds)]
-        batch = iter(iterate_batch(nets, [IterativeConfig(
-            d=(1,) * net.dims.k, max_iters=max_iters, leakage_tol=feasible_tol,
-            seed=net.seed) for net in nets]))
+        hs = [net.h for k in k_values
+              for net in _networks(NetworkDims(k, n, n), seeds)]
+        pre = _random_precoders(n, [len(h) for h in hs], seeds * len(k_values))
+        batch = iter(_run_batch(hs, pre, max_iters, feasible_tol))
         for k in k_values:
             counts = {"feasible": 0, "infeasible": 0, "inconclusive": 0}
             for seed, trace in zip(seeds, batch):
                 final = float(trace.leakage[-1])
-                if final <= feasible_tol:
-                    verdict = "feasible"
-                elif final > infeasible_tol:
-                    verdict = "infeasible"
-                else:
-                    verdict = "inconclusive"
+                verdict = ("feasible" if final <= feasible_tol else
+                           "infeasible" if final > infeasible_tol else
+                           "inconclusive")
                 counts[verdict] += 1
                 records.append(FeasibilityRecord(
                     n_t=n, n_r=n, k=k, d=(1,) * k, seed=seed,
@@ -280,15 +280,10 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
                     traces.append(trace.leakage)
                 if progress is not None:
                     progress(records[-1])
-            total = len(seeds)
-            if counts["feasible"] >= QUORUM * total:
-                cell_verdict = "feasible"
-            elif counts["infeasible"] >= QUORUM * total:
-                cell_verdict = "infeasible"
-            else:
-                cell_verdict = "inconclusive"
+            agreed = [v for v in ("feasible", "infeasible")
+                      if counts[v] >= QUORUM * len(seeds)]
             cells[(n, k)] = CellSummary(
-                n=n, k=k, verdict=cell_verdict,
+                n=n, k=k, verdict=(agreed + ["inconclusive"])[0],
                 feasible_seeds=counts["feasible"],
                 infeasible_seeds=counts["infeasible"],
                 inconclusive_seeds=counts["inconclusive"],

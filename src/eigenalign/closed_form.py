@@ -88,17 +88,35 @@ class VerificationReport:
     alignment_residual: float
 
 
-def _power_scaled(h):
-    """``h`` and 0 if its largest real or imaginary part lies in (2^-400,
-    2^400), else ``h`` times the power of two ``2^-e`` that brings it into
-    [1/2, 1), and ``e``: within the window no square of an entry over- or
-    underflows."""
+def _power_scaled(h, degree=2, axes=None):
+    """``h`` and 0 if its largest real or imaginary part lies in (2^(-800 /
+    degree), 2^(800 / degree)), else ``h`` times the power of two ``2^-e``
+    that brings it into [1/2, 1), and ``e``: within the window no product
+    of ``degree`` entries over- or underflows. With ``axes`` (the last two)
+    each matrix on its own: ``e`` of shape ``(..., 1, 1)``, 0 where it lies
+    inside, or just 0 if every part does."""
     h = np.ascontiguousarray(h)
-    big = np.maximum.reduce(np.abs(h.view(np.float64)), axis=None)
-    if 2.0 ** -400 < big < 2.0 ** 400:
+    parts, bound = np.abs(h.view(np.float64)), 2.0 ** (800 / degree)
+    big = np.maximum.reduce(parts, axis=None)
+    least = big if axes is None else np.minimum.reduce(parts, axis=None)
+    if 1 / bound < least and big < bound:
         return h, 0
-    exp = np.frexp(big)[1]
+    if axes is not None:
+        big = np.maximum.reduce(parts, axis=axes, keepdims=True)
+    exp = np.where((1 / bound < big) & (big < bound), 0, np.frexp(big)[1])
     return np.ldexp(h.view(np.float64), -exp).view(np.complex128), exp
+
+
+def _unscaled(x, exp, what):
+    """``x`` times ``2^exp``; NoUsableEigenpair naming ``what`` on overflow."""
+    if not exp:
+        return x
+    with np.errstate(over="ignore"):
+        x = np.ldexp(np.array(x, np.complex128, ndmin=1).view(np.float64),
+                     exp).view(np.complex128).reshape(np.shape(x))
+    if not np.isfinite(x).all():
+        raise NoUsableEigenpair(f"the {what} overflows the float range")
+    return x
 
 
 def verify(net, sol):
@@ -124,10 +142,11 @@ def verify(net, sol):
             raise ShapeMismatch(
                 f"{name} have shape {x.shape}, expected {(k, n)}")
     gains = np.abs(np.einsum("ia,ijab,jb->ij", np.conj(comb), net.h, pre))
-    # np.linalg.norm's Frobenius sum, on channels scaled out of over- and
-    # underflow by a power of two, scaled back after
-    h, exp = _power_scaled(net.h)
-    norms = np.ldexp(np.sqrt((h.conj() * h).real.sum(axis=(2, 3))), exp)
+    # np.linalg.norm's Frobenius sum, on each channel scaled out of over- and
+    # underflow by its own power of two, scaled back after
+    h, exp = _power_scaled(net.h, axes=(2, 3))
+    norms = np.ldexp(np.sqrt((h.conj() * h).real.sum(
+        axis=(2, 3), keepdims=True)), exp)[..., 0, 0]
     scale = float(norms.max())
     direct = np.diagonal(norms)   # a zero link gives 0 / inf
     residuals = np.where(np.eye(k, dtype=bool), 0.0, gains)
@@ -165,9 +184,10 @@ def _channel_ratios(net, pairs, checked=None):
         Naming the first ``(l, den)`` of ``checked`` (``pairs``, or a
         superset) whose 2-norm condition estimate, from one batched SVD, is
         not below :data:`CONDITION_CAP`; an exactly singular one reports inf.
+        Else naming the first of ``pairs`` whose ratios overflow.
     """
     checked = pairs if checked is None else checked
-    h = _power_scaled(net.h)[0]   # the ratios do not change under a scale
+    h, exp = _power_scaled(net.h, axes=(2, 3))   # each link on its own
     s = np.linalg.svd(h[tuple(np.transpose(checked))], compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = np.where(s[:, -1] == 0.0, np.inf, s[:, 0] / s[:, -1])
@@ -181,8 +201,18 @@ def _channel_ratios(net, pairs, checked=None):
     l, den = np.transpose(pairs)
     k, n_r, n_t = net.dims.k, net.dims.n_r, net.dims.n_t
     rows = h[l].transpose(0, 2, 1, 3).reshape(len(pairs), n_r, k * n_t)
-    out = np.linalg.solve(h[l, den], rows)
-    return out.reshape(len(pairs), n_t, k, n_t).transpose(0, 2, 1, 3)
+    out = np.linalg.solve(h[l, den], rows).reshape(
+        len(pairs), n_t, k, n_t).transpose(0, 2, 1, 3)
+    if np.ndim(exp):   # ratio (l, den, c) times 2^(exp[l, c] - exp[l, den])
+        with np.errstate(over="ignore"):
+            out = np.ldexp(np.ascontiguousarray(out).view(np.float64),
+                           exp[l] - exp[l, den][:, None]).view(np.complex128)
+        if not (finite := np.isfinite(out).all(axis=(1, 2, 3))).all():
+            l, den = pairs[np.argmin(finite)]
+            raise SingularChannel(f"cross channel ({l}, {den}): its ratios"
+                                  f" to receiver {l}'s channels overflow",
+                                  pair=(l, den))
+    return out
 
 
 def _compensated_matrix(net, checked=None):
@@ -276,17 +306,18 @@ def solve_eigen_method(net):
         Propagated from :func:`build_stacked`.
     NoUsableEigenpair
         If every eigenpair fails the filters (a measure-zero event for
-        generically drawn channels).
+        generically drawn channels), or the eigenvalue kept overflows.
     RankDeficientSolution
         If interference aligns but some direct link is lost with it.
     """
-    compensated = build_stacked(net)
+    compensated, exp = _power_scaled(build_stacked(net))
     k, n = net.dims.k, net.dims.n_t
     tol = 1e-8 * float(np.linalg.norm(compensated))
     for value, vector, residual in _stacked_eigenpairs(compensated, tol):
         norms = np.linalg.norm(vector.reshape(k, n), axis=1)
         if residual <= tol and np.all(norms >= BLOCK_TOL / np.sqrt(k)):
             precoders = vector.reshape(k, n) / norms[:, None]
+            value = _unscaled(value, exp, "stacked eigenvalue")
             return _finish_solution(net, precoders, complex(value))
     raise NoUsableEigenpair(
         "every eigenpair has a near-zero eigenvalue, an out-of-bound"
@@ -294,37 +325,38 @@ def solve_eigen_method(net):
 
 
 def _loop_system(net, what):
-    """The K = 3 gate, then the compensated matrix, the three loop factors
-    ``(inv(h31) h32, inv(h12) h13, inv(h23) h21)``, which are its nonzero
-    blocks ``(r, r + 1)``, and their product, the loop matrix; ``what``
-    names the caller in errors."""
+    """The K = 3 gate, then the compensated matrix times ``2^-e`` (no loop
+    matrix entry, nor its square, over- or underflows); its blocks ``(r, r
+    + 1)``, the loop factors ``(inv(h31) h32, inv(h12) h13, inv(h23) h21)``;
+    their product, the loop matrix times ``2^-3e``; and ``e``."""
     if net.dims.k != 3:
         raise DimensionMismatch(f"{what} needs K = 3, got K={net.dims.k}")
     if net.dims.n_t != net.dims.n_r:
         raise DimensionMismatch(
             f"{what} needs square channels, got {net.dims.n_r}x{net.dims.n_t}")
     n = net.dims.n_t
-    compensated = _compensated_matrix(net)
+    compensated, exp = _power_scaled(_compensated_matrix(net), 6)
     blocks = compensated.reshape(3, n, 3, n)
     first, second, third = (blocks[r, :, (r + 1) % 3] for r in range(3))
-    return compensated, (first, second, third), first @ second @ third
+    return compensated, (first, second, third), first @ second @ third, exp
 
 
 def loop_matrix(net):
     """The N x N product matrix of the 3-user loop equations."""
-    return _loop_system(net, "loop method")[2]
+    _, _, loop, exp = _loop_system(net, "loop method")
+    return _unscaled(loop, 3 * exp, "loop matrix")
 
 
 def _back_substitute(v, steps):
     """Carry the precoder ``v`` along ``(ratio, user, pair)`` steps, each
     ratio mapping the last precoder to the next, normalized; returns them
-    in step order. A step that annihilates the precoder raises
-    SingularChannel naming (1-based) ``user`` and the degenerate numerator
-    channel ``pair``."""
+    in step order. A step that annihilates the precoder, leaving at most
+    1e-12 of the ratio's Frobenius norm, raises SingularChannel naming
+    (1-based) ``user`` and the degenerate numerator channel ``pair``."""
     out = []
     for factor, user, pair in steps:
         v = factor @ v
-        if (norm := np.linalg.norm(v)) < 1e-12:
+        if (norm := np.linalg.norm(v)) <= 1e-12 * np.linalg.norm(factor):
             raise SingularChannel(
                 f"back-substitution for user {user} annihilated the"
                 f" precoder; channel {pair} is degenerate", pair=pair)
@@ -339,14 +371,15 @@ def solve_loop_method(net):
     needed): the first precoder is the dominant eigenvector of
     :func:`loop_matrix`, the third and second follow by back-substitution
     through the receivers they interfere at, and combiners are built as in
-    the stacked route.
+    the stacked route. NoUsableEigenpair if the eigenvalue overflows.
     """
-    _, (_, second, third), loop = _loop_system(net, "loop method")
+    _, (_, second, third), loop, exp = _loop_system(net, "loop method")
     values, vectors, _ = linalg.eig_general(loop)
     v1 = vectors[:, 0]
     v3, v2 = _back_substitute(v1, ((third, 3, (1, 0)), (second, 2, (0, 2))))
     precoders = np.stack([v1, v2, v3])
-    return _finish_solution(net, precoders, complex(values[0]))
+    value = _unscaled(values[0], 3 * exp, "loop eigenvalue")
+    return _finish_solution(net, precoders, complex(value))
 
 
 @dataclass
@@ -387,26 +420,40 @@ def cube_relation_check(net):
     stacked eigenvalues, cubed, are the loop spectrum with every value
     taken three times. The cubes are matched to it one-to-one (see
     :func:`_match_cubes`); ``passed`` applies :data:`CUBE_TOL` to the worst
-    relative mismatch.
+    relative mismatch. NoUsableEigenpair if a reported value overflows.
     """
-    compensated, _, loop = _loop_system(net, "cube relation check")
+    compensated, _, loop, exp = _loop_system(net, "cube relation check")
     stacked_vals, loop_vals = (v[linalg._order(v)] for v in (
         np.linalg.eigvals(compensated), np.linalg.eigvals(loop)))
 
     vals = stacked_vals[np.abs(stacked_vals) > 1e-8 * np.abs(stacked_vals).max()]
     cubes = vals ** 3
     match, rel = _match_cubes(cubes, loop_vals)
+    vals, cubes, loop_vals = (_unscaled(x, e, "spectrum") for x, e in (
+        (vals, exp), (cubes, 3 * exp), (loop_vals, 3 * exp)))
     matches = [(complex(v), complex(q), complex(loop_vals[j]), float(e))
                for v, q, j, e in zip(vals, cubes, match, rel)]
     worst = float(rel.max()) if len(rel) else 0.0
     return CubeRelationReport(matches, worst, worst <= CUBE_TOL and bool(matches))
 
 
+def _json_pairs(x, where):
+    """``[re, im]`` pairs of the numbers ``x``; ValueError naming the field
+    ``where`` if one is NaN or infinite, which JSON cannot carry."""
+    if not np.isfinite(x).all():
+        raise ValueError(f"{where} must hold finite numbers to be written")
+    return [[float(z.real), float(z.imag)] for z in x]
+
+
 def solution_to_document(net, sol, method):
     """Serialize a solution to the versioned JSON solution document; its
     ``residual`` and ``rank_metric`` are :func:`verify`'s
-    ``alignment_residual`` and weakest relative gain on ``net``."""
+    ``alignment_residual`` and weakest relative gain on ``net``. A field
+    holding NaN or infinity, which the reader refuses, raises ValueError."""
     report = verify(net, sol)
+    users = [{"v": _json_pairs(v, f"users[{i}].v"),
+              "u": _json_pairs(u, f"users[{i}].u")}
+             for i, (v, u) in enumerate(zip(sol.precoders, sol.combiners))]
     doc = {
         "format": SOLUTION_FORMAT,
         "k": net.dims.k,
@@ -414,12 +461,11 @@ def solution_to_document(net, sol, method):
         "nr": net.dims.n_r,
         "method": method,
         "lambda": (None if sol.eigenvalue is None
-                   else [float(sol.eigenvalue.real), float(sol.eigenvalue.imag)]),
-        "residual": report.alignment_residual,
-        "rank_metric": float(np.min(report.relative_gains)),
-        "users": [{"v": [[float(x.real), float(x.imag)] for x in v],
-                   "u": [[float(x.real), float(x.imag)] for x in u]}
-                  for v, u in zip(sol.precoders, sol.combiners)],
+                   else _json_pairs([sol.eigenvalue], "lambda")[0]),
+        "residual": _json_pairs([report.alignment_residual], "residual")[0][0],
+        "rank_metric": _json_pairs([np.min(report.relative_gains)],
+                                   "rank_metric")[0][0],
+        "users": users,
     }
     return (json.dumps(doc, indent=1) + "\n").encode("utf-8")
 

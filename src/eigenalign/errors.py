@@ -44,8 +44,8 @@ class SingularChannel(EigenalignError):
 
 
 class NoUsableEigenpair(EigenalignError):
-    """Every eigenpair of the stacked system has a near-zero eigenvalue or a
-    near-zero per-user block, so no precoders can be extracted."""
+    """No eigenpair yields precoders (each has a near-zero eigenvalue or
+    per-user block), or the eigenvalue kept overflows the float range."""
 
 
 class RankDeficientSolution(EigenalignError):

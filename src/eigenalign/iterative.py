@@ -30,7 +30,7 @@ group and one eigen-solve a half, ``_weakest_3x3``'s closed form for n =
 3, else ``eigh``. Every operation acts on each run's matrices alone and the
 solver depends on the shape only, so a run is bitwise the same in any
 batch. ``iterate`` and ``warm_start_check`` are batches of one; the
-feasibility sweep runs one ``iterate_batch`` per antenna count.
+feasibility sweep runs one batch per antenna count.
 """
 
 from array import array
@@ -48,10 +48,11 @@ DEFAULT_LEAKAGE_TOL = 1e-6
 #: Default iteration cap.
 DEFAULT_MAX_ITERS = 5000
 
-#: A warm start holds if its first leakage is below WARM_INITIAL_TOL and no
-#: later one reaches WARM_DRIFT_TOL.
+#: A warm start runs WARM_ITERATIONS full iterations and holds if its first
+#: leakage is below WARM_INITIAL_TOL and no later one reaches WARM_DRIFT_TOL.
 WARM_INITIAL_TOL = 1e-12
 WARM_DRIFT_TOL = 1e-10
+WARM_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -308,57 +309,15 @@ def _run_batch(hs, vs, max_iters, tol):
 
 
 def iterate(net, cfg):
-    """Run alternating leakage minimization on ``net`` from the seeded
-    Haar draw of precoders, as a batch of one (:func:`iterate_batch`).
-
-    Parameters
-    ----------
-    net : InterferenceNetwork
-    cfg : IterativeConfig
-
-    Returns
-    -------
-    LeakageTrace
-
-    Raises
-    ------
-    ConfigMismatch
-        If ``cfg.d`` is not one stream for each user of ``net``.
-    """
-    return iterate_batch([net], [cfg])[0]
-
-
-def iterate_batch(nets, cfgs):
-    """Run ``iterate(nets[s], cfgs[s])`` for every ``s`` as one batch.
-
-    The networks must share their antenna counts, and the configs their
-    stopping rule; user counts and seeds may differ. The eigen-solves of
-    all runs are one per half-iteration. Each trace is bitwise equal to
-    the one its pair gives alone.
-
-    Raises
-    ------
-    ValueError
-        If the batch is empty or the two lists differ in length.
-    ConfigMismatch
-        If the networks differ in antenna counts or the configs in their
-        stopping rule, or a config does not fit its network.
-    """
-    if not nets or len(nets) != len(cfgs):
-        raise ValueError(f"a batch needs one config per network, got"
-                         f" {len(nets)} networks and {len(cfgs)} configs")
-    if (len({(net.dims.n_t, net.dims.n_r) for net in nets}) != 1
-            or len({(c.max_iters, c.leakage_tol) for c in cfgs}) != 1):
-        raise ConfigMismatch("a batch needs one pair of antenna counts and"
-                             " one stopping rule")
-    for net, cfg in zip(nets, cfgs):
-        if cfg.d != (1,) * net.dims.k:
-            raise ConfigMismatch(f"the probe needs one stream for each of the"
-                                 f" {net.dims.k} users, got d={cfg.d}")
-    pre = _random_precoders(nets[0].dims.n_t, [net.dims.k for net in nets],
-                            [c.seed for c in cfgs])
-    return _run_batch([net.h for net in nets], pre, cfgs[0].max_iters,
-                      cfgs[0].leakage_tol)
+    """Run alternating leakage minimization on the InterferenceNetwork
+    ``net`` from the seeded Haar draw of precoders, under the
+    IterativeConfig ``cfg``, as a batch of one; returns a LeakageTrace.
+    ConfigMismatch if ``cfg.d`` is not one stream for each user."""
+    if cfg.d != (1,) * net.dims.k:
+        raise ConfigMismatch(f"the probe needs one stream for each of the"
+                             f" {net.dims.k} users, got d={cfg.d}")
+    pre = _random_precoders(net.dims.n_t, [net.dims.k], [cfg.seed])
+    return _run_batch([net.h], pre, cfg.max_iters, cfg.leakage_tol)[0]
 
 
 @dataclass
@@ -372,25 +331,24 @@ class WarmStartReport:
     trace: np.ndarray = field(repr=False)
 
 
-def warm_start_check(net, sol, iterations=100):
+def warm_start_check(net, sol):
     """Confirm an aligned solution is a fixed point of the iteration.
 
     Feeds ``sol``'s precoders, one unit vector per user, as warm start,
-    runs ``iterations`` full iterations with no early stopping, and reports
-    whether the leakage starts below :data:`WARM_INITIAL_TOL` and stays
-    below :data:`WARM_DRIFT_TOL`. ``iterations`` must be an integer >= 1.
+    runs :data:`WARM_ITERATIONS` full iterations with no early stopping,
+    and reports whether the leakage starts below :data:`WARM_INITIAL_TOL`
+    and stays below :data:`WARM_DRIFT_TOL`.
     """
     if not isinstance(sol, AlignmentSolution):
         raise ValueError(f"sol must be an AlignmentSolution, got"
                          f" {type(sol).__name__}")
-    iterations = _count("iterations", iterations)
     pre = _numeric("solution precoders", sol.precoders)
     if pre.shape != (net.dims.k, net.dims.n_t):
         raise ConfigMismatch(
             f"solution precoders have shape {pre.shape}, expected"
             f" {(net.dims.k, net.dims.n_t)}")
-    # no leakage falls below -inf, so every run makes all ``iterations``
-    trace = _run_batch([net.h], [pre[..., None]], iterations, -np.inf)[0]
+    # no leakage falls below -inf, so the run makes all WARM_ITERATIONS
+    trace = _run_batch([net.h], [pre[..., None]], WARM_ITERATIONS, -np.inf)[0]
     initial, peak = float(trace.leakage[0]), float(trace.leakage.max())
     return WarmStartReport(
         initial_leakage=initial, max_leakage=peak, iterations=trace.iterations,

@@ -118,7 +118,7 @@ def test_criterion_4_warm_start_fixed_point():
     for dims, seed in cases:
         net = generate(dims, seed)
         sol = closed_form.solve_eigen_method(net)
-        report = warm_start_check(net, sol, iterations=100)
+        report = warm_start_check(net, sol)
         if report.initial_leakage >= 1e-12 or report.max_leakage >= 1e-10:
             failures.append((dims.k, seed, report.initial_leakage,
                              report.max_leakage))

@@ -11,7 +11,7 @@ from eigenalign.closed_form import AlignmentSolution
 from eigenalign.errors import (DimensionMismatch, RankDeficientSolution,
                                ShapeMismatch, SingularChannel,
                                UnverifiedSolution)
-from eigenalign.iterative import IterativeConfig, iterate, iterate_batch
+from eigenalign.iterative import IterativeConfig, _random_precoders, iterate
 
 
 def manual_solution(precoders, combiners):
@@ -342,22 +342,27 @@ class TestFeasibilitySweep:
             assert np.array_equal(trace, alone.leakage)
 
     def test_one_batch_per_n(self, monkeypatch):
-        # every cell of an N shares one iterate_batch; records and progress
-        # keep the sorted (n, k, seed) order
+        # every cell of an N shares one engine batch, each run from its
+        # seed's draw; records and progress keep the sorted (n, k, seed)
+        # order
         calls, seen = [], []
+        run_batch = analysis._run_batch
 
-        def spy(nets, cfgs):
-            calls.append([(net.dims.n_t, net.dims.k, cfg.seed)
-                          for net, cfg in zip(nets, cfgs)])
-            return iterate_batch(nets, cfgs)
+        def spy(hs, vs, max_iters, tol):
+            calls.append([(h.shape[-1], len(h), v) for h, v in zip(hs, vs)])
+            assert (max_iters, tol) == (30, 1e-6)
+            return run_batch(hs, vs, max_iters, tol)
 
-        monkeypatch.setattr(analysis, "iterate_batch", spy)
+        monkeypatch.setattr(analysis, "_run_batch", spy)
         result = analysis.feasibility_sweep([3, 2], [4, 3], seeds=[2, 0],
                                             max_iters=30,
                                             progress=seen.append)
         order = [(n, k, seed) for n in (2, 3) for k in (3, 4)
                  for seed in (0, 2)]
-        assert calls == [order[:4], order[4:]]
+        assert [[run[:2] for run in call] for call in calls] == [
+            [cell[:2] for cell in order[:4]], [cell[:2] for cell in order[4:]]]
+        for (n, k, v), (_, _, seed) in zip(calls[0] + calls[1], order):
+            assert np.array_equal(v, _random_precoders(n, [k], [seed])[0])
         assert [(r.n_t, r.k, r.seed) for r in result.records] == order
         assert seen == result.records and all(
             a is b for a, b in zip(seen, result.records))
@@ -367,18 +372,18 @@ class TestFeasibilitySweep:
         # starting precoders of an N's batch from one more; the networks
         # handed to the probe are bitwise those of generate
         derivations, handed = [], []
-        streams = channel._streams
+        streams, run_batch = channel._streams, analysis._run_batch
 
         def spy_streams(seeds, keys):
             derivations.append((np.shape(keys)[1], len(keys)))
             return streams(seeds, keys)
 
-        def spy_batch(nets, cfgs):
-            handed.extend(nets)
-            return iterate_batch(nets, cfgs)
+        def spy_batch(hs, vs, max_iters, tol):
+            handed.extend(hs)
+            return run_batch(hs, vs, max_iters, tol)
 
         monkeypatch.setattr(channel, "_streams", spy_streams)
-        monkeypatch.setattr(analysis, "iterate_batch", spy_batch)
+        monkeypatch.setattr(analysis, "_run_batch", spy_batch)
         analysis.feasibility_sweep([3, 2], [4, 3], seeds=[2, 0, 5],
                                    max_iters=5)
         # key width 2 is a channel draw (3 seeds x K^2 keys), width 1 the
@@ -387,10 +392,10 @@ class TestFeasibilitySweep:
         grid = [(n, k, seed) for n in (2, 3) for k in (3, 4)
                 for seed in (0, 2, 5)]
         assert len(handed) == len(grid)
-        for net, (n, k, seed) in zip(handed, grid):
+        for h, (n, k, seed) in zip(handed, grid):
             ref = generate(NetworkDims(k, n, n), seed)
-            assert (net.dims, net.seed) == (ref.dims, ref.seed)
-            assert net.h.tobytes() == ref.h.tobytes()
+            assert h.shape == ref.h.shape
+            assert h.tobytes() == ref.h.tobytes()
 
     def test_progress_once_per_record_in_order(self):
         seen = []
@@ -399,6 +404,12 @@ class TestFeasibilitySweep:
                                             progress=seen.append)
         assert len(seen) == len(result.records) == 4
         assert all(a is b for a, b in zip(seen, result.records))
+
+    @pytest.mark.parametrize("max_iters", [0, True, 1.5])
+    def test_rejects_bad_iteration_cap(self, max_iters):
+        with pytest.raises(ValueError, match=re.escape(
+                f"max_iters must be >= 1 and integral, got {max_iters!r}")):
+            analysis.feasibility_sweep([2], [3], 2, max_iters=max_iters)
 
     @pytest.mark.parametrize("seeds", [0, [], [4, 4], True, [1.5, 2.7], 2.5])
     def test_rejects_bad_seed_sets(self, seeds):

@@ -16,7 +16,7 @@ PUBLIC = {
     "VerificationReport", "WarmStartReport", "build_stacked",
     "coupling_mask", "cube_relation_check", "deserialize", "eig_general",
     "feasibility_sweep", "generate", "infeasibility_demo", "iterate",
-    "iterate_batch", "loop_matrix", "predicted_feasible", "records_table",
+    "loop_matrix", "predicted_feasible", "records_table",
     "render_feasibility_table", "serialize", "solution_from_document",
     "solution_to_document", "solve_eigen_method", "solve_loop_method",
     "sum_rate_curve", "verify", "warm_start_check",
@@ -42,7 +42,6 @@ OPTIONAL = {
     "feasibility_sweep.infeasible_tol": 1e-3,
     "feasibility_sweep.keep_traces": False,
     "feasibility_sweep.progress": None,
-    "warm_start_check.iterations": 100,
 }
 
 

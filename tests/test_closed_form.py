@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -436,12 +437,23 @@ class TestEigenPath:
             for c in set(range(n + 1)) - {l, (l + 1) % (n + 1)}:
                 h[l, c] *= 1e-300
         net = InterferenceNetwork(net.dims, h)
+        compensated = closed_form.build_stacked(net)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            pairs = list(closed_form._stacked_eigenpairs(compensated, 0.0))
+            # the route scales the matrix by a power of two first
             sol = closed_form.solve_eigen_method(net)
+        values, vectors, residuals = linalg.eig_general(compensated)
+        assert len(pairs) == len(values)
+        for (value, vector, residual), *ref in zip(pairs, values, vectors.T,
+                                                    residuals):
+            assert value == ref[0] and residual == ref[2]
+            assert np.array_equal(vector, ref[1])
         ref = eig_general_solution(net)
-        assert sol.eigenvalue == ref.eigenvalue
-        assert np.array_equal(sol.precoders, ref.precoders)
+        assert closed_form.verify(net, sol).passed
+        assert abs(sol.eigenvalue - ref.eigenvalue) <= 1e-12 * abs(
+            ref.eigenvalue)
+        assert np.abs(sol.precoders - ref.precoders).max() <= 1e-12
 
 
 def interference_columns(net, precoders, receiver):
@@ -676,7 +688,7 @@ class TestCubeRelation:
         # the report built from eig_general's two spectra, bit for bit
         for seed in range(10):
             net = generate(NetworkDims(3, n, n), seed)
-            compensated, _, loop = closed_form._loop_system(net, "")
+            compensated, _, loop, _ = closed_form._loop_system(net, "")
             stacked = linalg.eig_general(compensated)[0]
             loop_vals = linalg.eig_general(loop)[0]
             vals = stacked[np.abs(stacked) > 1e-8 * np.abs(stacked).max()]
@@ -808,4 +820,25 @@ class TestSolutionDocument:
         with pytest.raises(MalformedDocument, match="UTF-8"):
             closed_form.solution_from_document(
                 data.replace(b'"eigen"', b'"\xe9igen"'))
+
+    @pytest.mark.parametrize("field, edit", [
+        ("users[1].v", lambda sol: sol.precoders.__setitem__((1, 0), np.nan)),
+        ("users[2].u", lambda sol: sol.combiners.__setitem__(
+            (2, 1), complex(0.0, np.nan))),
+        ("lambda", lambda sol: setattr(sol, "eigenvalue", complex(np.inf, 0))),
+        ("lambda", lambda sol: setattr(sol, "eigenvalue", complex(0, np.nan))),
+        ("residual", lambda sol: (sol.precoders.__setitem__((0, 0), 1e308),
+                                  sol.combiners.__setitem__((1, 0), 1e308))),
+    ])
+    def test_non_finite_fields_refused_before_writing(self, field, edit):
+        # JSON has no NaN or Infinity: the reader would refuse the token, so
+        # the writer names the field instead of writing it
+        net = generate(NetworkDims(3, 2, 2), 4)
+        sol = closed_form.solve_eigen_method(net)
+        edit(sol)
+        with warnings.catch_warnings():   # the residual's gain overflows
+            warnings.simplefilter("ignore")
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"{field} must hold finite numbers to be written")):
+                closed_form.solution_to_document(net, sol, "eigen")
 

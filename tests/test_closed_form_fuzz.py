@@ -4,19 +4,24 @@
 ``cube_relation_check`` (K = 3) run on Gaussian networks scaled by powers
 of 2 and 10 up to 1e+-300 or by 1e-310, on small-integer channels, on
 networks whose cross channels all repeat one matrix, and on networks with
-one rank-one or zero link. Each call returns a solution that ``verify``
-passes (a report, for the cube check) or raises an ``EigenalignError``;
-no ``LinAlgError`` and no ``RuntimeWarning`` escapes. The examples are
-derandomized, so every run tries the same networks.
+one rank-one or zero link. Any of them may also spread its scales within
+each receiver: every cross channel but the one the routes invert there
+times a second such factor. Each call returns a solution that ``verify``
+passes (a finite report, for the cube check) or raises an
+``EigenalignError``; no ``LinAlgError`` and no ``RuntimeWarning``
+escapes. The examples are derandomized, so every run tries the same
+networks. The four-user demonstrator meets the same rule on spread
+networks.
 """
 
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eigenalign import closed_form
+from eigenalign import analysis, closed_form
 from eigenalign.channel import InterferenceNetwork, NetworkDims, generate
 from eigenalign.errors import EigenalignError
 
@@ -45,7 +50,29 @@ def networks(draw):
         i, j = draw(st.integers(0, dims.k - 1)), draw(st.integers(0, dims.k - 1))
         h[i, j] = 0.0 if draw(st.booleans()) else np.outer(h[i, j, :, 0],
                                                            h[i, j, 0])
-    return InterferenceNetwork(dims, h * draw(SCALES))
+    h = spread(h, draw(st.one_of(st.just(1.0), SCALES)), inverted(dims.k))
+    with np.errstate(over="ignore"):
+        h = h * draw(SCALES)
+    # entries stay below 2^1000, as the scales alone keep them: verify's
+    # Frobenius norms overflow near the float limit
+    assume(np.abs(h).max() < 2.0 ** 1000)
+    return InterferenceNetwork(dims, h)
+
+
+def inverted(k):
+    """The cross channel each receiver inverts on the K = N + 1 and K = 3
+    routes: ``(l, l + 1)``."""
+    return [{(l + 1) % k} for l in range(k)]
+
+
+def spread(h, factor, kept):
+    """``h`` with every cross channel ``(l, c)``, ``c`` not in ``kept[l]``,
+    times ``factor``."""
+    h = h.copy()
+    for l, keep in enumerate(kept):
+        for c in set(range(len(h))) - keep - {l}:
+            h[l, c] *= factor
+    return h
 
 
 def routes(net):
@@ -69,5 +96,41 @@ def test_closed_form_routes_solve_or_refuse_typed(net):
                 continue
             if isinstance(out, closed_form.CubeRelationReport):
                 assert np.isfinite(out.worst_mismatch)
+                assert np.isfinite(np.array([m[:3] for m in out.matches],
+                                            dtype=complex)).all()
             else:
                 assert closed_form.verify(net, out).passed
+                assert np.isfinite(out.eigenvalue)
+
+
+@pytest.mark.parametrize("factor", [1e300, 1e-200])
+@pytest.mark.parametrize("route", [
+    closed_form.solve_eigen_method, closed_form.solve_loop_method,
+    closed_form.cube_relation_check, analysis.infeasibility_demo])
+def test_spread_within_each_receiver(route, factor):
+    # the entries of the compensated matrix lie near the factor (and the
+    # loop's near its cube): a solution that verifies, a passed report or
+    # a typed error, with no overflow and no false singular channel
+    if route is analysis.infeasibility_demo:   # receiver 3 inverts two
+        net = generate(NetworkDims(4, 2, 2), 1)
+        kept = [{1}, {0}, {3}, {1, 2}]
+    else:
+        net = generate(NetworkDims(3, 2, 2), 1)
+        kept = inverted(3)
+    net = InterferenceNetwork(net.dims, spread(net.h, factor, kept))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = route(net)
+        except EigenalignError:
+            assert factor > 1 and route in (closed_form.solve_loop_method,
+                                            closed_form.cube_relation_check)
+            return
+    if isinstance(out, closed_form.AlignmentSolution):
+        assert closed_form.verify(net, out).passed
+        assert np.isfinite(out.eigenvalue)
+    elif isinstance(out, closed_form.CubeRelationReport):
+        assert out.passed
+        assert np.isfinite(np.array([m[:3] for m in out.matches])).all()
+    else:
+        assert out.incompatible and np.isfinite(out.joint_residual)

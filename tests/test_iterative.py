@@ -6,7 +6,7 @@ import pytest
 from eigenalign import closed_form, iterative, linalg
 from eigenalign.channel import InterferenceNetwork, NetworkDims, generate
 from eigenalign.errors import ConfigMismatch
-from eigenalign.iterative import (IterativeConfig, iterate, iterate_batch,
+from eigenalign.iterative import (WARM_ITERATIONS, IterativeConfig, iterate,
                                   warm_start_check)
 
 
@@ -16,6 +16,20 @@ def zero_cross_network(k, n, seed=0):
     for i in range(k):
         h[i, i] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return InterferenceNetwork(NetworkDims(k, n, n), h)
+
+
+def run_batch(nets, cfgs):
+    """The feasibility sweep's path: every ``iterate(nets[s], cfgs[s])`` as
+    one batch of the engine, from one seeded draw of all the precoders.
+    The networks share their antenna counts, the configs their stopping
+    rule."""
+    assert len({(net.dims.n_t, net.dims.n_r) for net in nets}) == 1
+    assert len({(cfg.max_iters, cfg.leakage_tol) for cfg in cfgs}) == 1
+    pre = iterative._random_precoders(nets[0].dims.n_t,
+                                      [net.dims.k for net in nets],
+                                      [cfg.seed for cfg in cfgs])
+    return iterative._run_batch([net.h for net in nets], pre,
+                                cfgs[0].max_iters, cfgs[0].leakage_tol)
 
 
 class TestConfig:
@@ -57,17 +71,13 @@ class TestConfig:
             d=(1,) * 4, max_iters=np.int64(2), leakage_tol=1e-30))
         assert trace.iterations == 2 and len(trace.leakage) == 3
 
-    @pytest.mark.parametrize("run", [
-        lambda net, cfg: iterate(net, cfg),
-        lambda net, cfg: iterate_batch([net, net], [cfg, cfg])])
     @pytest.mark.parametrize("d", [(2, 2, 2), (1, 2, 1)])
-    def test_one_stream_per_user(self, run, d):
-        # one check, the same in both entry points, refuses streams the
-        # network's 4 antennas could carry
+    def test_one_stream_per_user(self, d):
+        # refuses streams the network's 4 antennas could carry
         net = generate(NetworkDims(3, 4, 4), 0)
         with pytest.raises(ConfigMismatch, match="one stream for each of"
                            " the 3 users"):
-            run(net, IterativeConfig(d=d))
+            iterate(net, IterativeConfig(d=d))
 
     def test_mismatch_against_network(self):
         net = generate(NetworkDims(3, 2, 2), 0)
@@ -96,7 +106,7 @@ class TestIterate:
     def test_infeasible_four_user_majority(self):
         # one batch, which TestBatch pins to the single runs' bits
         seeds = range(20)
-        traces = iterate_batch(
+        traces = run_batch(
             [generate(NetworkDims(4, 2, 2), seed) for seed in seeds],
             [IterativeConfig(d=(1,) * 4, max_iters=5000, leakage_tol=1e-6,
                              seed=seed) for seed in seeds])
@@ -218,7 +228,7 @@ class TestExit2x2:
             for k, seed in ((3, 1), (4, 0), (5, 2), (3, 42))]
 
     def traces(self, cap):
-        return iterate_batch(self.NETS, [IterativeConfig(
+        return run_batch(self.NETS, [IterativeConfig(
             d=(1,) * net.dims.k, max_iters=cap, seed=net.seed)
             for net in self.NETS])
 
@@ -262,7 +272,7 @@ class TestExit2x2:
                 zero_cross_network(5, 2, seed=1)]
         cfgs = [IterativeConfig(d=(1,) * net.dims.k, max_iters=40, seed=s)
                 for s, net in enumerate(nets)]
-        batch = iterate_batch(nets, cfgs)
+        batch = run_batch(nets, cfgs)
         stops = [t.iterations for t in batch]
         assert stops[1::2] == [0, 0] and 0 < stops[2] < stops[0] == 40
         for trace in batch[1::2]:
@@ -618,7 +628,7 @@ class TestBatch:
         nets = [generate(NetworkDims(*dims), s) for s in seeds]
         cfgs = [IterativeConfig(d=d, max_iters=cap, leakage_tol=1e-6, seed=s)
                 for s in seeds]
-        batch = iterate_batch(nets, cfgs)
+        batch = run_batch(nets, cfgs)
         stops = [t.iterations for t in batch]
         # runs leave the batch at different iterations, some at the cap
         assert cap in stops and min(stops) < cap
@@ -635,40 +645,12 @@ class TestBatch:
         nets = [generate(NetworkDims(k, n_t, n_r), seed) for k, seed in pairs]
         cfgs = [IterativeConfig(d=(1,) * k, max_iters=cap, leakage_tol=1e-6,
                                 seed=seed) for k, seed in pairs]
-        batch = iterate_batch(nets, cfgs)
+        batch = run_batch(nets, cfgs)
         ends = [max(t.iterations for t, (kk, _) in zip(batch, pairs)
                     if kk == k) for k in users]
         # one group empties and drops out while another runs to the cap
         assert min(ends) < cap == max(ends)
         assert_single_runs(nets, cfgs, batch)
-
-    def test_validation(self):
-        net = generate(NetworkDims(3, 2, 2), 0)
-        cfg = IterativeConfig(d=(1, 1, 1))
-        with pytest.raises(ValueError):
-            iterate_batch([], [])
-        with pytest.raises(ValueError):
-            iterate_batch([net], [cfg, cfg])
-        with pytest.raises(ConfigMismatch, match="antenna counts"):
-            iterate_batch([net, generate(NetworkDims(3, 3, 3), 1)], [cfg, cfg])
-        with pytest.raises(ConfigMismatch, match="antenna counts"):
-            iterate_batch([net, generate(NetworkDims(4, 2, 3), 1)],
-                          [cfg, IterativeConfig(d=(1,) * 4)])
-        with pytest.raises(ConfigMismatch, match="stopping rule"):
-            iterate_batch([net, net],
-                          [cfg, IterativeConfig(d=(1, 1, 1), max_iters=10)])
-        with pytest.raises(ConfigMismatch):
-            iterate_batch([net], [IterativeConfig(d=(1, 1))])
-
-    def test_each_config_fits_its_own_network(self):
-        # mixed user counts are fine; a d that fits another run's network
-        # is not
-        nets = [generate(NetworkDims(k, 2, 2), 0) for k in (3, 4)]
-        with pytest.raises(ConfigMismatch, match="one stream for each of"
-                           r" the 4 users, got d=\(1, 1, 1\)"):
-            iterate_batch(nets, [IterativeConfig(d=(1, 1, 1))] * 2)
-        with pytest.raises(ConfigMismatch, match="the 3 users"):
-            iterate_batch(nets, [IterativeConfig(d=(1,) * 4)] * 2)
 
 
 class TestWarmStart:
@@ -680,8 +662,8 @@ class TestWarmStart:
         assert report.max_leakage < 1e-10
         assert report.passed
         # a leakage of exactly 0.0 must not end the check early
-        assert report.iterations == 100
-        assert len(report.trace) == 101
+        assert report.iterations == WARM_ITERATIONS == 100
+        assert len(report.trace) == WARM_ITERATIONS + 1
 
     def test_initial_value_against_direct_functional(self):
         # upper-bound oracle: leakage of the closed-form combiners
@@ -700,27 +682,10 @@ class TestWarmStart:
     def test_larger_network_fixed_point(self):
         net = generate(NetworkDims(4, 3, 3), 7)
         sol = closed_form.solve_eigen_method(net)
-        report = warm_start_check(net, sol, iterations=37)
+        report = warm_start_check(net, sol)
         assert report.initial_leakage < 1e-12
         assert report.max_leakage < 1e-10
-        assert report.iterations == 37
-
-    def test_iteration_count_validated(self):
-        net = generate(NetworkDims(3, 2, 2), 42)
-        sol = closed_form.solve_eigen_method(net)
-        for count in (0, -3):
-            with pytest.raises(ValueError, match="iterations must be >= 1"):
-                warm_start_check(net, sol, iterations=count)
-
-    def test_iteration_count_must_be_integral(self):
-        net = generate(NetworkDims(3, 2, 2), 42)
-        sol = closed_form.solve_eigen_method(net)
-        for count in (2.5, True, 3.0):
-            with pytest.raises(ValueError, match="iterations must be >= 1"
-                               " and integral"):
-                warm_start_check(net, sol, iterations=count)
-        report = warm_start_check(net, sol, iterations=np.int64(3))
-        assert report.iterations == 3 and len(report.trace) == 4
+        assert report.iterations == WARM_ITERATIONS
 
     def test_random_precoders_leak(self):
         net = generate(NetworkDims(3, 2, 2), 15)
@@ -764,7 +729,7 @@ def test_converged_runs_land_on_closed_form_solutions():
     # closed-form solutions lie 0.58 or more apart, so 0.1 names one.
     bound = 0.1
     nets = [generate(NetworkDims(3, 2, 2), seed) for seed in range(3)]
-    traces = iterate_batch(
+    traces = run_batch(
         [net for net in nets for _ in range(12)],
         [IterativeConfig(d=(1, 1, 1), seed=probe)
          for _ in nets for probe in range(12)])
