@@ -8,17 +8,16 @@ minimization, demonstrate the 4-user 2x2 impossibility, and sweep the
 """
 
 from .analysis import (FeasibilityRecord, InfeasibilityReport, RatePoint,
-                       SweepResult, VerificationReport, feasibility_sweep,
-                       infeasibility_demo, predicted_feasible,
-                       records_table, render_feasibility_table,
-                       sum_rate_curve, verify)
+                       SweepResult, feasibility_sweep, infeasibility_demo,
+                       predicted_feasible, records_table,
+                       render_feasibility_table, sum_rate_curve)
 from .channel import (InterferenceNetwork, NetworkDims, deserialize,
                       generate, serialize)
 from .closed_form import (AlignmentSolution, CubeRelationReport,
-                          build_stacked, coupling_mask, cube_relation_check,
-                          loop_matrix, solution_from_document,
-                          solution_to_document, solve_eigen_method,
-                          solve_loop_method)
+                          VerificationReport, build_stacked, coupling_mask,
+                          cube_relation_check, loop_matrix,
+                          solution_from_document, solution_to_document,
+                          solve_eigen_method, solve_loop_method, verify)
 from .errors import (ConfigMismatch, DimensionMismatch, EigenalignError,
                      EmptyNullSpace, MalformedDocument, NoUsableEigenpair,
                      RankDeficientSolution, ShapeMismatch, SingularChannel,

@@ -1,15 +1,18 @@
-"""Rate curves, the 4-user counterexample, and the feasibility sweep;
-``verify`` and its report come from :mod:`eigenalign.closed_form`.
+"""Rate curves, the 4-user counterexample, and the feasibility sweep.
+
+The rate curves and the demonstrator judge filters with ``verify`` from
+:mod:`eigenalign.closed_form`, which owns it and its report.
 
 Rates assume unit-power symbols, unit-norm zero-forcing combiners (which
 preserve the unit noise variance) and a perfectly suppressed interference
 term, so each user sees the scalar channel ``u_i^H H_ii v_i`` and
 contributes ``log2(1 + snr |u_i^H H_ii v_i|^2)`` bits per channel use.
 
-The sweep drives the alternating minimizer over a grid of (N, K) cells and
-many seeds and reduces each cell to feasible / infeasible / inconclusive
-by fixed leakage thresholds, next to the dimension-count prediction that
-single-stream alignment works iff ``n_r + n_t - 1 >= k``.
+The sweep hands the alternating minimizer bare channel grids, one draw per
+(N, K) cell over many seeds, and reduces each cell to feasible /
+infeasible / inconclusive by fixed leakage thresholds, next to the
+dimension-count prediction that single-stream alignment works iff
+``n_r + n_t - 1 >= k``.
 """
 
 import math
@@ -19,12 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .channel import NetworkDims, _count, _networks, _positive
-from .closed_form import (AlignmentSolution, VerificationReport,
-                          _back_substitute, _channel_ratios, _interference,
-                          _power_scaled, verify)
+from .channel import NetworkDims, _count, _grids, _positive
+from .closed_form import (AlignmentSolution, _back_substitute, _channel_ratios,
+                          _interference, _power_scaled, verify)
 from .errors import DimensionMismatch, UnverifiedSolution
-from .iterative import _random_precoders, _run_batch
+from .iterative import (DEFAULT_LEAKAGE_TOL, DEFAULT_MAX_ITERS,
+                        _random_precoders, _run_batch)
 
 #: Chordal distance above which the two eigenbases count as incompatible.
 INCOMPATIBILITY_TOL = 1e-2
@@ -129,12 +132,11 @@ def infeasibility_demo(net):
     ratios = dict(zip(dens, _power_scaled(_channel_ratios(net, dens), 8,
                                           axes=(2, 3))[0]))
 
-    def ratio(l, den, num):
-        return ratios[l, den][num]
-
     # Loop A: receivers 1, 4, 2, 3 (1-based); loop B: receivers 1, 3, 2, 4.
-    prod_a = ratio(0, 1, 2) @ ratio(3, 2, 0) @ ratio(1, 0, 3) @ ratio(2, 3, 1)
-    prod_b = ratio(0, 1, 3) @ ratio(2, 3, 0) @ ratio(1, 0, 2) @ ratio(3, 1, 2)
+    prod_a = (ratios[0, 1][2] @ ratios[3, 2][0] @ ratios[1, 0][3]
+              @ ratios[2, 3][1])
+    prod_b = (ratios[0, 1][3] @ ratios[2, 3][0] @ ratios[1, 0][2]
+              @ ratios[3, 1][2])
 
     vecs_a = linalg.eig_general(prod_a)[1]
     vecs_b = linalg.eig_general(prod_b)[1]
@@ -152,13 +154,16 @@ def infeasibility_demo(net):
     v2 = v2 / np.linalg.norm(v2)
 
     # Back-substitute the remaining precoders along one consistent chain.
-    v3, v1, v4 = _back_substitute(v2, ((ratio(3, 2, 1), 3, (3, 1)),
-                                       (ratio(1, 0, 2), 1, (1, 2)),
-                                       (ratio(2, 3, 0), 4, (2, 0))))
+    v3, v1, v4 = _back_substitute(v2, ((ratios[3, 2][1], 3, (3, 1)),
+                                       (ratios[1, 0][2], 1, (1, 2)),
+                                       (ratios[2, 3][0], 4, (2, 0))))
     precoders = np.stack([v1, v2, v3, v4])
 
-    # Least-squares combiners: each receiver's weakest left singular vector.
-    combiners = np.linalg.svd(_interference(net, precoders))[0][..., -1]
+    # Least-squares combiners: each receiver's weakest left singular vector,
+    # on the whole network scaled at once (each channel on its own would
+    # change them).
+    h = _power_scaled(net.h)[0]
+    combiners = np.linalg.svd(_interference(h, precoders))[0][..., -1]
     report = verify(net, AlignmentSolution(precoders, combiners, None))
 
     return InfeasibilityReport(
@@ -209,8 +214,8 @@ def predicted_feasible(n_r, n_t, k):
     return n_r + n_t - 1 >= k
 
 
-def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
-                      feasible_tol=1e-6, infeasible_tol=1e-3,
+def feasibility_sweep(n_values, k_values, seeds, max_iters=DEFAULT_MAX_ITERS,
+                      feasible_tol=DEFAULT_LEAKAGE_TOL, infeasible_tol=1e-3,
                       keep_traces=False, progress=None):
     """Run the iterative probe over an (N, K) grid of square networks.
 
@@ -220,10 +225,10 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
     exceeds ``infeasible_tol`` at the iteration cap, inconclusive otherwise;
     a cell verdict needs a :data:`QUORUM` fraction of its runs to agree.
     Records are produced in sorted (n, k, seed) order, so the result does
-    not depend on how the work is scheduled. Each N draws a cell's networks
-    at once and runs all its cells as one engine batch, each run bitwise its
-    seed's ``iterate``; ``progress`` is called once per record, in record
-    order, after each N's batch.
+    not depend on how the work is scheduled. Each N draws a cell's channel
+    grids at once and runs all its cells as one engine batch, each run
+    bitwise its seed's ``iterate``; ``progress`` is called once per record,
+    in record order, after each N's batch.
 
     Raises
     ------
@@ -260,8 +265,7 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=5000,
     traces = [] if keep_traces else None
     cells = {}
     for n in n_values:
-        hs = [net.h for k in k_values
-              for net in _networks(NetworkDims(k, n, n), seeds)]
+        hs = [h for k in k_values for h in _grids(NetworkDims(k, n, n), seeds)]
         pre = _random_precoders(n, [len(h) for h in hs], seeds * len(k_values))
         batch = iter(_run_batch(hs, pre, max_iters, feasible_tol))
         for k in k_values:
@@ -308,14 +312,17 @@ def render_feasibility_table(result, n_values, k_values):
 
     Y = feasible, . = infeasible, ? = inconclusive; a trailing column
     shows the largest K the dimension count allows, and cells that
-    disagree with it are flagged with '!'.
+    disagree with it are flagged with '!'. ValueError names the first
+    ``(n, k)`` of the grid that ``result`` holds no cell for.
     """
     header = " N\\K |" + "".join(f" {k:>2}" for k in k_values) + " | predicted"
     lines = [header, "-" * len(header)]
     for n in n_values:
         row = f" {n:>3} |"
         for k in k_values:
-            cell = result.cells[(n, k)]
+            if (cell := result.cells.get((n, k))) is None:
+                raise ValueError(f"the sweep result has no cell (n, k) ="
+                                 f" {(n, k)}")
             mark = _CELL_CHARS[cell.verdict]
             if (cell.verdict != "inconclusive"
                     and (cell.verdict == "feasible") != cell.predicted_feasible):

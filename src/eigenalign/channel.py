@@ -12,6 +12,9 @@ entries of ``h[i, j]`` come from the PCG64 stream seeded with
 part, so identical seeds give bit-identical networks on any platform. One
 derivation, from each seed's numpy ``SeedSequence(seed).pool``, serves a
 batch of seeds and keys; numpy's per-key SeedSequence is the test oracle.
+It draws the bare grids of a batch of seeds in one array, which the
+feasibility sweep hands to the probe engine as it is; :func:`generate`
+wraps its one grid.
 """
 
 import json
@@ -101,11 +104,6 @@ class InterferenceNetwork:
         return (self.dims == other.dims and self.seed == other.seed
                 and np.array_equal(self.h, other.h))
 
-    def cross_pairs(self):
-        """All (receiver, transmitter) index pairs with i != j."""
-        k = self.dims.k
-        return [(i, j) for i in range(k) for j in range(k) if i != j]
-
 
 # SeedSequence's hash (fixed by NEP 19) works mod 2**32: its constants start
 # at INIT_A and step by MULT_A, generate_state has 8 more (both as columns).
@@ -180,19 +178,18 @@ def _gaussians(seeds, keys, shape):
     return np.sqrt(0.5) * (x[:, 0] + 1j * x[:, 1])
 
 
-def _networks(dims, seeds):
-    """``generate(dims, seed)`` for every seed, from one stream derivation;
-    each network owns a copy of its grid, so none keeps the batch alive."""
+def _grids(dims, seeds):
+    """The channel grid ``generate(dims, seed).h`` of every seed, stacked
+    ``(S, K, K, n_r, n_t)``, from one stream derivation."""
     k, shape = dims.k, (dims.n_r, dims.n_t)
     keys = np.indices((len(seeds), k, k)).reshape(3, -1)[1:].T
     grids = _gaussians([s for s in seeds for _ in range(k * k)], keys, shape)
-    return [InterferenceNetwork(dims, h.copy(), seed=int(s)) for s, h in
-            zip(seeds, grids.reshape((-1, k, k) + shape))]
+    return grids.reshape((-1, k, k) + shape)
 
 
 def generate(dims, seed):
     """Draw a random network, a pure function of ``(dims, seed)``."""
-    return _networks(dims, [seed])[0]
+    return InterferenceNetwork(dims, _grids(dims, [seed])[0], seed=int(seed))
 
 
 def serialize(net):

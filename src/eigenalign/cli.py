@@ -150,7 +150,7 @@ def _load_solved_network(args):
 
 def cmd_verify(args):
     net, sol = _load_solved_network(args)
-    report = analysis.verify(net, sol)
+    report = closed_form.verify(net, sol)
     k = net.dims.k
     print("pair residual_grid (rows: receiver i, cols: transmitter j)")
     for i in range(k):

@@ -77,7 +77,9 @@ class VerificationReport:
     ``alignment_residual`` is the largest residual over ``channel_scale``,
     the largest channel Frobenius norm (0 when all channels are zero). The
     verdict compares residuals against ``ALIGN_TOL`` times the scale and
-    each relative gain against ``RANK_TOL``; a zero link never passes.
+    each relative gain against ``RANK_TOL``; a zero link never passes. The
+    ratios and the verdict come from channels scaled by powers of two, so
+    a raw value past the float range reads inf and they stay finite.
     """
 
     residuals: np.ndarray
@@ -93,17 +95,20 @@ def _power_scaled(h, degree=2, axes=None):
     degree), 2^(800 / degree)), else ``h`` times the power of two ``2^-e``
     that brings it into [1/2, 1), and ``e``: within the window no product
     of ``degree`` entries over- or underflows. With ``axes`` (the last two)
-    each matrix on its own: ``e`` of shape ``(..., 1, 1)``, 0 where it lies
-    inside, or just 0 if every part does."""
+    just 0 if every nonzero part lies inside, else each matrix brought into
+    [1/2, 1) on its own, so all are of one size: ``e`` of shape ``(..., 1,
+    1)``."""
     h = np.ascontiguousarray(h)
     parts, bound = np.abs(h.view(np.float64)), 2.0 ** (800 / degree)
     big = np.maximum.reduce(parts, axis=None)
     least = big if axes is None else np.minimum.reduce(parts, axis=None)
+    if not least:   # exact zeros cannot over- or underflow
+        least = np.minimum.reduce(parts, None, where=parts > 0, initial=np.inf)
     if 1 / bound < least and big < bound:
         return h, 0
     if axes is not None:
         big = np.maximum.reduce(parts, axis=axes, keepdims=True)
-    exp = np.where((1 / bound < big) & (big < bound), 0, np.frexp(big)[1])
+    exp = np.frexp(big)[1]
     return np.ldexp(h.view(np.float64), -exp).view(np.complex128), exp
 
 
@@ -141,20 +146,25 @@ def verify(net, sol):
         if x.shape != (k, n):
             raise ShapeMismatch(
                 f"{name} have shape {x.shape}, expected {(k, n)}")
-    gains = np.abs(np.einsum("ia,ijab,jb->ij", np.conj(comb), net.h, pre))
-    # np.linalg.norm's Frobenius sum, on each channel scaled out of over- and
-    # underflow by its own power of two, scaled back after
+    # gains and np.linalg.norm's Frobenius sums, on the channels scaled out of
+    # over- and underflow each by its own power of two 2^-exp[i, j]
     h, exp = _power_scaled(net.h, axes=(2, 3))
-    norms = np.ldexp(np.sqrt((h.conj() * h).real.sum(
-        axis=(2, 3), keepdims=True)), exp)[..., 0, 0]
-    scale = float(norms.max())
+    gains = np.abs(np.einsum("ia,ijab,jb->ij", np.conj(comb), h, pre))
+    norms = np.sqrt((h.conj() * h).real.sum(axis=(2, 3)))
     direct = np.diagonal(norms)   # a zero link gives 0 / inf
+    relative = np.diagonal(gains) / np.where(direct > 0, direct, np.inf)
     residuals = np.where(np.eye(k, dtype=bool), 0.0, gains)
-    rank_metrics = np.diagonal(gains).copy()
-    relative = rank_metrics / np.where(direct > 0, direct, np.inf)
-    worst = residuals.max()
+    worst, scale = residuals.max(), norms.max()
+    if np.ndim(exp):   # the verdict in the largest exponent's units
+        exp = exp[..., 0, 0]
+        worst, scale = (np.ldexp(x, exp - exp.max()).max()
+                        for x in (residuals, norms))
+        with np.errstate(over="ignore"):   # a raw value past the range: inf
+            residuals, gains, norms = (np.ldexp(x, exp)
+                                       for x in (residuals, gains, norms))
     passed = bool(worst <= ALIGN_TOL * scale and np.all(relative >= RANK_TOL))
-    return VerificationReport(residuals, rank_metrics, passed, scale, relative,
+    return VerificationReport(residuals, np.diagonal(gains).copy(), passed,
+                              float(norms.max()), relative,
                               float(worst / scale) if scale else 0.0)
 
 
@@ -247,23 +257,26 @@ def build_stacked(net):
     if k != n_t + 1:
         raise DimensionMismatch(
             f"the construction needs K = N + 1 users, got K={k}, N={n_t}")
-    return _compensated_matrix(net, net.cross_pairs())
+    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
+    return _compensated_matrix(net, pairs)
 
 
-def _interference(net, precoders):
-    """Every receiver's interference matrix, ``(K, n_r, K - 1)``: receiver
-    ``i``'s columns are ``H_ij v_j`` for ``j != i`` in ascending ``j``, the
-    off-diagonal blocks of one stacked product."""
-    k = net.dims.k
-    g = (net.h @ precoders[None, :, :, None])[..., 0]   # H_ij v_j at [i, j]
+def _interference(h, precoders):
+    """Every receiver's interference matrix, ``(K, n_r, K - 1)``, on the grid
+    ``h``: receiver ``i``'s columns are ``H_ij v_j`` for ``j != i`` in
+    ascending ``j``, the off-diagonal blocks of one stacked product."""
+    k = len(h)
+    g = (h @ precoders[None, :, :, None])[..., 0]   # H_ij v_j at [i, j]
     return g[~np.eye(k, dtype=bool)].reshape(k, k - 1, -1).swapaxes(1, 2)
 
 
 def _finish_solution(net, precoders, eigenvalue):
     """Zero-forcing combiners (each receiver's first left null vector, one
     batched SVD, largest entry turned real positive) and the rank gate of
-    both closed-form routes."""
-    u, rank = linalg._left_null(_interference(net, precoders))
+    both closed-form routes. Each channel is scaled on its own: scaling a
+    column leaves a left null space as it is."""
+    h = _power_scaled(net.h, axes=(2, 3))[0]
+    u, rank = linalg._left_null(_interference(h, precoders))
     combiners = u[np.arange(net.dims.k), :, rank]
     lead = np.take_along_axis(
         combiners, np.argmax(np.abs(combiners), axis=1)[:, None], axis=1)

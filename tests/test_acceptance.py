@@ -10,6 +10,7 @@ cells take about 8 s); everything else finishes in seconds.
 import os
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ def _report(num, desc, ok, detail=""):
 
 def _alignment_residual(net, sol):
     worst = 0.0
-    for i, j in net.cross_pairs():
+    for i, j in permutations(range(net.dims.k), 2):
         worst = max(worst, abs(sol.combiners[i].conj()
                                @ net.h[i, j] @ sol.precoders[j]))
     return worst

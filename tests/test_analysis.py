@@ -483,6 +483,16 @@ class TestFeasibilitySweep:
         assert "Y" in row[0] and "." in row[0]
         assert "K <= 3" in row[0]
 
+    @pytest.mark.parametrize("n_values, k_values, missing", [
+        ([2], [3, 4], (2, 4)), ([3, 2], [3], (3, 3))])
+    def test_render_table_refuses_missing_cell(self, n_values, k_values,
+                                               missing):
+        # a grid value the sweep did not run names its cell, not a KeyError
+        result = analysis.feasibility_sweep([2], [3], seeds=1, max_iters=5)
+        with pytest.raises(ValueError, match=re.escape(f"no cell (n, k) ="
+                                                       f" {missing}")):
+            analysis.render_feasibility_table(result, n_values, k_values)
+
     def test_records_table_format(self):
         result = analysis.feasibility_sweep([2], [3], seeds=1, max_iters=500)
         text = analysis.records_table(result.records)

@@ -147,15 +147,15 @@ class TestStreams:
         # forty (5, 3, 3) networks are 1000 streams: live together their
         # Generators alone would trace some 0.8 MB
         dims = channel.NetworkDims(5, 3, 3)
-        channel._networks(dims, range(40))
+        channel._grids(dims, range(40))
         tracemalloc.start()
         try:
-            nets = channel._networks(dims, range(40))
+            grids = channel._grids(dims, range(40))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 750_000
-        assert nets[7].h.tobytes() == _reference_generate(dims, 7).tobytes()
+        assert grids[7].tobytes() == _reference_generate(dims, 7).tobytes()
 
     @pytest.mark.parametrize("keys", [
         [(1, -2)], [(2 ** 32,)], np.array([[3], [-1]]),
@@ -190,9 +190,10 @@ class TestStreams:
         ks = [2 + i % 5 for i in range(len(_SEEDS))]
         for k in range(2, 7):
             dims = channel.NetworkDims(k, n_t, n_r)
-            for seed, net in zip(_SEEDS, channel._networks(dims, _SEEDS)):
-                ref = _reference_generate(dims, seed)
-                assert net.h.tobytes() == ref.tobytes() and net.seed == seed
+            grids = channel._grids(dims, _SEEDS)
+            assert len(grids) == len(_SEEDS)
+            for seed, h in zip(_SEEDS, grids):
+                assert h.tobytes() == _reference_generate(dims, seed).tobytes()
         got = iterative._random_precoders(n_t, ks, _SEEDS)
         assert [x.shape for x in got] == [(k, n_t, 1) for k in ks]
         for k, seed, x in zip(ks, _SEEDS, got):
@@ -220,7 +221,7 @@ class TestStreams:
         with pytest.raises(error, match=match):
             channel._streams([2 ** 160 + 1, 3, bad, 3], keys)
         with pytest.raises(error, match=match):
-            channel._networks(channel.NetworkDims(2, 1, 1), [0, 2 ** 64, bad])
+            channel._grids(channel.NetworkDims(2, 1, 1), [0, 2 ** 64, bad])
         with pytest.raises(error, match=match):
             iterative._random_precoders(2, [3, 2], [1, bad])
 

@@ -6,12 +6,13 @@ of 2 and 10 up to 1e+-300 or by 1e-310, on small-integer channels, on
 networks whose cross channels all repeat one matrix, and on networks with
 one rank-one or zero link. Any of them may also spread its scales within
 each receiver: every cross channel but the one the routes invert there
-times a second such factor. Each call returns a solution that ``verify``
-passes (a finite report, for the cube check) or raises an
-``EigenalignError``; no ``LinAlgError`` and no ``RuntimeWarning``
-escapes. The examples are derandomized, so every run tries the same
-networks. The four-user demonstrator meets the same rule on spread
-networks.
+times a second such factor, up to the float limit. Each call returns a
+solution that ``verify`` passes (a finite report, for the cube check) or
+raises an ``EigenalignError``; no ``LinAlgError`` and no
+``RuntimeWarning`` escapes. The examples are derandomized, so every run
+tries the same networks. The four-user demonstrator meets the same rule
+on spread networks, and every route on two pinned networks scaled until
+their largest real or imaginary part is 1.7e308.
 """
 
 import warnings
@@ -53,9 +54,7 @@ def networks(draw):
     h = spread(h, draw(st.one_of(st.just(1.0), SCALES)), inverted(dims.k))
     with np.errstate(over="ignore"):
         h = h * draw(SCALES)
-    # entries stay below 2^1000, as the scales alone keep them: verify's
-    # Frobenius norms overflow near the float limit
-    assume(np.abs(h).max() < 2.0 ** 1000)
+    assume(np.isfinite(h).all())   # past the float range is no network
     return InterferenceNetwork(dims, h)
 
 
@@ -134,3 +133,46 @@ def test_spread_within_each_receiver(route, factor):
         assert np.isfinite(np.array([m[:3] for m in out.matches])).all()
     else:
         assert out.incompatible and np.isfinite(out.joint_residual)
+
+
+def at_float_limit(dims):
+    """The seed-1 network of ``dims`` times the factor that makes its
+    largest real or imaginary part 1.7e308: every entry is finite, but the
+    Frobenius norms and the raw gains lie past the float range."""
+    h = generate(dims, 1).h
+    return InterferenceNetwork(dims,
+                               h * (1.7e308 / np.abs(h.view(float)).max()))
+
+
+@pytest.mark.parametrize("route", [
+    closed_form.solve_eigen_method, closed_form.solve_loop_method,
+    closed_form.cube_relation_check, analysis.infeasibility_demo])
+def test_at_the_float_limit(route):
+    # each route solves in per-channel scaled units and verify reads its
+    # verdict there: the relative gains and the demo's verdict of the
+    # unscaled network, and the channel scale, past the float range, as inf
+    dims = NetworkDims(4 if route is analysis.infeasibility_demo else 3, 2, 2)
+    net, big = generate(dims, 1), at_float_limit(dims)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = route(big)
+        if isinstance(out, closed_form.AlignmentSolution):
+            reports = [closed_form.verify(big, sol)
+                       for sol in (out, route(net))]
+            with pytest.raises(ValueError, match="no finite received power"):
+                analysis.sum_rate_curve(big, out, [0.0])
+    if isinstance(out, closed_form.AlignmentSolution):
+        base = closed_form.verify(net, route(net))
+        for got in reports:
+            assert got.passed and got.channel_scale == np.inf
+            assert np.abs(got.relative_gains
+                          - base.relative_gains).max() <= 1e-12
+            assert got.alignment_residual <= 1e-12
+    elif isinstance(out, closed_form.CubeRelationReport):
+        assert out.passed
+        assert np.isfinite(np.array([m[:3] for m in out.matches])).all()
+    else:
+        base = route(net)
+        assert out.incompatible and out.closest_pair == base.closest_pair
+        assert out.joint_residual == pytest.approx(base.joint_residual,
+                                                   rel=1e-9)
