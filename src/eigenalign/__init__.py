@@ -14,7 +14,7 @@ from .analysis import (FeasibilityRecord, InfeasibilityReport, RatePoint,
 from .channel import (InterferenceNetwork, NetworkDims, deserialize,
                       generate, serialize)
 from .closed_form import (AlignmentSolution, CubeRelationReport,
-                          VerificationReport, build_stacked, coupling_mask,
+                          VerificationReport, build_stacked,
                           cube_relation_check, loop_matrix,
                           solution_from_document, solution_to_document,
                           solve_eigen_method, solve_loop_method, verify)
@@ -36,9 +36,9 @@ __all__ = [
     "NoUsableEigenpair", "RankDeficientSolution", "RatePoint", "ShapeMismatch",
     "SingularChannel", "SweepResult", "UnverifiedSolution",
     "VerificationReport", "WarmStartReport",
-    "build_stacked", "coupling_mask", "cube_relation_check", "deserialize",
-    "eig_general", "feasibility_sweep", "generate", "infeasibility_demo",
-    "iterate", "loop_matrix", "predicted_feasible", "records_table",
+    "build_stacked", "cube_relation_check", "deserialize", "eig_general",
+    "feasibility_sweep", "generate", "infeasibility_demo", "iterate",
+    "loop_matrix", "predicted_feasible", "records_table",
     "render_feasibility_table", "serialize", "solution_from_document",
     "solution_to_document", "solve_eigen_method", "solve_loop_method",
     "sum_rate_curve", "verify", "warm_start_check",

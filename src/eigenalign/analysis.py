@@ -129,7 +129,7 @@ def infeasibility_demo(net):
     # Every ratio inv(h[l, den]) h[l, num] used below, by denominator.
     dens = [(0, 1), (3, 2), (1, 0), (2, 3), (3, 1)]
     # each ratio scaled: no loop product, nor its square, over- or underflows
-    ratios = dict(zip(dens, _power_scaled(_channel_ratios(net, dens), 8,
+    ratios = dict(zip(dens, _power_scaled(_channel_ratios(net, dens),
                                           axes=(2, 3))[0]))
 
     # Loop A: receivers 1, 4, 2, 3 (1-based); loop B: receivers 1, 3, 2, 4.

@@ -49,15 +49,6 @@ CUBE_TOL = 1e-6
 CONDITION_CAP = 1e12
 
 
-def coupling_mask(k):
-    """Boolean (k, k) grid marking the nonzero blocks of the compensated
-    matrix: everything except the diagonal and column ``(row - 1) mod k``."""
-    mask = ~np.eye(k, dtype=bool)
-    for r in range(k):
-        mask[r, (r - 1) % k] = False
-    return mask
-
-
 @dataclass
 class AlignmentSolution:
     """Per-user unit-norm precoders and combiners, one stream each."""
@@ -78,8 +69,8 @@ class VerificationReport:
     the largest channel Frobenius norm (0 when all channels are zero). The
     verdict compares residuals against ``ALIGN_TOL`` times the scale and
     each relative gain against ``RANK_TOL``; a zero link never passes. The
-    ratios and the verdict come from channels scaled by powers of two, so
-    a raw value past the float range reads inf and they stay finite.
+    ratios and the verdict come from channels and filters scaled by powers
+    of two, so a raw value past the float range reads inf and none is NaN.
     """
 
     residuals: np.ndarray
@@ -90,21 +81,21 @@ class VerificationReport:
     alignment_residual: float
 
 
-def _power_scaled(h, degree=2, axes=None):
-    """``h`` and 0 if its largest real or imaginary part lies in (2^(-800 /
-    degree), 2^(800 / degree)), else ``h`` times the power of two ``2^-e``
-    that brings it into [1/2, 1), and ``e``: within the window no product
-    of ``degree`` entries over- or underflows. With ``axes`` (the last two)
-    just 0 if every nonzero part lies inside, else each matrix brought into
-    [1/2, 1) on its own, so all are of one size: ``e`` of shape ``(..., 1,
-    1)``."""
+def _power_scaled(h, axes=None):
+    """The one scale rule: ``h`` and 0 if its largest real or imaginary part
+    lies in (2^-100, 2^100), where no product of eight entries over- or
+    underflows, else ``h`` times the power of two ``2^-e`` that brings it
+    into [1/2, 1), and ``e``. With ``axes`` just 0 if every nonzero part
+    lies inside, else each subarray over ``axes`` brought into [1/2, 1) on
+    its own: ``e`` keeps ``axes`` as ones. Inside, ``h`` is kept as given:
+    ``zgeev`` is not bitwise scale-equivariant, even under a power of two."""
     h = np.ascontiguousarray(h)
-    parts, bound = np.abs(h.view(np.float64)), 2.0 ** (800 / degree)
+    parts = np.abs(h.view(np.float64))
     big = np.maximum.reduce(parts, axis=None)
     least = big if axes is None else np.minimum.reduce(parts, axis=None)
     if not least:   # exact zeros cannot over- or underflow
         least = np.minimum.reduce(parts, None, where=parts > 0, initial=np.inf)
-    if 1 / bound < least and big < bound:
+    if 2.0 ** -100 < least and big < 2.0 ** 100:
         return h, 0
     if axes is not None:
         big = np.maximum.reduce(parts, axis=axes, keepdims=True)
@@ -124,6 +115,22 @@ def _unscaled(x, exp, what):
     return x
 
 
+def _filters(net, sol):
+    """``sol``'s precoders and combiners as complex arrays, after all of
+    :func:`verify`'s checks except the one for NaN and infinite entries."""
+    if not isinstance(sol, AlignmentSolution):
+        raise ValueError(f"sol must be an AlignmentSolution, got"
+                         f" {type(sol).__name__}")
+    out = []
+    for name, x, n in (("precoders", sol.precoders, net.dims.n_t),
+                       ("combiners", sol.combiners, net.dims.n_r)):
+        if (x := _numeric(name, x)).shape != (net.dims.k, n):
+            raise ShapeMismatch(
+                f"{name} have shape {x.shape}, expected {(net.dims.k, n)}")
+        out.append(x)
+    return out
+
+
 def verify(net, sol):
     """Evaluate all K(K-1) alignment residuals and K direct-link gains.
 
@@ -131,37 +138,36 @@ def verify(net, sol):
     ------
     ValueError
         If ``sol`` is not an AlignmentSolution, or a filter array holds
-        text or an entry that is not a number.
+        text, an entry that is not a number, or one that is not finite.
     ShapeMismatch
         If the filters are not ``(K, n_t)`` and ``(K, n_r)``.
     """
-    if not isinstance(sol, AlignmentSolution):
-        raise ValueError(f"sol must be an AlignmentSolution, got"
-                         f" {type(sol).__name__}")
     k = net.dims.k
-    pre = _numeric("precoders", sol.precoders)
-    comb = _numeric("combiners", sol.combiners)
-    for name, x, n in (("precoders", pre, net.dims.n_t),
-                       ("combiners", comb, net.dims.n_r)):
-        if x.shape != (k, n):
-            raise ShapeMismatch(
-                f"{name} have shape {x.shape}, expected {(k, n)}")
-    # gains and np.linalg.norm's Frobenius sums, on the channels scaled out of
-    # over- and underflow each by its own power of two 2^-exp[i, j]
-    h, exp = _power_scaled(net.h, axes=(2, 3))
+    pre, comb = _filters(net, sol)
+    for name, x in (("precoders", pre), ("combiners", comb)):
+        if not np.isfinite(x).all():
+            raise ValueError(f"{name} must be finite")
+    # gains and np.linalg.norm's Frobenius sums, on the channels and filters
+    # scaled out of over- and underflow each by its own power of two: norm
+    # (i, j) in units of 2^e[i, j], gain (i, j) in units of 2^g[i, j]
+    h, e = _power_scaled(net.h, axes=(2, 3))
+    (comb, c), (pre, p) = (_power_scaled(x, axes=(1,)) for x in (comb, pre))
     gains = np.abs(np.einsum("ia,ijab,jb->ij", np.conj(comb), h, pre))
     norms = np.sqrt((h.conj() * h).real.sum(axis=(2, 3)))
     direct = np.diagonal(norms)   # a zero link gives 0 / inf
     relative = np.diagonal(gains) / np.where(direct > 0, direct, np.inf)
     residuals = np.where(np.eye(k, dtype=bool), 0.0, gains)
     worst, scale = residuals.max(), norms.max()
-    if np.ndim(exp):   # the verdict in the largest exponent's units
-        exp = exp[..., 0, 0]
-        worst, scale = (np.ldexp(x, exp - exp.max()).max()
-                        for x in (residuals, norms))
+    if any(isinstance(x, np.ndarray) for x in (e, c, p)):   # some scaled
+        e = np.reshape(e, np.shape(e)[:2])
+        g = np.broadcast_to(e + c + np.transpose(p), (k, k))
         with np.errstate(over="ignore"):   # a raw value past the range: inf
-            residuals, gains, norms = (np.ldexp(x, exp)
-                                       for x in (residuals, gains, norms))
+            # the verdict in the units of the largest norm exponent
+            worst, scale = (np.ldexp(x, y - np.max(e)).max()
+                            for x, y in ((residuals, g), (norms, e)))
+            relative = np.ldexp(relative, np.diagonal(g - e))
+            residuals, gains, norms = (np.ldexp(x, y) for x, y in (
+                (residuals, g), (gains, g), (norms, e)))
     passed = bool(worst <= ALIGN_TOL * scale and np.all(relative >= RANK_TOL))
     return VerificationReport(residuals, np.diagonal(gains).copy(), passed,
                               float(norms.max()), relative,
@@ -225,40 +231,40 @@ def _channel_ratios(net, pairs, checked=None):
     return out
 
 
-def _compensated_matrix(net, checked=None):
-    """The compensated matrix from one ratio call (``checked`` as there);
-    no dimension gate, so the K = 3 routes reuse it for any square N."""
-    k, n = net.dims.k, net.dims.n_t
+def _compensated_matrix(net, what, checked=None):
+    """The compensated matrix from one ratio call (``checked`` as there),
+    behind the one square-channel gate, naming ``what``; no gate on K."""
+    k, n, n_r = net.dims.k, net.dims.n_t, net.dims.n_r
+    if n != n_r:
+        raise DimensionMismatch(f"{what} needs square channels, got {n_r}x{n}")
     blocks = _channel_ratios(net, [((r - 1) % k, r) for r in range(k)],
                              checked)
-    blocks[~coupling_mask(k)] = 0.0
+    r = np.arange(k)
+    blocks[r, r] = blocks[r, r - 1] = 0.0
     return blocks.transpose(0, 2, 1, 3).reshape(k * n, k * n)
 
 
 def build_stacked(net):
     """The KN x KN compensated matrix for a K = N + 1 square network.
 
-    Block ``(r, c)`` is ``inv(h[r-1, r]) @ h[r-1, c]`` on
-    :func:`coupling_mask`, zero elsewhere; its eigenvectors encode the
+    Block ``(r, c)`` is ``inv(h[r-1, r]) @ h[r-1, c]``, zero on the
+    diagonal and in column ``r - 1``; its eigenvectors encode the
     precoders. All K(K-1) cross channels must pass the condition cap, not
     only the K blocks inverted; they are checked in row-major order.
 
     Raises
     ------
     DimensionMismatch
-        If the channels are not square or K != N + 1.
+        If K != N + 1 (checked first) or the channels are not square.
     SingularChannel
         If some cross channel fails the condition cap.
     """
-    k, n_t, n_r = net.dims.k, net.dims.n_t, net.dims.n_r
-    if n_t != n_r:
+    k, n = net.dims.k, net.dims.n_t
+    if k != n + 1:
         raise DimensionMismatch(
-            f"the construction needs square channels, got {n_r}x{n_t}")
-    if k != n_t + 1:
-        raise DimensionMismatch(
-            f"the construction needs K = N + 1 users, got K={k}, N={n_t}")
+            f"the construction needs K = N + 1 users, got K={k}, N={n}")
     pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
-    return _compensated_matrix(net, pairs)
+    return _compensated_matrix(net, "the construction", pairs)
 
 
 def _interference(h, precoders):
@@ -344,11 +350,8 @@ def _loop_system(net, what):
     their product, the loop matrix times ``2^-3e``; and ``e``."""
     if net.dims.k != 3:
         raise DimensionMismatch(f"{what} needs K = 3, got K={net.dims.k}")
-    if net.dims.n_t != net.dims.n_r:
-        raise DimensionMismatch(
-            f"{what} needs square channels, got {net.dims.n_r}x{net.dims.n_t}")
     n = net.dims.n_t
-    compensated, exp = _power_scaled(_compensated_matrix(net), 6)
+    compensated, exp = _power_scaled(_compensated_matrix(net, what))
     blocks = compensated.reshape(3, n, 3, n)
     first, second, third = (blocks[r, :, (r + 1) % 3] for r in range(3))
     return compensated, (first, second, third), first @ second @ third, exp
@@ -463,10 +466,10 @@ def solution_to_document(net, sol, method):
     ``residual`` and ``rank_metric`` are :func:`verify`'s
     ``alignment_residual`` and weakest relative gain on ``net``. A field
     holding NaN or infinity, which the reader refuses, raises ValueError."""
-    report = verify(net, sol)
     users = [{"v": _json_pairs(v, f"users[{i}].v"),
               "u": _json_pairs(u, f"users[{i}].u")}
-             for i, (v, u) in enumerate(zip(sol.precoders, sol.combiners))]
+             for i, (v, u) in enumerate(zip(*_filters(net, sol)))]
+    report = verify(net, sol)
     doc = {
         "format": SOLUTION_FORMAT,
         "k": net.dims.k,

@@ -16,8 +16,9 @@ Initial precoders are Haar-random unit vectors drawn from PCG64 streams
 draws every run's streams in one derivation and one QR.
 
 One engine runs independent runs that share their antenna counts. A run
-keeps only its cross links, scaled by the exact power of two that brings
-their largest entry into [1/2, 1), so any scale runs the same bits. Runs
+keeps only its cross links; out of the closed form's scale window, each
+run is scaled by its own power of two, under which the engine is
+equivariant: any scale runs the same bits. Runs
 of one K form a group, whose linear step fills its part of one buffer of
 every run's receivers; the eigen-solve, the leakage and the convergence
 mask then act once on the whole buffer, and a run leaves the batch when
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import _count, _gaussians, _numeric, _positive
-from .closed_form import AlignmentSolution
+from .closed_form import AlignmentSolution, _power_scaled
 from .errors import ConfigMismatch
 
 #: Leakage below this counts as converged by default.
@@ -240,10 +241,9 @@ def _run_batch(hs, vs, max_iters, tol):
     for k in sorted({len(h) for h in hs}):
         group = [r for r in runs if len(hs[r]) == k]
         h, v = (np.stack([x[r] for r in group]) for x in (hs, vs))
-        # the cross links only, scaled per run by a power of two to [1/2, 1)
-        h = h * (1.0 - np.eye(k))[:, :, None, None]
-        exp = np.frexp(np.abs(h).max(axis=(1, 2, 3, 4), keepdims=True))[1]
-        h = np.ldexp(h.view(np.float64), -exp).view(np.complex128)
+        # the cross links only, each run out of the window scaled on its own
+        h = _power_scaled(h * (1.0 - np.eye(k))[:, :, None, None],
+                          axes=(1, 2, 3, 4))[0]
         energy = (np.linalg.norm(h, axis=(3, 4)) ** 2).sum(axis=(1, 2))
         denom.append(np.where(energy > 0, energy, 1.0))
         if n_t == n_r == 2:   # a row of Pauli coordinates tr(B_x x x^H) / 2
@@ -326,7 +326,6 @@ class WarmStartReport:
 
     initial_leakage: float
     max_leakage: float
-    iterations: int
     passed: bool
     trace: np.ndarray = field(repr=False)
 
@@ -334,10 +333,12 @@ class WarmStartReport:
 def warm_start_check(net, sol):
     """Confirm an aligned solution is a fixed point of the iteration.
 
-    Feeds ``sol``'s precoders, one unit vector per user, as warm start,
-    runs :data:`WARM_ITERATIONS` full iterations with no early stopping,
-    and reports whether the leakage starts below :data:`WARM_INITIAL_TOL`
-    and stays below :data:`WARM_DRIFT_TOL`.
+    Feeds ``sol``'s precoders, each scaled to a unit vector (a zero one
+    stays zero), as warm start, runs :data:`WARM_ITERATIONS` full
+    iterations with no early stopping, and reports whether the leakage
+    starts below :data:`WARM_INITIAL_TOL` and stays below
+    :data:`WARM_DRIFT_TOL`. ValueError on a precoder entry that is not a
+    finite number.
     """
     if not isinstance(sol, AlignmentSolution):
         raise ValueError(f"sol must be an AlignmentSolution, got"
@@ -347,10 +348,15 @@ def warm_start_check(net, sol):
         raise ConfigMismatch(
             f"solution precoders have shape {pre.shape}, expected"
             f" {(net.dims.k, net.dims.n_t)}")
+    if not np.isfinite(pre).all():
+        raise ValueError("solution precoders must be finite")
+    pre = _power_scaled(pre, axes=(1,))[0]   # no norm over- or underflows
+    norm = np.linalg.norm(pre, axis=1, keepdims=True)
+    pre = pre / np.where(norm > 0, norm, 1.0)
     # no leakage falls below -inf, so the run makes all WARM_ITERATIONS
     trace = _run_batch([net.h], [pre[..., None]], WARM_ITERATIONS, -np.inf)[0]
     initial, peak = float(trace.leakage[0]), float(trace.leakage.max())
     return WarmStartReport(
-        initial_leakage=initial, max_leakage=peak, iterations=trace.iterations,
+        initial_leakage=initial, max_leakage=peak,
         passed=initial < WARM_INITIAL_TOL and peak < WARM_DRIFT_TOL,
         trace=trace.leakage)

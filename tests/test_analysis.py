@@ -63,6 +63,39 @@ class TestVerify:
                            " numbers$"):
             analysis.verify(net, AlignmentSolution(**filters, eigenvalue=None))
 
+    @pytest.mark.parametrize("dims", [(3, 2, 2), (4, 3, 3)])
+    @pytest.mark.parametrize("name", ["precoders", "combiners"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0, -np.inf)])
+    def test_non_finite_filters_refused(self, dims, name, bad):
+        net = generate(NetworkDims(*dims), 1)
+        sol = closed_form.solve_eigen_method(net)
+        getattr(sol, name)[0, 0] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            analysis.verify(net, sol)
+
+    @pytest.mark.parametrize("dims", [(3, 2, 2), (4, 3, 3)])
+    def test_large_filters_scale_out(self, dims):
+        # each filter is scaled by its own power of two: gains within the
+        # float range are the raw ones, past it they read inf, never NaN
+        net = generate(NetworkDims(*dims), 1)
+        sol = closed_form.solve_eigen_method(net)
+        base = analysis.verify(net, sol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mid = analysis.verify(net, manual_solution(sol.precoders * 1e100,
+                                                       sol.combiners * 1e50))
+            big = analysis.verify(net, manual_solution(sol.precoders * 1e200,
+                                                       sol.combiners * 1e200))
+        np.testing.assert_allclose(mid.relative_gains,
+                                   base.relative_gains * 1e150, rtol=1e-12)
+        np.testing.assert_allclose(mid.residuals, base.residuals * 1e150,
+                                   rtol=1e-9, atol=1e150 * 1e-14)
+        assert mid.channel_scale == base.channel_scale
+        assert np.isinf(big.relative_gains).all()
+        assert np.isinf(big.rank_metrics).all()
+        assert big.alignment_residual == np.inf and not big.passed
+        assert not np.isnan(big.residuals).any()
+
     def test_degenerate_identity_network_fails_rank(self):
         h = np.tile(np.eye(2, dtype=complex), (3, 3, 1, 1))
         net = InterferenceNetwork(NetworkDims(3, 2, 2), h)

@@ -14,7 +14,7 @@ PUBLIC = {
     "NoUsableEigenpair", "RankDeficientSolution", "RatePoint",
     "ShapeMismatch", "SingularChannel", "SweepResult", "UnverifiedSolution",
     "VerificationReport", "WarmStartReport", "build_stacked",
-    "coupling_mask", "cube_relation_check", "deserialize", "eig_general",
+    "cube_relation_check", "deserialize", "eig_general",
     "feasibility_sweep", "generate", "infeasibility_demo", "iterate",
     "loop_matrix", "predicted_feasible", "records_table",
     "render_feasibility_table", "serialize", "solution_from_document",

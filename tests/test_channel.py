@@ -410,6 +410,11 @@ class TestNetworkValidation:
                            " array of numbers$"):
             channel.InterferenceNetwork(channel.NetworkDims(3, 2, 2), h)
 
+    def test_not_equal_to_other_types(self):
+        net = channel.generate(channel.NetworkDims(3, 2, 2), 0)
+        assert (net == 3) is False
+        assert net != "net"
+
     def test_numeric_object_array_accepted(self):
         net = channel.generate(channel.NetworkDims(3, 2, 2), 0)
         again = channel.InterferenceNetwork(net.dims, net.h.astype(object))

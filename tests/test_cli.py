@@ -110,6 +110,22 @@ class TestSolve:
         assert code == 2
         assert "K = 3" in err
 
+    def test_loop_eigenvalue_overflow_exits_3(self, tmp_path, capsys):
+        # every cross channel the loop does not invert times 1e300: the
+        # precoders are found, the eigenvalue leaves the float range
+        net = channel.generate(channel.NetworkDims(3, 2, 2), 1)
+        h = net.h.copy()
+        for pair in ((0, 2), (1, 0), (2, 1)):
+            h[pair] *= 1e300
+        path = tmp_path / "big.json"
+        path.write_bytes(channel.serialize(
+            channel.InterferenceNetwork(net.dims, h)))
+        code, out, err = run(capsys, ["solve", "--method", "loop",
+                                      "--in", str(path)])
+        assert code == 3 and out == ""
+        assert err == ("no usable eigenpair: the loop eigenvalue overflows"
+                       " the float range\n")
+
     def test_iterative_feasible(self, channel_file, capsys):
         code, text, _ = run(capsys, ["solve", "--method", "iterative",
                                      "--in", str(channel_file),
@@ -302,6 +318,13 @@ class TestVerifyAndRates:
                                         str(sol), "--snr-db", text])
             assert code == 2
             assert err.startswith("error: --snr-db needs finite")
+        for text, message in (("0:0:10", "step must be positive"),
+                              ("10:1:0", "range is empty")):
+            code, _, err = run(capsys, ["rates", "--channel",
+                                        str(channel_file), "--solution",
+                                        str(sol), "--snr-db", text])
+            assert code == 2
+            assert err == f"error: --snr-db {message}\n"
         # 10 ** 400 overflows a float: a usage error, not a traceback
         code, out, err = run(capsys, ["rates", "--channel", str(channel_file),
                                       "--solution", str(sol),
@@ -355,6 +378,10 @@ class TestSweep:
         code, _, err = run(capsys, ["sweep", "--n-range", "4:2",
                                     "--k-range", "3"])
         assert code == 2
+        code, _, err = run(capsys, ["sweep", "--n-range", "2:x",
+                                    "--k-range", "3"])
+        assert code == 2
+        assert err == "error: --n-range expects A or A:B, got '2:x'\n"
 
     def test_oversized_range_exits_2(self, capsys):
         # 3:1000002 would be a list of a million values (tens of MB) and a

@@ -92,7 +92,9 @@ class TestBuildStacked:
         net = generate(NetworkDims(3, 2, 2), 42)
         compensated = closed_form.build_stacked(net)
         n = 2
-        mask = closed_form.coupling_mask(3)
+        # zero on the diagonal and in column r - 1 (mod 3)
+        mask = ~np.eye(3, dtype=bool)
+        mask[[0, 1, 2], [2, 0, 1]] = False
         for r in range(3):
             row_nonzero = 0
             for c in range(3):
@@ -222,6 +224,18 @@ class TestChannelCheck:
             with pytest.raises(SingularChannel) as err:
                 route(net)
             assert err.value.pair == pair, route.__name__
+
+    def test_ratio_overflow_refused(self):
+        # both channels pass the cap, but their ratio leaves the float range
+        net = generate(NetworkDims(3, 2, 2), 1)
+        h = net.h.copy()
+        h[0, 1] *= 1e-300
+        h[0, 2] *= 1e300
+        with pytest.raises(SingularChannel, match=re.escape(
+                "cross channel (0, 1): its ratios to receiver 0's channels"
+                " overflow")) as err:
+            closed_form.solve_eigen_method(InterferenceNetwork(net.dims, h))
+        assert err.value.pair == (0, 1)
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_one_condition_svd_per_solve(self, n, monkeypatch):
@@ -616,6 +630,29 @@ class TestLoopMethod:
         with pytest.raises(DimensionMismatch):
             closed_form.solve_loop_method(generate(NetworkDims(4, 2, 2), 0))
 
+    def test_non_square_refused(self):
+        with pytest.raises(DimensionMismatch, match="^loop method needs square"
+                           " channels, got 3x2$"):
+            closed_form.solve_loop_method(generate(NetworkDims(3, 2, 3), 0))
+
+    def test_loop_matrix_is_the_ratio_product(self):
+        # inv(h31) h32 inv(h12) h13 inv(h23) h21, 1-based, from separate
+        # inverses; the ratios do not see the scale of the network
+        net = generate(NetworkDims(3, 3, 3), 4)
+        inv = np.linalg.inv
+        h = net.h
+        oracle = (inv(h[2, 0]) @ h[2, 1] @ inv(h[0, 1]) @ h[0, 2]
+                  @ inv(h[1, 2]) @ h[1, 0])
+        loop = closed_form.loop_matrix(net)
+        np.testing.assert_allclose(loop, oracle, rtol=0,
+                                   atol=1e-12 * np.abs(oracle).max())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = closed_form.loop_matrix(InterferenceNetwork(
+                net.dims, net.h * 1e200))
+        np.testing.assert_allclose(scaled, loop, rtol=0,
+                                   atol=1e-12 * np.abs(loop).max())
+
     @pytest.mark.parametrize("factor", [1e200, 1e-310])
     def test_extreme_channel_scales(self, factor):
         net = generate(NetworkDims(3, 2, 2), 1)
@@ -817,6 +854,11 @@ class TestSolutionDocument:
                      {"method": 3}, {"method": None}):
             with pytest.raises(MalformedDocument):
                 closed_form.solution_from_document(json.dumps(dict(doc, **edit)))
+        # a JSON integer past the float range is no finite number
+        with pytest.raises(MalformedDocument, match=re.escape(
+                "expected a finite number (at residual)")):
+            closed_form.solution_from_document(
+                json.dumps(dict(doc, residual=10 ** 400)))
         data = closed_form.solution_to_document(net, sol, "eigen")
         with pytest.raises(MalformedDocument, match="UTF-8"):
             closed_form.solution_from_document(

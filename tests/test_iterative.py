@@ -159,11 +159,13 @@ class TestIterate:
         ((3, 2, 2), 1), ((4, 2, 2), 0), ((4, 3, 3), 2), ((5, 3, 3), 0)])
     def test_extreme_scales_keep_verdict(self, dims, seed):
         # (4, 2, 2) and (5, 3, 3) are infeasible (K > 2N - 1) and must not
-        # read converged at a scale where the leakage underflows
+        # read converged at a scale where the leakage underflows; at the
+        # float limit (largest part 1.7e308) an entry's modulus is inf
         net = generate(NetworkDims(*dims), seed)
         cfg = IterativeConfig(d=(1,) * dims[0], max_iters=300, seed=seed)
         base = iterate(net, cfg)
-        for factor in (1e-200, 1e160):
+        limit = 1.7e308 / np.abs(net.h.view(np.float64)).max()
+        for factor in (1e-200, 1e160, limit):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = iterate(InterferenceNetwork(net.dims, net.h * factor),
@@ -663,7 +665,7 @@ class TestWarmStart:
         assert report.max_leakage < 1e-10
         assert report.passed
         # a leakage of exactly 0.0 must not end the check early
-        assert report.iterations == WARM_ITERATIONS == 100
+        assert WARM_ITERATIONS == 100
         assert len(report.trace) == WARM_ITERATIONS + 1
 
     def test_initial_value_against_direct_functional(self):
@@ -686,7 +688,46 @@ class TestWarmStart:
         report = warm_start_check(net, sol)
         assert report.initial_leakage < 1e-12
         assert report.max_leakage < 1e-10
-        assert report.iterations == WARM_ITERATIONS
+        assert len(report.trace) == WARM_ITERATIONS + 1
+
+    def test_float_limit_fixed_point(self):
+        # the largest real or imaginary part at 1.7e308: no modulus is read
+        net = generate(NetworkDims(4, 3, 3), 1)
+        sol = closed_form.solve_eigen_method(net)
+        big = InterferenceNetwork(
+            net.dims, net.h * (1.7e308 / np.abs(net.h.view(np.float64)).max()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = warm_start_check(big, sol)
+        assert report.passed
+
+    @pytest.mark.parametrize("dims", [(3, 2, 2), (4, 3, 3)])
+    @pytest.mark.parametrize("factor", [1e200, 1e-200])
+    def test_precoder_size_does_not_count(self, dims, factor):
+        # each precoder's direction seeds the run, whatever its norm
+        net = generate(NetworkDims(*dims), 1)
+        sol = closed_form.solve_eigen_method(net)
+        base = warm_start_check(net, sol)
+        sol.precoders = sol.precoders * factor
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = warm_start_check(net, sol)
+        assert report.passed and base.passed
+        # the same leakages to rounding: all lie near 1e-17
+        np.testing.assert_allclose(report.trace, base.trace, rtol=0,
+                                   atol=1e-15)
+
+    @pytest.mark.parametrize("dims", [(3, 2, 2), (4, 3, 3)])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0, np.nan)])
+    def test_non_finite_precoders_refused(self, dims, bad):
+        net = generate(NetworkDims(*dims), 1)
+        sol = closed_form.solve_eigen_method(net)
+        sol.precoders[0, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^solution precoders must"
+                               " be finite$"):
+                warm_start_check(net, sol)
 
     def test_random_precoders_leak(self):
         net = generate(NetworkDims(3, 2, 2), 15)
