@@ -46,14 +46,21 @@ def _positive(name, x):
     return x
 
 
-def _numeric(name, x):
-    """``x`` as a complex array; text or a non-number raises ValueError."""
+def _array(name, x, shape):
+    """``x`` as a complex array of ``shape``, the one gate for an array a
+    caller hands the package: text, a non-number or a NaN or infinite entry
+    raises ValueError naming ``name``, another shape ShapeMismatch."""
     try:
-        if (a := np.asarray(x)).dtype.kind not in "SUV":
-            return a.astype(np.complex128, copy=False)
+        if (a := np.asarray(x)).dtype.kind in "SUV":
+            raise TypeError
+        a = a.astype(np.complex128, copy=False)
     except (TypeError, ValueError):
-        pass
-    raise ValueError(f"{name} must be an array of numbers")
+        raise ValueError(f"{name} must be an array of numbers") from None
+    if a.shape != shape:
+        raise ShapeMismatch(f"{name} have shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
 
 
 @dataclass(frozen=True)
@@ -89,14 +96,9 @@ class InterferenceNetwork:
     seed: int | None = None
 
     def __post_init__(self):
-        expected = (self.dims.k, self.dims.k, self.dims.n_r, self.dims.n_t)
-        h = _numeric("channel entries", self.h)
-        if h.shape != expected:
-            raise ShapeMismatch(
-                f"channel grid has shape {h.shape}, expected {expected}")
-        if not np.isfinite(h).all():
-            raise ValueError("channel entries must be finite")
-        object.__setattr__(self, "h", h)
+        k, n_t, n_r = self.dims.k, self.dims.n_t, self.dims.n_r
+        object.__setattr__(self, "h", _array("channel entries", self.h,
+                                             (k, k, n_r, n_t)))
 
     def __eq__(self, other):
         if not isinstance(other, InterferenceNetwork):

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channel import _numeric, _parse_vector, _read_document, _real
+from .channel import _array, _parse_vector, _read_document, _real
 from .errors import (DimensionMismatch, MalformedDocument, NoUsableEigenpair,
-                     RankDeficientSolution, ShapeMismatch, SingularChannel)
+                     RankDeficientSolution, SingularChannel)
 
 #: Version tag written into every solution document.
 SOLUTION_FORMAT = 1
@@ -116,19 +116,15 @@ def _unscaled(x, exp, what):
 
 
 def _filters(net, sol):
-    """``sol``'s precoders and combiners as complex arrays, after all of
-    :func:`verify`'s checks except the one for NaN and infinite entries."""
+    """``sol``'s precoders and combiners through the array gate: all of
+    :func:`verify`'s checks, which :func:`warm_start_check` and the
+    solution writer share."""
     if not isinstance(sol, AlignmentSolution):
         raise ValueError(f"sol must be an AlignmentSolution, got"
                          f" {type(sol).__name__}")
-    out = []
-    for name, x, n in (("precoders", sol.precoders, net.dims.n_t),
-                       ("combiners", sol.combiners, net.dims.n_r)):
-        if (x := _numeric(name, x)).shape != (net.dims.k, n):
-            raise ShapeMismatch(
-                f"{name} have shape {x.shape}, expected {(net.dims.k, n)}")
-        out.append(x)
-    return out
+    k, n_t, n_r = net.dims.k, net.dims.n_t, net.dims.n_r
+    return (_array("precoders", sol.precoders, (k, n_t)),
+            _array("combiners", sol.combiners, (k, n_r)))
 
 
 def verify(net, sol):
@@ -144,9 +140,6 @@ def verify(net, sol):
     """
     k = net.dims.k
     pre, comb = _filters(net, sol)
-    for name, x in (("precoders", pre), ("combiners", comb)):
-        if not np.isfinite(x).all():
-            raise ValueError(f"{name} must be finite")
     # gains and np.linalg.norm's Frobenius sums, on the channels and filters
     # scaled out of over- and underflow each by its own power of two: norm
     # (i, j) in units of 2^e[i, j], gain (i, j) in units of 2^g[i, j]
@@ -465,10 +458,11 @@ def solution_to_document(net, sol, method):
     """Serialize a solution to the versioned JSON solution document; its
     ``residual`` and ``rank_metric`` are :func:`verify`'s
     ``alignment_residual`` and weakest relative gain on ``net``. A field
-    holding NaN or infinity, which the reader refuses, raises ValueError."""
-    users = [{"v": _json_pairs(v, f"users[{i}].v"),
-              "u": _json_pairs(u, f"users[{i}].u")}
-             for i, (v, u) in enumerate(zip(*_filters(net, sol)))]
+    holding NaN or infinity, which the reader refuses, raises ValueError;
+    the filters meet :func:`verify`'s checks first."""
+    pre, comb = (np.stack((x.real, x.imag), axis=-1).tolist()
+                 for x in _filters(net, sol))
+    users = [{"v": v, "u": u} for v, u in zip(pre, comb)]
     report = verify(net, sol)
     doc = {
         "format": SOLUTION_FORMAT,

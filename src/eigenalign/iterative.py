@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import _count, _gaussians, _numeric, _positive
-from .closed_form import AlignmentSolution, _power_scaled
+from .channel import _count, _gaussians, _positive
+from .closed_form import _filters, _power_scaled
 from .errors import ConfigMismatch
 
 #: Leakage below this counts as converged by default.
@@ -337,20 +337,10 @@ def warm_start_check(net, sol):
     stays zero), as warm start, runs :data:`WARM_ITERATIONS` full
     iterations with no early stopping, and reports whether the leakage
     starts below :data:`WARM_INITIAL_TOL` and stays below
-    :data:`WARM_DRIFT_TOL`. ValueError on a precoder entry that is not a
-    finite number.
+    :data:`WARM_DRIFT_TOL`. The filters meet :func:`verify`'s checks first.
     """
-    if not isinstance(sol, AlignmentSolution):
-        raise ValueError(f"sol must be an AlignmentSolution, got"
-                         f" {type(sol).__name__}")
-    pre = _numeric("solution precoders", sol.precoders)
-    if pre.shape != (net.dims.k, net.dims.n_t):
-        raise ConfigMismatch(
-            f"solution precoders have shape {pre.shape}, expected"
-            f" {(net.dims.k, net.dims.n_t)}")
-    if not np.isfinite(pre).all():
-        raise ValueError("solution precoders must be finite")
-    pre = _power_scaled(pre, axes=(1,))[0]   # no norm over- or underflows
+    # each precoder scaled so that no norm over- or underflows
+    pre = _power_scaled(_filters(net, sol)[0], axes=(1,))[0]
     norm = np.linalg.norm(pre, axis=1, keepdims=True)
     pre = pre / np.where(norm > 0, norm, 1.0)
     # no leakage falls below -inf, so the run makes all WARM_ITERATIONS

@@ -6,7 +6,7 @@ import pytest
 
 from eigenalign import closed_form, iterative, linalg
 from eigenalign.channel import InterferenceNetwork, NetworkDims, generate
-from eigenalign.errors import ConfigMismatch
+from eigenalign.errors import ConfigMismatch, ShapeMismatch
 from eigenalign.iterative import (WARM_ITERATIONS, IterativeConfig, iterate,
                                   warm_start_check)
 
@@ -725,8 +725,7 @@ class TestWarmStart:
         sol.precoders[0, 0] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^solution precoders must"
-                               " be finite$"):
+            with pytest.raises(ValueError, match="^precoders must be finite$"):
                 warm_start_check(net, sol)
 
     def test_random_precoders_leak(self):
@@ -742,17 +741,17 @@ class TestWarmStart:
         net = generate(NetworkDims(3, 2, 2), 42)
         sol = closed_form.solve_eigen_method(net)
         sol.precoders = bad
-        with pytest.raises(ValueError, match="^solution precoders must be an"
-                           " array of numbers$"):
+        with pytest.raises(ValueError, match="^precoders must be an array of"
+                           " numbers$"):
             warm_start_check(net, sol)
 
     def test_multistream_config_rejected(self):
-        # a solution for 2 antennas does not fit a network with 4: the
-        # precoders' shape is checked, as there is no config to refuse
+        # a solution for 2 antennas does not fit a network with 4: there is
+        # no config to refuse, so the precoders' shape is, as verify does
         net = generate(NetworkDims(3, 4, 4), 0)
         sol = closed_form.solve_eigen_method(generate(NetworkDims(3, 2, 2), 0))
-        with pytest.raises(ConfigMismatch, match=r"solution precoders have"
-                           r" shape \(3, 2\), expected \(3, 4\)"):
+        with pytest.raises(ShapeMismatch, match=r"^precoders have shape"
+                           r" \(3, 2\), expected \(3, 4\)$"):
             warm_start_check(net, sol)
 
 
