@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .channel import NetworkDims, _count, _grids, _positive
+from .channel import (InterferenceNetwork, NetworkDims, _count, _grids,
+                      _instance, _positive)
 from .closed_form import (AlignmentSolution, _back_substitute, _channel_ratios,
                           _interference, _power_scaled, verify)
 from .errors import DimensionMismatch, UnverifiedSolution
@@ -55,8 +56,9 @@ def sum_rate_curve(net, sol, snr_db_list):
         overstate the rates, and a zero direct link carries none.
     ValueError
         If ``snr_db_list`` is not iterable, an SNR entry is not a real
-        number, or its received power ``snr |u_i^H H_ii v_i|^2`` is not
-        finite (at any SNR once the strongest gain's square overflows).
+        number (``bool`` is not), or its received power ``snr |u_i^H
+        H_ii v_i|^2`` is not finite (at any SNR once the strongest gain's
+        square overflows).
     """
     try:
         snr_db_list = list(snr_db_list)
@@ -73,7 +75,7 @@ def sum_rate_curve(net, sol, snr_db_list):
     strongest *= strongest   # a float's product is inf, not a warning
     points = []
     for i, snr_db in enumerate(snr_db_list):
-        if not isinstance(snr_db, numbers.Real):
+        if isinstance(snr_db, bool) or not isinstance(snr_db, numbers.Real):
             raise ValueError(f"SNR entry {i} must be a real number of dB,"
                              f" got {snr_db!r}")
         try:
@@ -121,6 +123,7 @@ def infeasibility_demo(net):
     a numerator that annihilates a precoder of the chain (h[1, 2] for
     user 1, h[2, 0] for user 4).
     """
+    _instance("net", net, InterferenceNetwork)
     if net.dims.k != 4 or net.dims.n_t != 2 or net.dims.n_r != 2:
         raise DimensionMismatch(
             f"the demonstrator is specific to K=4 users with 2x2 channels,"
@@ -236,7 +239,8 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=DEFAULT_MAX_ITERS,
         If a grid value, a seed, the count or ``max_iters`` is not integral
         or out of range (N < 1, K < 2, seed < 0, count < 1, max_iters < 1),
         if ``seeds`` names no seed, if the grid or the seeds repeat a value,
-        or if a tolerance is not a number > 0 or exceeds the other.
+        or if a tolerance is not a number > 0 (``bool`` is not) or
+        exceeds the other.
     """
     max_iters = _count("max_iters", max_iters)
     if _positive("feasible_tol", feasible_tol) > _positive(

@@ -40,9 +40,22 @@ def _count(name, x, least=1):
 
 
 def _positive(name, x):
-    """``x``; a non-real number, NaN and ``x <= 0`` raise ValueError."""
-    if not (isinstance(x, numbers.Real) and x > 0):
+    """``x``; ``bool``, a non-real number, NaN and ``x <= 0`` raise
+    ValueError."""
+    if isinstance(x, bool) or not (isinstance(x, numbers.Real) and x > 0):
         raise ValueError(f"{name} must be > 0, got {x!r}")
+    return x
+
+
+def _instance(name, x, kind, what=None):
+    """``x`` if it is a ``kind``, the one check of an argument's kind; else
+    ValueError: ``name`` must be ``what`` (by default ``kind``'s name after
+    its article), got ``x``'s type."""
+    if not isinstance(x, kind):
+        if what is None:
+            what = ("an " if kind.__name__[0] in "AEIOU" else "a ")
+            what += kind.__name__
+        raise ValueError(f"{name} must be {what}, got {type(x).__name__}")
     return x
 
 
@@ -96,9 +109,16 @@ class InterferenceNetwork:
     seed: int | None = None
 
     def __post_init__(self):
-        k, n_t, n_r = self.dims.k, self.dims.n_t, self.dims.n_r
+        dims = _instance("dims", self.dims, NetworkDims)
+        k, n_t, n_r = dims.k, dims.n_t, dims.n_r
         object.__setattr__(self, "h", _array("channel entries", self.h,
                                              (k, k, n_r, n_t)))
+        if self.seed is not None:   # written as the document's "seed"
+            if isinstance(self.seed, bool) or not isinstance(
+                    self.seed, numbers.Integral):
+                raise ValueError(f"seed must be None or an integer, got"
+                                 f" {self.seed!r}")
+            object.__setattr__(self, "seed", int(self.seed))
 
     def __eq__(self, other):
         if not isinstance(other, InterferenceNetwork):
@@ -191,6 +211,7 @@ def _grids(dims, seeds):
 
 def generate(dims, seed):
     """Draw a random network, a pure function of ``(dims, seed)``."""
+    _instance("dims", dims, NetworkDims)
     return InterferenceNetwork(dims, _grids(dims, [seed])[0], seed=int(seed))
 
 
@@ -202,6 +223,7 @@ def serialize(net):
     finite float is the shortest round-trip form ``json`` writes, so
     ``deserialize(serialize(net))`` reproduces the entries exactly.
     """
+    _instance("net", net, InterferenceNetwork)
     head = json.dumps({"format": CHANNEL_FORMAT, "k": net.dims.k, "nt": net.dims.n_t,
                        "nr": net.dims.n_r, "seed": net.seed}, indent=1)
     body = "%r"
@@ -222,9 +244,11 @@ def _read_document(data, fmt, kind):
 
     Shared by the channel and the solution documents: UTF-8 bytes (or
     text), a top-level object, ``"format": fmt`` and integer ``k/nt/nr``
-    that make valid :class:`NetworkDims`. Returns ``(doc, dims)``.
+    that make valid :class:`NetworkDims`. Returns ``(doc, dims)``;
+    ValueError if ``data`` is neither bytes nor text.
     """
-    if isinstance(data, bytes):
+    if not isinstance(_instance("data", data, (bytes, bytearray, str),
+                                "bytes or text"), str):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channel import _array, _parse_vector, _read_document, _real
+from .channel import (InterferenceNetwork, _array, _instance, _parse_vector,
+                      _read_document, _real)
 from .errors import (DimensionMismatch, MalformedDocument, NoUsableEigenpair,
                      RankDeficientSolution, SingularChannel)
 
@@ -119,12 +120,10 @@ def _filters(net, sol):
     """``sol``'s precoders and combiners through the array gate: all of
     :func:`verify`'s checks, which :func:`warm_start_check` and the
     solution writer share."""
-    if not isinstance(sol, AlignmentSolution):
-        raise ValueError(f"sol must be an AlignmentSolution, got"
-                         f" {type(sol).__name__}")
-    k, n_t, n_r = net.dims.k, net.dims.n_t, net.dims.n_r
-    return (_array("precoders", sol.precoders, (k, n_t)),
-            _array("combiners", sol.combiners, (k, n_r)))
+    dims = _instance("net", net, InterferenceNetwork).dims
+    _instance("sol", sol, AlignmentSolution)
+    return (_array("precoders", sol.precoders, (dims.k, dims.n_t)),
+            _array("combiners", sol.combiners, (dims.k, dims.n_r)))
 
 
 def verify(net, sol):
@@ -133,13 +132,14 @@ def verify(net, sol):
     Raises
     ------
     ValueError
-        If ``sol`` is not an AlignmentSolution, or a filter array holds
-        text, an entry that is not a number, or one that is not finite.
+        If ``net`` is not an InterferenceNetwork or ``sol`` not an
+        AlignmentSolution, or a filter array holds text, an entry that is
+        not a number, or one that is not finite.
     ShapeMismatch
         If the filters are not ``(K, n_t)`` and ``(K, n_r)``.
     """
-    k = net.dims.k
     pre, comb = _filters(net, sol)
+    k = net.dims.k
     # gains and np.linalg.norm's Frobenius sums, on the channels and filters
     # scaled out of over- and underflow each by its own power of two: norm
     # (i, j) in units of 2^e[i, j], gain (i, j) in units of 2^g[i, j]
@@ -252,7 +252,7 @@ def build_stacked(net):
     SingularChannel
         If some cross channel fails the condition cap.
     """
-    k, n = net.dims.k, net.dims.n_t
+    k, n = _instance("net", net, InterferenceNetwork).dims.k, net.dims.n_t
     if k != n + 1:
         raise DimensionMismatch(
             f"the construction needs K = N + 1 users, got K={k}, N={n}")
@@ -341,7 +341,7 @@ def _loop_system(net, what):
     matrix entry, nor its square, over- or underflows); its blocks ``(r, r
     + 1)``, the loop factors ``(inv(h31) h32, inv(h12) h13, inv(h23) h21)``;
     their product, the loop matrix times ``2^-3e``; and ``e``."""
-    if net.dims.k != 3:
+    if _instance("net", net, InterferenceNetwork).dims.k != 3:
         raise DimensionMismatch(f"{what} needs K = 3, got K={net.dims.k}")
     n = net.dims.n_t
     compensated, exp = _power_scaled(_compensated_matrix(net, what))
@@ -459,7 +459,9 @@ def solution_to_document(net, sol, method):
     ``residual`` and ``rank_metric`` are :func:`verify`'s
     ``alignment_residual`` and weakest relative gain on ``net``. A field
     holding NaN or infinity, which the reader refuses, raises ValueError;
-    the filters meet :func:`verify`'s checks first."""
+    the filters meet :func:`verify`'s checks first, and a ``method`` that
+    is not a string, which the reader refuses too, raises ValueError."""
+    _instance("method", method, str, "a string")
     pre, comb = (np.stack((x.real, x.imag), axis=-1).tolist()
                  for x in _filters(net, sol))
     users = [{"v": v, "u": u} for v, u in zip(pre, comb)]

@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import _count, _gaussians, _positive
+from .channel import (InterferenceNetwork, _count, _gaussians, _instance,
+                      _positive)
 from .closed_form import _filters, _power_scaled
 from .errors import ConfigMismatch
 
@@ -313,7 +314,8 @@ def iterate(net, cfg):
     ``net`` from the seeded Haar draw of precoders, under the
     IterativeConfig ``cfg``, as a batch of one; returns a LeakageTrace.
     ConfigMismatch if ``cfg.d`` is not one stream for each user."""
-    if cfg.d != (1,) * net.dims.k:
+    _instance("net", net, InterferenceNetwork)
+    if _instance("cfg", cfg, IterativeConfig).d != (1,) * net.dims.k:
         raise ConfigMismatch(f"the probe needs one stream for each of the"
                              f" {net.dims.k} users, got d={cfg.d}")
     pre = _random_precoders(net.dims.n_t, [net.dims.k], [cfg.seed])
@@ -333,11 +335,12 @@ class WarmStartReport:
 def warm_start_check(net, sol):
     """Confirm an aligned solution is a fixed point of the iteration.
 
-    Feeds ``sol``'s precoders, each scaled to a unit vector (a zero one
-    stays zero), as warm start, runs :data:`WARM_ITERATIONS` full
-    iterations with no early stopping, and reports whether the leakage
-    starts below :data:`WARM_INITIAL_TOL` and stays below
-    :data:`WARM_DRIFT_TOL`. The filters meet :func:`verify`'s checks first.
+    Feeds ``sol``'s precoders, each scaled to a unit vector, as warm
+    start, runs :data:`WARM_ITERATIONS` full iterations with no early
+    stopping, and reports whether the leakage starts below
+    :data:`WARM_INITIAL_TOL` and stays below :data:`WARM_DRIFT_TOL`. A zero
+    precoder sends nothing, so it fails the check, trace and all. The
+    filters meet :func:`verify`'s checks first.
     """
     # each precoder scaled so that no norm over- or underflows
     pre = _power_scaled(_filters(net, sol)[0], axes=(1,))[0]
@@ -348,5 +351,6 @@ def warm_start_check(net, sol):
     initial, peak = float(trace.leakage[0]), float(trace.leakage.max())
     return WarmStartReport(
         initial_leakage=initial, max_leakage=peak,
-        passed=initial < WARM_INITIAL_TOL and peak < WARM_DRIFT_TOL,
+        passed=bool(norm.all()) and initial < WARM_INITIAL_TOL
+        and peak < WARM_DRIFT_TOL,
         trace=trace.leakage)

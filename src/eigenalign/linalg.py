@@ -1,4 +1,4 @@
-"""Dense complex linear-algebra primitives used by every other module.
+"""Dense complex linear-algebra primitives of the closed form and analysis.
 
 Everything here operates on plain ``numpy.ndarray`` objects with dtype
 ``complex128``. The heavy lifting (QR iteration, SVD, LU) is delegated to

@@ -227,9 +227,10 @@ class TestRates:
             points = analysis.sum_rate_curve(scaled, sol, [0.0, 10.0])
         assert [p.sum_rate for p in points] == [0.0, 0.0]
 
-    @pytest.mark.parametrize("snr_db", ["10", None, 1 + 2j])
+    @pytest.mark.parametrize("snr_db", ["10", None, 1 + 2j, True])
     def test_non_real_snr_refused(self, snr_db):
-        # a ValueError naming the entry, not a TypeError from / or math.pow
+        # a ValueError naming the entry, not a TypeError from / or math.pow;
+        # True is no SNR of 1 dB
         net = generate(NetworkDims(3, 2, 2), 42)
         sol = closed_form.solve_eigen_method(net)
         with pytest.raises(ValueError, match=r"^SNR entry 1 must be a real"
@@ -469,6 +470,7 @@ class TestFeasibilitySweep:
         ((1e-6, None), "infeasible_tol must be > 0, got None"),
         ((0.0, 1e-3), "feasible_tol must be > 0, got 0.0"),
         ((float("nan"), 1e-3), "feasible_tol must be > 0, got nan"),
+        ((True, 2.0), "feasible_tol must be > 0, got True"),
     ])
     def test_rejects_bad_tolerances(self, tols, message):
         # checked before any network is drawn; equal tolerances are allowed

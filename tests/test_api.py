@@ -81,6 +81,33 @@ WRONG_ARGUMENT = {
     "sol/warm_start_check": lambda net, sol: eigenalign.warm_start_check(
         net, None),
     "d": lambda net, sol: eigenalign.IterativeConfig(d=3),
+    "net": lambda net, sol: eigenalign.verify(None, sol),
+    "net/sum_rate_curve": lambda net, sol: eigenalign.sum_rate_curve(
+        None, sol, [10.0]),
+    "net/warm_start_check": lambda net, sol: eigenalign.warm_start_check(
+        None, sol),
+    "net/solution_to_document": lambda net, sol:
+        eigenalign.solution_to_document(None, sol, "eigen"),
+    "net/build_stacked": lambda net, sol: eigenalign.build_stacked(None),
+    "net/solve_eigen_method": lambda net, sol:
+        eigenalign.solve_eigen_method(None),
+    "net/solve_loop_method": lambda net, sol:
+        eigenalign.solve_loop_method(None),
+    "net/loop_matrix": lambda net, sol: eigenalign.loop_matrix(None),
+    "net/cube_relation_check": lambda net, sol:
+        eigenalign.cube_relation_check(None),
+    "net/infeasibility_demo": lambda net, sol:
+        eigenalign.infeasibility_demo(None),
+    "net/serialize": lambda net, sol: eigenalign.serialize(None),
+    "net/iterate": lambda net, sol: eigenalign.iterate(
+        None, eigenalign.IterativeConfig(d=(1, 1, 1))),
+    "cfg": lambda net, sol: eigenalign.iterate(net, {"d": (1, 1, 1)}),
+    "dims": lambda net, sol: eigenalign.generate((3, 2, 2), 1),
+    "dims/InterferenceNetwork": lambda net, sol:
+        eigenalign.InterferenceNetwork((3, 2, 2), net.h),
+    "data": lambda net, sol: eigenalign.deserialize(None),
+    "data/solution_from_document": lambda net, sol:
+        eigenalign.solution_from_document(None),
 }
 
 

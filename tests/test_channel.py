@@ -410,6 +410,27 @@ class TestNetworkValidation:
                            " array of numbers$"):
             channel.InterferenceNetwork(channel.NetworkDims(3, 2, 2), h)
 
+    @pytest.mark.parametrize("seed", ["x", True, 1.0, [1]])
+    def test_seed_the_reader_refuses_is_refused(self, seed):
+        # the writer would put it in the document's "seed", which the
+        # reader refuses
+        net = channel.generate(channel.NetworkDims(3, 2, 2), 0)
+        doc = json.loads(channel.serialize(net))
+        with pytest.raises(MalformedDocument, match="seed"):
+            channel.deserialize(json.dumps(dict(doc, seed=seed)))
+        with pytest.raises(ValueError, match="^seed must be None or an"
+                           " integer, got "):
+            channel.InterferenceNetwork(net.dims, net.h, seed=seed)
+
+    @pytest.mark.parametrize("seed", [None, 7, -3, np.int64(2 ** 40)])
+    def test_seed_round_trips(self, seed):
+        h = channel.generate(channel.NetworkDims(3, 2, 2), 0).h
+        net = channel.InterferenceNetwork(channel.NetworkDims(3, 2, 2), h,
+                                          seed=seed)
+        assert net.seed is None or type(net.seed) is int
+        back = channel.deserialize(channel.serialize(net))
+        assert back == net and back.seed == seed
+
     def test_not_equal_to_other_types(self):
         net = channel.generate(channel.NetworkDims(3, 2, 2), 0)
         assert (net == 3) is False

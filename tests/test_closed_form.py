@@ -9,7 +9,8 @@ import pytest
 from eigenalign import channel, closed_form, iterative, linalg
 from eigenalign.channel import InterferenceNetwork, NetworkDims, generate
 from eigenalign.errors import (DimensionMismatch, EmptyNullSpace,
-                               RankDeficientSolution, SingularChannel)
+                               MalformedDocument, RankDeficientSolution,
+                               SingularChannel)
 
 
 def alignment_residual(net, sol):
@@ -791,6 +792,21 @@ class TestSolutionDocument:
         assert (np.complex128(back.eigenvalue).tobytes()
                 == np.complex128(sol.eigenvalue).tobytes())
 
+    @pytest.mark.parametrize("method", [3, None, ["eigen"]])
+    def test_method_the_reader_refuses_is_refused(self, method):
+        net = generate(NetworkDims(3, 2, 2), 42)
+        sol = closed_form.solve_eigen_method(net)
+        doc = json.loads(closed_form.solution_to_document(net, sol, "eigen"))
+        with pytest.raises(MalformedDocument, match="method"):
+            closed_form.solution_from_document(
+                json.dumps(dict(doc, method=method)))
+        with pytest.raises(ValueError, match="^method must be a string, got"
+                           f" {type(method).__name__}$"):
+            closed_form.solution_to_document(net, sol, method)
+        for name in ("", "loop", "iterative"):
+            data = closed_form.solution_to_document(net, sol, name)
+            assert closed_form.solution_from_document(data)[2] == name
+
     def test_deterministic_bytes(self):
         net = generate(NetworkDims(3, 2, 2), 4)
         sol = closed_form.solve_loop_method(net)
@@ -821,7 +837,6 @@ class TestSolutionDocument:
         assert doc["rank_metric"] == report.relative_gains.min()
 
     def test_malformed_documents(self):
-        from eigenalign.errors import MalformedDocument
         net = generate(NetworkDims(3, 2, 2), 4)
         sol = closed_form.solve_eigen_method(net)
         doc = json.loads(closed_form.solution_to_document(net, sol, "eigen"))

@@ -51,9 +51,10 @@ class TestConfig:
             IterativeConfig(**kwargs)
 
     @pytest.mark.parametrize("tol", ["a", None, float("nan"), 0.0, -1e-6,
-                                     1e-6j])
+                                     1e-6j, True])
     def test_leakage_tol_refused(self, tol):
-        # the type is checked before the range: never a bare TypeError
+        # the type is checked before the range: never a bare TypeError, and
+        # True is no tolerance of 1
         with pytest.raises(ValueError, match="^leakage_tol must be > 0, got"):
             IterativeConfig(d=(1, 1, 1), leakage_tol=tol)
 
@@ -727,6 +728,18 @@ class TestWarmStart:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^precoders must be finite$"):
                 warm_start_check(net, sol)
+
+    @pytest.mark.parametrize("dims", [(3, 2, 2), (4, 3, 3)])
+    def test_zero_precoder_fails(self, dims):
+        # a user that sends nothing leaks nothing, yet nothing is aligned:
+        # the check fails and still runs and reports the whole trace
+        net = generate(NetworkDims(*dims), 1)
+        sol = closed_form.solve_eigen_method(net)
+        sol.precoders[0] = 0.0
+        report = warm_start_check(net, sol)
+        assert not report.passed
+        assert report.max_leakage < iterative.WARM_DRIFT_TOL
+        assert len(report.trace) == WARM_ITERATIONS + 1
 
     def test_random_precoders_leak(self):
         net = generate(NetworkDims(3, 2, 2), 15)
