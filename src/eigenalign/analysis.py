@@ -12,11 +12,16 @@ The sweep hands the alternating minimizer bare channel grids, one draw per
 (N, K) cell over many seeds, and reduces each cell to feasible /
 infeasible / inconclusive by fixed leakage thresholds, next to the
 dimension-count prediction that single-stream alignment works iff
-``n_r + n_t - 1 >= k``.
+``n_r + n_t - 1 >= k``. Its per-N batches share nothing, so all but the
+largest N's run in forked children on the spare CPUs, with the same bits.
 """
 
 import math
 import numbers
+import os
+import pickle
+import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,6 +222,82 @@ def predicted_feasible(n_r, n_t, k):
     return n_r + n_t - 1 >= k
 
 
+def _spare_cpus():
+    """CPUs besides this process's own that it may fork onto: none where
+    ``os.fork`` or ``sched_getaffinity`` is missing, where another Python
+    thread runs (a child would inherit the locks it holds), or from Python
+    3.12, which warns on forking a process with native threads such as
+    OpenBLAS's."""
+    if (sys.version_info >= (3, 12) or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 0
+    return len(os.sched_getaffinity(0)) - 1
+
+
+def _forked(job, items):
+    """``[job(x) for x in items]``: this process computes the last item,
+    and the others are dealt round-robin over one forked child per spare
+    CPU. A child sends its outcome back pickled through a pipe and ends in
+    ``os._exit``, so it flushes none of this process's stdio and never
+    returns to the caller. A child's exception is re-raised here, of its
+    type and with its message. No child outlives the call: if it raises,
+    each child still running is killed; either way each is reaped."""
+    workers = min(_spare_cpus(), len(items) - 1)
+    if workers < 1:
+        return [job(x) for x in items]
+    children = []   # (pid, read end of its pipe)
+    try:
+        for w in range(workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                try:
+                    for fd in [read] + [r for _, r in children]:
+                        os.close(fd)
+                    try:
+                        outcome = True, [job(x) for x in items[w:-1:workers]]
+                    except BaseException as exc:   # the caller raises it
+                        outcome = False, exc
+                    with open(write, "wb") as out:
+                        pickle.dump(outcome, out, pickle.HIGHEST_PROTOCOL)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, read))
+        last = job(items[-1])
+        shares = []
+        for pid, read in children:
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:
+                raise RuntimeError(f"forked worker {pid} ended without"
+                                   f" its results")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            shares.append(value)
+    except BaseException:
+        import signal   # here: its enums cost about 1 ms of every start-up
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:   # closed first: a child blocked on a full pipe gets EPIPE
+        for pid, read in children:
+            os.close(read)
+            os.waitpid(pid, 0)
+    results = [None] * len(items)
+    for w, share in enumerate(shares):
+        results[w:-1:workers] = share
+    results[-1] = last
+    return results
+
+
 def feasibility_sweep(n_values, k_values, seeds, max_iters=DEFAULT_MAX_ITERS,
                       feasible_tol=DEFAULT_LEAKAGE_TOL, infeasible_tol=1e-3,
                       keep_traces=False, progress=None):
@@ -230,8 +311,10 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=DEFAULT_MAX_ITERS,
     Records are produced in sorted (n, k, seed) order, so the result does
     not depend on how the work is scheduled. Each N draws a cell's channel
     grids at once and runs all its cells as one engine batch, each run
-    bitwise its seed's ``iterate``; ``progress`` is called once per record,
-    in record order, after each N's batch.
+    bitwise its seed's ``iterate``. The batches of all N but the largest
+    run in forked children, one per spare CPU, while this process runs the
+    largest (see :func:`_forked`); ``progress`` is called once per record,
+    in record order, after the last batch.
 
     Raises
     ------
@@ -265,13 +348,16 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=DEFAULT_MAX_ITERS,
     if not seeds:
         raise ValueError("the sweep needs at least one seed")
 
+    def job(n):   # one engine batch over all of N's cells and seeds
+        hs = [h for k in k_values for h in _grids(NetworkDims(k, n, n), seeds)]
+        pre = _random_precoders(n, [len(h) for h in hs], seeds * len(k_values))
+        return _run_batch(hs, pre, max_iters, feasible_tol)
+
     records = []
     traces = [] if keep_traces else None
     cells = {}
-    for n in n_values:
-        hs = [h for k in k_values for h in _grids(NetworkDims(k, n, n), seeds)]
-        pre = _random_precoders(n, [len(h) for h in hs], seeds * len(k_values))
-        batch = iter(_run_batch(hs, pre, max_iters, feasible_tol))
+    for n, batch in zip(n_values, _forked(job, n_values)):
+        batch = iter(batch)
         for k in k_values:
             counts = {"feasible": 0, "infeasible": 0, "inconclusive": 0}
             for seed, trace in zip(seeds, batch):

@@ -210,8 +210,11 @@ def _grids(dims, seeds):
 
 
 def generate(dims, seed):
-    """Draw a random network, a pure function of ``(dims, seed)``."""
+    """Draw a random network, a pure function of ``(dims, seed)``; a
+    ``bool`` seed raises ValueError."""
     _instance("dims", dims, NetworkDims)
+    if isinstance(seed, bool):
+        raise ValueError(f"seed must be >= 0 and integral, got {seed!r}")
     return InterferenceNetwork(dims, _grids(dims, [seed])[0], seed=int(seed))
 
 

@@ -138,7 +138,11 @@ def verify(net, sol):
     ShapeMismatch
         If the filters are not ``(K, n_t)`` and ``(K, n_r)``.
     """
-    pre, comb = _filters(net, sol)
+    return _verified(net, *_filters(net, sol))
+
+
+def _verified(net, pre, comb):
+    """:func:`verify`'s report on filters already through :func:`_filters`."""
     k = net.dims.k
     # gains and np.linalg.norm's Frobenius sums, on the channels and filters
     # scaled out of over- and underflow each by its own power of two: norm
@@ -462,10 +466,10 @@ def solution_to_document(net, sol, method):
     the filters meet :func:`verify`'s checks first, and a ``method`` that
     is not a string, which the reader refuses too, raises ValueError."""
     _instance("method", method, str, "a string")
-    pre, comb = (np.stack((x.real, x.imag), axis=-1).tolist()
-                 for x in _filters(net, sol))
+    filters = _filters(net, sol)
+    report = _verified(net, *filters)
+    pre, comb = (np.stack((x.real, x.imag), axis=-1).tolist() for x in filters)
     users = [{"v": v, "u": u} for v, u in zip(pre, comb)]
-    report = verify(net, sol)
     doc = {
         "format": SOLUTION_FORMAT,
         "k": net.dims.k,

@@ -1,17 +1,25 @@
+import os
 import re
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eigenalign
 from eigenalign import analysis, channel, closed_form
 from eigenalign.channel import InterferenceNetwork, NetworkDims, generate
 from eigenalign.closed_form import AlignmentSolution
 from eigenalign.errors import (DimensionMismatch, RankDeficientSolution,
                                ShapeMismatch, SingularChannel,
                                UnverifiedSolution)
-from eigenalign.iterative import IterativeConfig, _random_precoders, iterate
+from eigenalign.iterative import (IterativeConfig, _random_precoders,
+                                  _run_batch, iterate)
 
 
 def manual_solution(precoders, combiners):
@@ -337,6 +345,17 @@ class TestInfeasibilityDemo:
             analysis.infeasibility_demo(generate(NetworkDims(4, 3, 3), 0))
 
 
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """The one-CPU schedule: the sweep runs every batch in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+#: Tests of the forked schedule need a CPU to fork onto.
+needs_spare_cpu = pytest.mark.skipif(analysis._spare_cpus() < 1,
+                                     reason="no spare CPU to fork onto")
+
+
 class TestFeasibilitySweep:
     def test_two_user_cells(self):
         result = analysis.feasibility_sweep([2], [3, 4], seeds=3,
@@ -375,10 +394,10 @@ class TestFeasibilitySweep:
             assert rec.final_leakage == float(alone.leakage[-1])
             assert np.array_equal(trace, alone.leakage)
 
-    def test_one_batch_per_n(self, monkeypatch):
+    def test_one_batch_per_n(self, monkeypatch, one_cpu):
         # every cell of an N shares one engine batch, each run from its
         # seed's draw; records and progress keep the sorted (n, k, seed)
-        # order
+        # order (one CPU: a forked batch would call the spy in its child)
         calls, seen = [], []
         run_batch = analysis._run_batch
 
@@ -401,10 +420,12 @@ class TestFeasibilitySweep:
         assert seen == result.records and all(
             a is b for a, b in zip(seen, result.records))
 
-    def test_one_stream_derivation_per_cell_and_batch(self, monkeypatch):
+    def test_one_stream_derivation_per_cell_and_batch(self, monkeypatch,
+                                                      one_cpu):
         # an (n, k) cell's channels come from one stream derivation and the
         # starting precoders of an N's batch from one more; the networks
-        # handed to the probe are bitwise those of generate
+        # handed to the probe are bitwise those of generate (one CPU, as
+        # above)
         derivations, handed = [], []
         streams, run_batch = channel._streams, analysis._run_batch
 
@@ -438,6 +459,17 @@ class TestFeasibilitySweep:
                                             progress=seen.append)
         assert len(seen) == len(result.records) == 4
         assert all(a is b for a, b in zip(seen, result.records))
+
+    def test_progress_after_all_batches(self):
+        # the records are assembled after the last batch, whichever
+        # process ran each one
+        seen = []
+        result = analysis.feasibility_sweep([2, 3], [3], seeds=[1, 0],
+                                            max_iters=20,
+                                            progress=seen.append)
+        assert seen == result.records
+        assert [(r.n_t, r.seed) for r in seen] == [(2, 0), (2, 1), (3, 0),
+                                                   (3, 1)]
 
     @pytest.mark.parametrize("max_iters", [0, True, 1.5])
     def test_rejects_bad_iteration_cap(self, max_iters):
@@ -546,3 +578,130 @@ class TestFeasibilitySweep:
         assert not analysis.predicted_feasible(3, 3, 6)
         assert analysis.predicted_feasible(4, 4, 7)
         assert not analysis.predicted_feasible(4, 4, 8)
+
+
+# The directory holding the eigenalign this process imported, first on a
+# CLI child's PYTHONPATH so that it runs the same code whatever its cwd.
+PACKAGE_ROOT = str(Path(eigenalign.__file__).resolve().parents[1])
+
+
+def _sweep_batch(n, seeds=(0, 1, 2), k_values=(3, 4), max_iters=60):
+    """The engine batch of one N of a sweep, as ``feasibility_sweep``
+    builds it."""
+    hs = [h for k in k_values
+          for h in channel._grids(NetworkDims(k, n, n), list(seeds))]
+    pre = _random_precoders(n, [len(h) for h in hs], list(seeds) * len(k_values))
+    return _run_batch(hs, pre, max_iters, 1e-6)
+
+
+@pytest.mark.parametrize("unsafe", ["one cpu", "no fork", "no affinity",
+                                    "a thread", "python 3.12"])
+def test_no_child_forked_where_unsafe(monkeypatch, unsafe):
+    # every item runs in this process, in order
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if unsafe == "one cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif unsafe == "no fork":
+        monkeypatch.delattr(os, "fork")
+    elif unsafe == "no affinity":
+        monkeypatch.delattr(os, "sched_getaffinity")
+    elif unsafe == "a thread":
+        thread.start()
+    else:
+        monkeypatch.setattr(sys, "version_info", (3, 12, 0))
+    try:
+        assert analysis._forked(lambda x: (x, os.getpid()), [1, 2, 3]) == [
+            (x, os.getpid()) for x in (1, 2, 3)]
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+@needs_spare_cpu
+class TestForkedSweep:
+    """The sweep's batches on the spare CPUs: a child per spare CPU takes
+    every N but the largest, which this process runs."""
+
+    def test_items_run_in_a_child(self):
+        pids = analysis._forked(lambda x: (x, os.getpid()), [1, 2, 3])
+        assert [x for x, _ in pids] == [1, 2, 3]
+        assert pids[-1][1] == os.getpid()
+        assert all(pid != os.getpid() for _, pid in pids[:-1])
+        assert len({pid for _, pid in pids[:-1]}) <= analysis._spare_cpus()
+
+    def test_bitwise_equal_to_one_cpu(self, monkeypatch):
+        grid = ([2, 3, 4], [3, 5], [4, 1, 0])
+        forked = analysis.feasibility_sweep(*grid, max_iters=80,
+                                            keep_traces=True)
+        batches = analysis._forked(_sweep_batch, [2, 3])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        alone = analysis.feasibility_sweep(*grid, max_iters=80,
+                                           keep_traces=True)
+        assert forked.records == alone.records
+        assert [r.final_leakage.hex() for r in forked.records] == [
+            r.final_leakage.hex() for r in alone.records]
+        assert forked.cells == alone.cells
+        assert [t.tobytes() for t in forked.traces] == [
+            t.tobytes() for t in alone.traces]
+        # the filters of a batch come back from the child bit for bit
+        for got, want in zip(batches, analysis._forked(_sweep_batch, [2, 3])):
+            for a, b in zip(got, want):
+                assert (a.iterations, a.converged) == (b.iterations, b.converged)
+                for x, y in ((a.leakage, b.leakage), (a.precoders, b.precoders),
+                             (a.combiners, b.combiners)):
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    def test_no_child_after_a_sweep(self):
+        analysis.feasibility_sweep([2, 3], [3], 2, max_iters=10)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_exception_reraised(self, monkeypatch):
+        def run_batch(hs, vs, max_iters, tol):
+            if hs[0].shape[-1] == 2:
+                raise DimensionMismatch("no batch at N = 2")
+            return _run_batch(hs, vs, max_iters, tol)
+
+        monkeypatch.setattr(analysis, "_run_batch", run_batch)
+        with pytest.raises(DimensionMismatch, match="^no batch at N = 2$"):
+            analysis.feasibility_sweep([2, 3], [3], 2, max_iters=10)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_own_error_while_a_child_runs(self, monkeypatch):
+        # this process's batch fails while the child's is still running:
+        # the error comes back at once and the child is gone
+        def run_batch(hs, vs, max_iters, tol):
+            if hs[0].shape[-1] == 2:
+                time.sleep(60)
+            raise SingularChannel("no batch at N = 3")
+
+        monkeypatch.setattr(analysis, "_run_batch", run_batch)
+        start = time.perf_counter()
+        with pytest.raises(SingularChannel, match="^no batch at N = 3$"):
+            analysis.feasibility_sweep([2, 3], [3], 2, max_iters=10)
+        assert time.perf_counter() - start < 20
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_cli_prints_once_through_a_pipe(self, tmp_path, monkeypatch):
+        # a child never flushes the parent's buffered stdout nor returns
+        # into the CLI, so the piped output is the tables once
+        args = ["sweep", "--n-range", "2:3", "--k-range", "3:4", "--seeds",
+                "2", "--max-iters", "40"]
+        env = dict(os.environ)
+        inherited = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = (os.pathsep.join([PACKAGE_ROOT, inherited])
+                             if inherited else PACKAGE_ROOT)
+        proc = subprocess.run([sys.executable, "-m", "eigenalign.cli"] + args,
+                              capture_output=True, cwd=tmp_path, env=env,
+                              text=True)
+        assert proc.stderr == ""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        result = analysis.feasibility_sweep([2, 3], [3, 4], 2, max_iters=40)
+        assert proc.stdout == (
+            analysis.records_table(result.records) + "\n"
+            + analysis.render_feasibility_table(result, [2, 3], [3, 4]))

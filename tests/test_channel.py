@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -208,6 +209,10 @@ class TestStreams:
             channel.generate(dims, 1.5)
         with pytest.raises(TypeError):
             channel.generate(dims, None)
+        for flag in (True, False):   # not seeds 1 and 0
+            with pytest.raises(ValueError, match=re.escape(
+                    f"seed must be >= 0 and integral, got {flag!r}")):
+                channel.generate(dims, flag)
         assert channel.generate(dims, np.int64(9)) == channel.generate(dims, 9)
 
     @pytest.mark.parametrize("bad, error", [

@@ -807,6 +807,21 @@ class TestSolutionDocument:
             data = closed_form.solution_to_document(net, sol, name)
             assert closed_form.solution_from_document(data)[2] == name
 
+    def test_one_filter_gate_per_document(self, monkeypatch):
+        # the writer and its verify share one pass through the array gate
+        net = generate(NetworkDims(3, 2, 2), 4)
+        sol = closed_form.solve_eigen_method(net)
+        expected = closed_form.solution_to_document(net, sol, "eigen")
+        calls, gate = [], closed_form._filters
+
+        def spy(net, sol):
+            calls.append(sol)
+            return gate(net, sol)
+
+        monkeypatch.setattr(closed_form, "_filters", spy)
+        assert closed_form.solution_to_document(net, sol, "eigen") == expected
+        assert len(calls) == 1
+
     def test_deterministic_bytes(self):
         net = generate(NetworkDims(3, 2, 2), 4)
         sol = closed_form.solve_loop_method(net)
