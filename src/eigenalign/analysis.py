@@ -321,7 +321,8 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=DEFAULT_MAX_ITERS,
     ValueError
         If a grid value, a seed, the count or ``max_iters`` is not integral
         or out of range (N < 1, K < 2, seed < 0, count < 1, max_iters < 1),
-        if ``seeds`` names no seed, if the grid or the seeds repeat a value,
+        if ``n_values``, ``k_values`` or ``seeds`` names no value (checked
+        before anything is drawn), if the grid or the seeds repeat a value,
         or if a tolerance is not a number > 0 (``bool`` is not) or
         exceeds the other.
     """
@@ -344,9 +345,10 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=DEFAULT_MAX_ITERS,
         checked.append(sorted(_count(name, x, least) for x in values))
         if len(set(checked[-1])) != len(checked[-1]):
             raise ValueError(f"{name} must be distinct, got {checked[-1]}")
+    for noun, values in zip(("N", "K", "seed"), checked):
+        if not values:
+            raise ValueError(f"the sweep needs at least one {noun}")
     n_values, k_values, seeds = checked
-    if not seeds:
-        raise ValueError("the sweep needs at least one seed")
 
     def job(n):   # one engine batch over all of N's cells and seeds
         hs = [h for k in k_values for h in _grids(NetworkDims(k, n, n), seeds)]

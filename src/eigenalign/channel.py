@@ -14,7 +14,7 @@ derivation, from each seed's numpy ``SeedSequence(seed).pool``, serves a
 batch of seeds and keys; numpy's per-key SeedSequence is the test oracle.
 It draws the bare grids of a batch of seeds in one array, which the
 feasibility sweep hands to the probe engine as it is; :func:`generate`
-wraps its one grid.
+wraps its one grid in a network, which keeps a read-only copy.
 """
 
 import json
@@ -100,6 +100,8 @@ class NetworkDims:
 class InterferenceNetwork:
     """Immutable bundle of dims plus all K^2 channel matrices.
 
+    ``h`` is the network's own read-only copy of the array it was given,
+    so neither the caller's array nor a write through ``h`` changes it.
     ``seed`` is a provenance tag only; networks built from explicit
     matrices carry ``seed=None``.
     """
@@ -111,8 +113,9 @@ class InterferenceNetwork:
     def __post_init__(self):
         dims = _instance("dims", self.dims, NetworkDims)
         k, n_t, n_r = dims.k, dims.n_t, dims.n_r
-        object.__setattr__(self, "h", _array("channel entries", self.h,
-                                             (k, k, n_r, n_t)))
+        h = np.array(_array("channel entries", self.h, (k, k, n_r, n_t)))
+        h.flags.writeable = False
+        object.__setattr__(self, "h", h)
         if self.seed is not None:   # written as the document's "seed"
             if isinstance(self.seed, bool) or not isinstance(
                     self.seed, numbers.Integral):

@@ -49,6 +49,13 @@ CUBE_TOL = 1e-6
 #: 2-norm condition estimate at or above which a cross channel is refused.
 CONDITION_CAP = 1e12
 
+# One-entry memos, each ``(network, key, result)`` of the last computation,
+# replaced in one assignment: :func:`verify`'s report, keyed on the filter
+# bytes, and :func:`_loop_system`'s system. A network's channels are
+# read-only, so the network object stands for them.
+_report_memo = None
+_loop_memo = None
+
 
 @dataclass
 class AlignmentSolution:
@@ -59,7 +66,7 @@ class AlignmentSolution:
     eigenvalue: complex | None
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
     """Raw alignment residuals and direct-link gains with the verdict.
 
@@ -72,6 +79,8 @@ class VerificationReport:
     each relative gain against ``RANK_TOL``; a zero link never passes. The
     ratios and the verdict come from channels and filters scaled by powers
     of two, so a raw value past the float range reads inf and none is NaN.
+    A report is frozen and its arrays read-only: :func:`verify` may hand
+    the same report to several callers.
     """
 
     residuals: np.ndarray
@@ -141,8 +150,28 @@ def verify(net, sol):
     return _verified(net, *_filters(net, sol))
 
 
+def _recalled(memo, net, key=None):
+    """The result ``memo`` holds for the object ``net`` and ``key``, or
+    None; never for a network whose channels were made writeable again."""
+    if (memo is not None and memo[0] is net and memo[1] == key
+            and not net.h.flags.writeable):
+        return memo[2]
+    return None
+
+
 def _verified(net, pre, comb):
-    """:func:`verify`'s report on filters already through :func:`_filters`."""
+    """:func:`verify`'s report on filters already through :func:`_filters`:
+    the last report again for the same network and filter bytes."""
+    global _report_memo
+    key = pre.tobytes(), comb.tobytes()
+    if (report := _recalled(_report_memo, net, key)) is None:
+        report = _report(net, pre, comb)
+        _report_memo = net, key, report
+    return report
+
+
+def _report(net, pre, comb):
+    """:func:`_verified`'s report, computed."""
     k = net.dims.k
     # gains and np.linalg.norm's Frobenius sums, on the channels and filters
     # scaled out of over- and underflow each by its own power of two: norm
@@ -166,9 +195,11 @@ def _verified(net, pre, comb):
             residuals, gains, norms = (np.ldexp(x, y) for x, y in (
                 (residuals, g), (gains, g), (norms, e)))
     passed = bool(worst <= ALIGN_TOL * scale and np.all(relative >= RANK_TOL))
-    return VerificationReport(residuals, np.diagonal(gains).copy(), passed,
-                              float(norms.max()), relative,
-                              float(worst / scale) if scale else 0.0)
+    direct = np.diagonal(gains).copy()
+    for x in (residuals, direct, relative):
+        x.flags.writeable = False
+    return VerificationReport(residuals, direct, passed, float(norms.max()),
+                              relative, float(worst / scale) if scale else 0.0)
 
 
 def _rank_gate(net, sol):
@@ -344,20 +375,31 @@ def _loop_system(net, what):
     """The K = 3 gate, then the compensated matrix times ``2^-e`` (no loop
     matrix entry, nor its square, over- or underflows); its blocks ``(r, r
     + 1)``, the loop factors ``(inv(h31) h32, inv(h12) h13, inv(h23) h21)``;
-    their product, the loop matrix times ``2^-3e``; and ``e``."""
+    their product, the loop matrix times ``2^-3e``; and ``e``. The arrays
+    are read-only: the last network's system is handed out again. Only a
+    built system is kept, so each caller's error names its own ``what``."""
+    global _loop_memo
+    if (system := _recalled(_loop_memo, net)) is not None:
+        return system
     if _instance("net", net, InterferenceNetwork).dims.k != 3:
         raise DimensionMismatch(f"{what} needs K = 3, got K={net.dims.k}")
     n = net.dims.n_t
     compensated, exp = _power_scaled(_compensated_matrix(net, what))
+    compensated.flags.writeable = False
     blocks = compensated.reshape(3, n, 3, n)
     first, second, third = (blocks[r, :, (r + 1) % 3] for r in range(3))
-    return compensated, (first, second, third), first @ second @ third, exp
+    loop = first @ second @ third
+    loop.flags.writeable = False
+    system = compensated, (first, second, third), loop, exp
+    _loop_memo = net, None, system
+    return system
 
 
 def loop_matrix(net):
-    """The N x N product matrix of the 3-user loop equations."""
+    """The N x N product matrix of the 3-user loop equations, a fresh
+    array."""
     _, _, loop, exp = _loop_system(net, "loop method")
-    return _unscaled(loop, 3 * exp, "loop matrix")
+    return _unscaled(loop, 3 * exp, "loop matrix") if exp else loop.copy()
 
 
 def _back_substitute(v, steps):

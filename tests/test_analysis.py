@@ -194,6 +194,17 @@ class TestRates:
         rates = [p.sum_rate for p in points]
         assert np.all(np.diff(rates) > 0)
 
+    def test_solve_verify_and_rates_compute_one_report(self, spy):
+        # the rank gate's report serves the caller's verify and the rates
+        computed = spy(closed_form, "_report")
+        net = generate(NetworkDims(5, 4, 4), 3)
+        sol = closed_form.solve_eigen_method(net)
+        report = analysis.verify(net, sol)
+        points = analysis.sum_rate_curve(net, sol, [0.0, 10.0])
+        assert len(computed) == 1
+        np.testing.assert_array_equal(
+            points[1].per_user, np.log2(1.0 + 10.0 * report.rank_metrics ** 2))
+
     def test_unverified_rejected(self):
         net = generate(NetworkDims(3, 2, 2), 42)
         sol = closed_form.solve_eigen_method(net)
@@ -481,6 +492,22 @@ class TestFeasibilitySweep:
     def test_rejects_bad_seed_sets(self, seeds):
         with pytest.raises(ValueError):
             analysis.feasibility_sweep([2], [3], seeds, max_iters=10)
+
+    @pytest.mark.parametrize("n_values, k_values, seeds, message", [
+        ([], [4], 2, "the sweep needs at least one N"),
+        ([2], [], 2, "the sweep needs at least one K"),
+        ([2], [4], [], "the sweep needs at least one seed"),
+    ])
+    def test_rejects_empty_grid(self, n_values, k_values, seeds, message,
+                                monkeypatch):
+        # refused before any network is drawn
+        def draw(*args):
+            raise AssertionError("a network was drawn")
+
+        monkeypatch.setattr(analysis, "_grids", draw)
+        with pytest.raises(ValueError) as err:
+            analysis.feasibility_sweep(n_values, k_values, seeds)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("n_values, k_values, message", [
         ([2.7], [3.9], "n_values must be >= 1 and integral, got 2.7"),

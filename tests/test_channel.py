@@ -446,3 +446,15 @@ class TestNetworkValidation:
         again = channel.InterferenceNetwork(net.dims, net.h.astype(object))
         assert again.h.dtype == np.complex128
         assert np.array_equal(again.h, net.h)
+
+    def test_channels_owned_and_read_only(self):
+        # the network keeps its own copy: an edit of the caller's array
+        # does not reach it, and its channels refuse writes
+        dims = channel.NetworkDims(3, 2, 2)
+        a = channel.generate(dims, 1).h.copy()
+        net = channel.InterferenceNetwork(dims, a)
+        a[0, 1] = 99
+        assert np.array_equal(net.h, channel.generate(dims, 1).h)
+        with pytest.raises(ValueError, match="read-only"):
+            net.h[0, 1] = 0
+        assert not net.h.flags.writeable

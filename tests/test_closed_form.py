@@ -1,12 +1,15 @@
+import dataclasses
 import json
 import re
+import sys
+import threading
 import warnings
 from itertools import permutations
 
 import numpy as np
 import pytest
 
-from eigenalign import channel, closed_form, iterative, linalg
+from eigenalign import channel, cli, closed_form, iterative, linalg
 from eigenalign.channel import InterferenceNetwork, NetworkDims, generate
 from eigenalign.errors import (DimensionMismatch, EmptyNullSpace,
                                MalformedDocument, RankDeficientSolution,
@@ -918,3 +921,146 @@ class TestSolutionDocument:
             with pytest.raises(ValueError, match="^" + re.escape(message)):
                 closed_form.solution_to_document(net, sol, "eigen")
 
+
+def spread_network(net, factor):
+    """``net`` with each receiver's cross channel that no route inverts,
+    ``(l, l + 2)``, times ``factor``: the loop matrix scales with it."""
+    h = net.h.copy()
+    for l in range(net.dims.k):
+        h[l, (l + 2) % net.dims.k] *= factor
+    return InterferenceNetwork(net.dims, h)
+
+
+def same_bits(a, b):
+    """Two reports or solutions field by field, arrays to the byte."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape,
+                                                       y.tobytes()), f.name
+        else:
+            assert type(x) is type(y) and x == y, f.name
+
+
+class TestMemos:
+    def test_solve_verify_and_document_compute_one_report(self, spy):
+        # the rank gate, the caller's verify and the writer share a report
+        computed = spy(closed_form, "_report")
+        net = generate(NetworkDims(4, 3, 3), 5)
+        sol = closed_form.solve_eigen_method(net)
+        report = closed_form.verify(net, sol)
+        closed_form.solution_to_document(net, sol, "eigen")
+        assert closed_form.verify(net, sol) is report
+        assert len(computed) == 1
+
+    def test_cli_solve_computes_one_report(self, tmp_path, spy):
+        chan, out = str(tmp_path / "chan.json"), str(tmp_path / "sol.json")
+        assert cli.main(["gen", "--users", "4", "--nt", "3", "--nr", "3",
+                         "--seed", "2", "--out", chan]) == 0
+        computed = spy(closed_form, "_report")
+        assert cli.main(["solve", "--method", "eigen", "--in", chan,
+                         "--out", out]) == 0
+        assert len(computed) == 1
+
+    def test_loop_solve_and_cube_check_build_one_system(self, spy):
+        built = spy(closed_form, "_compensated_matrix")
+        net = generate(NetworkDims(3, 3, 3), 4)
+        closed_form.solve_loop_method(net)
+        assert closed_form.cube_relation_check(net).passed
+        closed_form.loop_matrix(net)
+        assert len(built) == 1
+
+    def test_hit_equals_fresh_report(self):
+        net = generate(NetworkDims(3, 2, 2), 8)
+        sol = closed_form.solve_eigen_method(net)
+        report = closed_form.verify(net, sol)
+        closed_form._report_memo = None
+        fresh = closed_form._verified(net, *closed_form._filters(net, sol))
+        assert fresh is not report
+        same_bits(report, fresh)
+
+    def test_filter_edited_in_place_recomputed(self, spy):
+        computed = spy(closed_form, "_report")
+        net = generate(NetworkDims(3, 2, 2), 42)
+        sol = closed_form.solve_eigen_method(net)
+        assert closed_form.verify(net, sol).passed
+        sol.precoders[2] = sol.precoders[2, ::-1]
+        assert not closed_form.verify(net, sol).passed
+        assert len(computed) == 2
+
+    def test_equal_network_computed_anew(self, spy):
+        net = generate(NetworkDims(3, 2, 2), 42)
+        sol = closed_form.solve_eigen_method(net)
+        report = closed_form.verify(net, sol)
+        computed, built = (spy(closed_form, name) for name in
+                           ("_report", "_compensated_matrix"))
+        twin = InterferenceNetwork(net.dims, net.h, seed=net.seed)
+        assert twin == net
+        again = closed_form.verify(twin, sol)
+        assert again is not report
+        same_bits(report, again)
+        closed_form.loop_matrix(net)
+        closed_form.loop_matrix(twin)
+        assert (len(computed), len(built)) == (1, 2)
+
+    def test_writeable_network_not_reused(self, spy):
+        # channels made writeable again may have changed under the network
+        computed, built = (spy(closed_form, name) for name in
+                           ("_report", "_compensated_matrix"))
+        net = generate(NetworkDims(3, 2, 2), 42)
+        sol = closed_form.solve_loop_method(net)
+        net.h.flags.writeable = True
+        closed_form.verify(net, sol)
+        closed_form.loop_matrix(net)
+        assert (len(computed), len(built)) == (2, 2)
+
+    def test_threads_get_their_own_reports(self):
+        # threads sharing the memo each get the report of their own
+        # network and filters: key and report are replaced together
+        cases = []
+        for seed in range(4):
+            net = generate(NetworkDims(3, 2, 2), seed)
+            sol = closed_form.solve_loop_method(net)
+            cases.append((net, sol, closed_form._report(
+                net, *closed_form._filters(net, sol))))
+        wrong = []
+
+        def work(net, sol, expected):
+            for _ in range(300):
+                report = closed_form.verify(net, sol)
+                if report.residuals.tobytes() != expected.residuals.tobytes():
+                    wrong.append(net.seed)
+
+        threads = [threading.Thread(target=work, args=case)
+                   for case in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_report_frozen_and_read_only(self):
+        net = generate(NetworkDims(3, 2, 2), 42)
+        report = closed_form.verify(net, closed_form.solve_eigen_method(net))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.passed = False
+        for name in ("residuals", "rank_metrics", "relative_gains"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(report, name)[...] = 0.0
+
+    @pytest.mark.parametrize("factor", [1.0, 2.0 ** 300])
+    def test_loop_matrix_written_leaves_the_route(self, factor):
+        net = spread_network(generate(NetworkDims(3, 2, 2), 6), factor)
+        assert (closed_form._loop_system(net, "")[3] == 0) == (factor == 1.0)
+        loop = closed_form.loop_matrix(net)
+        assert loop.flags.writeable
+        loop[...] = 0.0
+        expected = closed_form.solve_loop_method(
+            InterferenceNetwork(net.dims, net.h))
+        same_bits(closed_form.solve_loop_method(net), expected)

@@ -37,7 +37,7 @@ def networks(draw):
     """A network of K = N + 1 or K = 3 users, N = 2 or 3, times a scale."""
     n = draw(st.integers(2, 3))
     dims = NetworkDims(draw(st.sampled_from([3, n + 1])), n, n)
-    h = generate(dims, draw(st.integers(0, 2 ** 16))).h
+    h = generate(dims, draw(st.integers(0, 2 ** 16))).h.copy()
     kind = draw(st.sampled_from(["gaussian", "integer", "repeated", "link"]))
     if kind == "integer":
         parts = draw(st.lists(st.integers(-2, 2), min_size=2 * h.size,
