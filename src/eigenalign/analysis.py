@@ -13,7 +13,7 @@ The sweep hands the alternating minimizer bare channel grids, one draw per
 infeasible / inconclusive by fixed leakage thresholds, next to the
 dimension-count prediction that single-stream alignment works iff
 ``n_r + n_t - 1 >= k``. Its per-N batches share nothing, so all but the
-largest N's run in forked children on the spare CPUs, with the same bits.
+largest N's run in one forked child on another CPU, with the same bits.
 """
 
 import math
@@ -222,80 +222,62 @@ def predicted_feasible(n_r, n_t, k):
     return n_r + n_t - 1 >= k
 
 
-def _spare_cpus():
-    """CPUs besides this process's own that it may fork onto: none where
+def _may_fork():
+    """Whether this process may fork a child onto another CPU: not where
     ``os.fork`` or ``sched_getaffinity`` is missing, where another Python
-    thread runs (a child would inherit the locks it holds), or from Python
+    thread runs (a child would inherit the locks it holds), from Python
     3.12, which warns on forking a process with native threads such as
-    OpenBLAS's."""
-    if (sys.version_info >= (3, 12) or not hasattr(os, "fork")
-            or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 0
-    return len(os.sched_getaffinity(0)) - 1
+    OpenBLAS's, or on one CPU."""
+    return (sys.version_info < (3, 12) and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1
+            and len(os.sched_getaffinity(0)) > 1)
 
 
 def _forked(job, items):
-    """``[job(x) for x in items]``: this process computes the last item,
-    and the others are dealt round-robin over one forked child per spare
-    CPU. A child sends its outcome back pickled through a pipe and ends in
-    ``os._exit``, so it flushes none of this process's stdio and never
-    returns to the caller. A child's exception is re-raised here, of its
-    type and with its message. No child outlives the call: if it raises,
-    each child still running is killed; either way each is reaped."""
-    workers = min(_spare_cpus(), len(items) - 1)
-    if workers < 1:
+    """``[job(x) for x in items]``: this process computes the last item
+    while one forked child computes the others in order. The child pickles
+    their list into a pipe and exits 0, or exits 1 having sent nothing;
+    it ends in ``os._exit``, so it flushes none of this process's stdio and
+    never returns to the caller. On any exit status but 0 this process
+    computes the child's items itself, so their error is raised here as it
+    is and a killed child costs time only. No child outlives the call: if this
+    process raises, the child is killed; either way it is reaped."""
+    if len(items) < 2 or not _may_fork():
         return [job(x) for x in items]
-    children = []   # (pid, read end of its pipe)
+    read, write = os.pipe()
     try:
-        for w in range(workers):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                try:
-                    for fd in [read] + [r for _, r in children]:
-                        os.close(fd)
-                    try:
-                        outcome = True, [job(x) for x in items[w:-1:workers]]
-                    except BaseException as exc:   # the caller raises it
-                        outcome = False, exc
-                    with open(write, "wb") as out:
-                        pickle.dump(outcome, out, pickle.HIGHEST_PROTOCOL)
-                finally:
-                    os._exit(0)
-            os.close(write)
-            children.append((pid, read))
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            data = pickle.dumps([job(x) for x in items[:-1]],
+                                pickle.HIGHEST_PROTOCOL)
+            with open(write, "wb") as out:
+                out.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    try:
+        os.close(write)
         last = job(items[-1])
-        shares = []
-        for pid, read in children:
-            with open(read, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            if not data:
-                raise RuntimeError(f"forked worker {pid} ended without"
-                                   f" its results")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            shares.append(value)
+        with open(read, "rb", closefd=False) as pipe:
+            data = pipe.read()
     except BaseException:
         import signal   # here: its enums cost about 1 ms of every start-up
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
+        os.kill(pid, signal.SIGKILL)
         raise
     finally:   # closed first: a child blocked on a full pipe gets EPIPE
-        for pid, read in children:
-            os.close(read)
-            os.waitpid(pid, 0)
-    results = [None] * len(items)
-    for w, share in enumerate(shares):
-        results[w:-1:workers] = share
-    results[-1] = last
-    return results
+        os.close(read)
+        status = os.waitpid(pid, 0)[1]
+    if status != 0:
+        return [job(x) for x in items[:-1]] + [last]
+    return pickle.loads(data) + [last]
 
 
 def feasibility_sweep(n_values, k_values, seeds, max_iters=DEFAULT_MAX_ITERS,
@@ -312,9 +294,9 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=DEFAULT_MAX_ITERS,
     not depend on how the work is scheduled. Each N draws a cell's channel
     grids at once and runs all its cells as one engine batch, each run
     bitwise its seed's ``iterate``. The batches of all N but the largest
-    run in forked children, one per spare CPU, while this process runs the
-    largest (see :func:`_forked`); ``progress`` is called once per record,
-    in record order, after the last batch.
+    run in one forked child, in order, while this process runs the largest
+    (see :func:`_forked`); ``progress`` is called once per record, in
+    record order, after the last batch.
 
     Raises
     ------

@@ -1,9 +1,12 @@
+import itertools
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
 import time
+import traceback
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -363,7 +366,7 @@ def one_cpu(monkeypatch):
 
 
 #: Tests of the forked schedule need a CPU to fork onto.
-needs_spare_cpu = pytest.mark.skipif(analysis._spare_cpus() < 1,
+needs_spare_cpu = pytest.mark.skipif(not analysis._may_fork(),
                                      reason="no spare CPU to fork onto")
 
 
@@ -649,15 +652,18 @@ def test_no_child_forked_where_unsafe(monkeypatch, unsafe):
 
 @needs_spare_cpu
 class TestForkedSweep:
-    """The sweep's batches on the spare CPUs: a child per spare CPU takes
-    every N but the largest, which this process runs."""
+    """The sweep's batches on two CPUs: one child takes every N but the
+    largest, which this process runs."""
 
     def test_items_run_in_a_child(self):
-        pids = analysis._forked(lambda x: (x, os.getpid()), [1, 2, 3])
-        assert [x for x, _ in pids] == [1, 2, 3]
-        assert pids[-1][1] == os.getpid()
-        assert all(pid != os.getpid() for _, pid in pids[:-1])
-        assert len({pid for _, pid in pids[:-1]}) <= analysis._spare_cpus()
+        # the child computes items 1 and 2, in order; this process item 3
+        order = itertools.count()
+        got = analysis._forked(lambda x: (x, os.getpid(), next(order)),
+                               [1, 2, 3])
+        assert [x for x, _, _ in got] == [1, 2, 3]
+        assert got[-1][1:] == (os.getpid(), 0)
+        assert got[0][1] == got[1][1] != os.getpid()
+        assert [i for _, _, i in got[:-1]] == [0, 1]
 
     def test_bitwise_equal_to_one_cpu(self, monkeypatch):
         grid = ([2, 3, 4], [3, 5], [4, 1, 0])
@@ -693,10 +699,41 @@ class TestForkedSweep:
             return _run_batch(hs, vs, max_iters, tol)
 
         monkeypatch.setattr(analysis, "_run_batch", run_batch)
-        with pytest.raises(DimensionMismatch, match="^no batch at N = 2$"):
+        with pytest.raises(DimensionMismatch,
+                           match="^no batch at N = 2$") as info:
             analysis.feasibility_sweep([2, 3], [3], 2, max_iters=10)
+        # raised where it happened, not re-raised from a pickled copy
+        assert run_batch.__code__ in [
+            frame.f_code for frame, _ in traceback.walk_tb(info.tb)]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_killed_child_costs_time_only(self, monkeypatch):
+        # a child killed by a signal sends nothing: this process runs its
+        # batch itself, and the sweep is bitwise the one-CPU sweep
+        parent, here = os.getpid(), []
+
+        def run_batch(hs, vs, max_iters, tol):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            here.append(hs[0].shape[-1])
+            return _run_batch(hs, vs, max_iters, tol)
+
+        grid = ([2, 3], [3, 4], [4, 1, 0])
+        monkeypatch.setattr(analysis, "_run_batch", run_batch)
+        got = analysis.feasibility_sweep(*grid, max_iters=60, keep_traces=True)
+        assert here == [3, 2]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        alone = analysis.feasibility_sweep(*grid, max_iters=60,
+                                           keep_traces=True)
+        assert got.records == alone.records
+        assert [r.final_leakage.hex() for r in got.records] == [
+            r.final_leakage.hex() for r in alone.records]
+        assert got.cells == alone.cells
+        assert [t.tobytes() for t in got.traces] == [
+            t.tobytes() for t in alone.traces]
 
     def test_own_error_while_a_child_runs(self, monkeypatch):
         # this process's batch fails while the child's is still running:
