@@ -4,7 +4,8 @@ Every subcommand is a pure function of its flags and input files, so
 repeated runs produce byte-identical output. Exit codes: 0 success /
 positive finding, 1 negative finding (failed verification, rank-deficient
 or non-converged solve, confirmed infeasibility, inconclusive sweep cell),
-2 usage or malformed input, 3 no usable eigenpair, 4 I/O failure.
+2 usage or malformed input (a request larger than the machine can hold
+too), 3 no usable eigenpair, 4 I/O failure.
 
 ``EIGENALIGN_SEED``, read on every call, provides the default of ``--seed``.
 """
@@ -292,7 +293,7 @@ def main(argv=None):
         print(f"no usable eigenpair: {exc}", file=sys.stderr)
         return EXIT_NO_EIGENPAIR
     except (MalformedDocument, ShapeMismatch, DimensionMismatch,
-            ConfigMismatch, ValueError) as exc:
+            ConfigMismatch, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except EigenalignError as exc:

@@ -47,6 +47,18 @@ class TestGen:
         assert code == 2
         assert "2 users" in err
 
+    def test_unallocatable_request_exits_2(self, tmp_path, capsys):
+        # 12.8 PiB of channels lies past any 64-bit address space, so the
+        # allocation is refused before a page is touched
+        out = tmp_path / "x.json"
+        code, text, err = run(capsys, ["gen", "--users", "3", "--nt",
+                                       "10000000", "--nr", "10000000",
+                                       "--seed", "1", "--out", str(out)])
+        assert (code, text) == (2, "")
+        assert err.startswith("error: Unable to allocate 12.8 PiB")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run(capsys, ["gen", "--users", "2", "--nt", "1",
                                     "--nr", "1", "--seed", "0"])
@@ -382,6 +394,15 @@ class TestSweep:
                                     "--k-range", "3"])
         assert code == 2
         assert err == "error: --n-range expects A or A:B, got '2:x'\n"
+
+    def test_unallocatable_request_exits_2(self, capsys):
+        # one N of 10**7 antennas: 12.8 PiB of channels, refused before a
+        # page is touched
+        code, out, err = run(capsys, ["sweep", "--n-range", "10000000",
+                                      "--k-range", "3", "--seeds", "1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Unable to allocate 12.8 PiB")
+        assert err.count("\n") == 1
 
     def test_oversized_range_exits_2(self, capsys):
         # 3:1000002 would be a list of a million values (tens of MB) and a
