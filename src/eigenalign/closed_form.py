@@ -492,37 +492,35 @@ def cube_relation_check(net):
     return CubeRelationReport(matches, worst, worst <= CUBE_TOL and bool(matches))
 
 
-def _json_pairs(x, where):
-    """``[re, im]`` pairs of the numbers ``x``; ValueError naming the field
-    ``where`` if one is NaN or infinite, which JSON cannot carry."""
-    if not np.isfinite(x).all():
-        raise ValueError(f"{where} must hold finite numbers to be written")
-    return [[float(z.real), float(z.imag)] for z in x]
-
-
 def solution_to_document(net, sol, method):
     """Serialize a solution to the versioned JSON solution document; its
     ``residual`` and ``rank_metric`` are :func:`verify`'s
-    ``alignment_residual`` and weakest relative gain on ``net``. A field
-    holding NaN or infinity, which the reader refuses, raises ValueError;
-    the filters meet :func:`verify`'s checks first, and a ``method`` that
-    is not a string, which the reader refuses too, raises ValueError."""
+    ``alignment_residual`` and weakest relative gain on ``net``. The
+    filters meet :func:`verify`'s checks first; ``lambda``, ``residual``
+    and ``rank_metric`` meet the same array gate as one number each, so
+    NaN or infinity, which the reader refuses, text or a non-number raises
+    ValueError naming the field, and more than one number ShapeMismatch. A
+    ``method`` that is not a string, which the reader refuses too, raises
+    ValueError."""
     _instance("method", method, str, "a string")
     filters = _filters(net, sol)
     report = _verified(net, *filters)
     pre, comb = (np.stack((x.real, x.imag), axis=-1).tolist() for x in filters)
     users = [{"v": v, "u": u} for v, u in zip(pre, comb)]
+    lam, residual, rank_metric = (
+        x if x is None else _array(name, x, ()).item() for name, x in (
+            ("lambda", sol.eigenvalue),
+            ("residual", report.alignment_residual),
+            ("rank_metric", np.min(report.relative_gains))))
     doc = {
         "format": SOLUTION_FORMAT,
         "k": net.dims.k,
         "nt": net.dims.n_t,
         "nr": net.dims.n_r,
         "method": method,
-        "lambda": (None if sol.eigenvalue is None
-                   else _json_pairs([sol.eigenvalue], "lambda")[0]),
-        "residual": _json_pairs([report.alignment_residual], "residual")[0][0],
-        "rank_metric": _json_pairs([np.min(report.relative_gains)],
-                                   "rank_metric")[0][0],
+        "lambda": None if lam is None else [lam.real, lam.imag],
+        "residual": residual.real,
+        "rank_metric": rank_metric.real,
         "users": users,
     }
     return (json.dumps(doc, indent=1) + "\n").encode("utf-8")

@@ -13,7 +13,7 @@ from eigenalign import channel, cli, closed_form, iterative, linalg
 from eigenalign.channel import InterferenceNetwork, NetworkDims, generate
 from eigenalign.errors import (DimensionMismatch, EmptyNullSpace,
                                MalformedDocument, RankDeficientSolution,
-                               SingularChannel)
+                               ShapeMismatch, SingularChannel)
 
 
 def alignment_residual(net, sol):
@@ -905,20 +905,33 @@ class TestSolutionDocument:
         ("lambda", lambda sol: setattr(sol, "eigenvalue", complex(0, np.nan))),
         ("residual", lambda sol: (sol.precoders.__setitem__((0, 0), 1e308),
                                   sol.combiners.__setitem__((1, 0), 1e308))),
+        ("lambda text", lambda sol: setattr(sol, "eigenvalue", "abc")),
+        ("lambda object", lambda sol: setattr(sol, "eigenvalue", object())),
+        ("lambda list", lambda sol: setattr(sol, "eigenvalue", [1, 2])),
+        ("lambda array", lambda sol: setattr(sol, "eigenvalue",
+                                             np.array([1 + 1j, 2]))),
     ])
     def test_non_finite_fields_refused_before_writing(self, field, edit):
         # JSON has no NaN or Infinity: the reader would refuse the token, so
-        # the writer names the field instead of writing it; a filter meets
-        # verify's gate first, which names its array as verify does
+        # the writer names the field instead of writing it; every field
+        # meets the package's array gate, which names it as verify does
         net = generate(NetworkDims(3, 2, 2), 4)
         sol = closed_form.solve_eigen_method(net)
         edit(sol)
-        message = {"users[1].v": "precoders must be finite",
-                   "users[2].u": "combiners must be finite"}.get(
-            field, f"{field} must hold finite numbers to be written")
+        error, message = {
+            "users[1].v": (ValueError, "precoders must be finite"),
+            "users[2].u": (ValueError, "combiners must be finite"),
+            "lambda": (ValueError, "lambda must be finite"),
+            "residual": (ValueError, "residual must be finite"),
+            "lambda text": (ValueError, "lambda must be an array of numbers"),
+            "lambda object": (ValueError, "lambda must be an array of numbers"),
+            "lambda list": (ShapeMismatch,
+                            "lambda have shape (2,), expected ()"),
+            "lambda array": (ShapeMismatch,
+                             "lambda have shape (2,), expected ()")}[field]
         with warnings.catch_warnings():   # the residual's gain overflows
             warnings.simplefilter("ignore")
-            with pytest.raises(ValueError, match="^" + re.escape(message)):
+            with pytest.raises(error, match="^" + re.escape(message) + "$"):
                 closed_form.solution_to_document(net, sol, "eigen")
 
 
