@@ -20,6 +20,33 @@ def no_child_left():
 
 
 @pytest.fixture(autouse=True)
+def no_descriptor_left():
+    """Every test closes the file descriptors it opens, and no other: the
+    ``(fd, target)`` pairs under ``/proc/self/fd`` are the same after it
+    as before (numbers alone miss a closed descriptor's number reused by
+    a leaked one). Skipped where that directory is missing."""
+    def opened():
+        try:
+            fds = os.listdir("/proc/self/fd")
+        except FileNotFoundError:
+            return None
+        pairs = set()
+        for fd in fds:
+            try:
+                pairs.add((fd, os.readlink(f"/proc/self/fd/{fd}")))
+            except FileNotFoundError:   # the listing's own descriptor
+                pass
+        return pairs
+
+    before = opened()
+    yield
+    after = opened()
+    if before is not None and after != before:
+        pytest.fail(f"the test opened or closed file descriptors:"
+                    f" {sorted(after ^ before)}")
+
+
+@pytest.fixture(autouse=True)
 def empty_memos():
     """Every test starts with ``closed_form``'s two memos empty, so no
     outcome depends on the test that ran before it."""
