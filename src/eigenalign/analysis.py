@@ -22,6 +22,7 @@ import os
 import pickle
 import sys
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,8 +242,9 @@ def _forked(job, items):
     it ends in ``os._exit``, so it flushes none of this process's stdio and
     never returns to the caller. On any exit status but 0 this process
     computes the child's items itself, so their error is raised here as it
-    is and a killed child costs time only. No child outlives the call: if this
-    process raises, the child is killed; either way it is reaped."""
+    is and a killed child costs time only; if the fork fails, it computes
+    every item, as on one CPU. No child outlives the call: if this process
+    raises, the child is killed; either way it is reaped."""
     if len(items) < 2 or not _may_fork():
         return [job(x) for x in items]
     read, write = os.pipe()
@@ -251,7 +253,7 @@ def _forked(job, items):
     except OSError:
         os.close(read)
         os.close(write)
-        raise
+        return [job(x) for x in items]
     if pid == 0:
         status = 1
         try:
@@ -305,9 +307,10 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=DEFAULT_MAX_ITERS,
         or out of range (N < 1, K < 2, seed < 0, count < 1, max_iters < 1),
         if ``n_values``, ``k_values`` or ``seeds`` names no value (checked
         before anything is drawn), if the grid or the seeds repeat a value,
-        or if a tolerance is not a number > 0 (``bool`` is not) or
-        exceeds the other.
+        if a tolerance is not a number > 0 (``bool`` is not) or exceeds
+        the other, or if ``progress`` is neither None nor callable.
     """
+    _instance("progress", progress, (type(None), Callable), "None or callable")
     max_iters = _count("max_iters", max_iters)
     if _positive("feasible_tol", feasible_tol) > _positive(
             "infeasible_tol", infeasible_tol):
@@ -386,9 +389,11 @@ def render_feasibility_table(result, n_values, k_values):
 
     Y = feasible, . = infeasible, ? = inconclusive; a trailing column
     shows the largest K the dimension count allows, and cells that
-    disagree with it are flagged with '!'. ValueError names the first
-    ``(n, k)`` of the grid that ``result`` holds no cell for.
+    disagree with it are flagged with '!'. ValueError names a ``result``
+    that is not a :class:`SweepResult`, or the first ``(n, k)`` of the grid
+    that it holds no cell for.
     """
+    _instance("result", result, SweepResult)
     header = " N\\K |" + "".join(f" {k:>2}" for k in k_values) + " | predicted"
     lines = [header, "-" * len(header)]
     for n in n_values:

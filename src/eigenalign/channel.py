@@ -61,16 +61,19 @@ def _instance(name, x, kind, what=None):
 
 def _array(name, x, shape):
     """``x`` as a complex array of ``shape``, the one gate for an array a
-    caller hands the package: text, a non-number or a NaN or infinite entry
-    raises ValueError naming ``name``, another shape ShapeMismatch."""
+    caller hands the package: text or a non-number raises ValueError naming
+    ``name``, another shape ShapeMismatch, and a NaN, infinite or
+    out-of-range entry (an ``int`` past the float range) ValueError."""
     try:
         if (a := np.asarray(x)).dtype.kind in "SUV":
             raise TypeError
         a = a.astype(np.complex128, copy=False)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite") from None
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be an array of numbers") from None
     if a.shape != shape:
-        raise ShapeMismatch(f"{name} have shape {a.shape}, expected {shape}")
+        raise ShapeMismatch(f"{name}: shape {a.shape}, expected {shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
     return a
@@ -85,15 +88,9 @@ class NetworkDims:
     n_r: int
 
     def __post_init__(self):
-        names = ("k", "n_t", "n_r")   # a non-number meets the count check
-        if all(isinstance(getattr(self, x), numbers.Real) for x in names):
-            if self.k < 2:
-                raise ValueError(f"need at least 2 users, got k={self.k}")
-            if self.n_t < 1 or self.n_r < 1:
-                raise ValueError(f"antenna counts must be >= 1, got"
-                                 f" n_t={self.n_t}, n_r={self.n_r}")
-        for name in names:
-            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        for name, least in (("k", 2), ("n_t", 1), ("n_r", 1)):
+            object.__setattr__(self, name,
+                               _count(name, getattr(self, name), least))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,13 +148,6 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
-def _words(n):
-    """Little-endian 32-bit words of a non-negative integer."""
-    if (n := operator.index(n)) < 0:
-        raise ValueError("expected non-negative integer")
-    return [n >> s & _M32 for s in range(0, max(n.bit_length(), 1), 32)]
-
-
 class _SeedWords(ISeedSequence):
     """PCG64's four seed words, derived in advance."""
 
@@ -171,19 +161,16 @@ class _SeedWords(ISeedSequence):
 def _streams(seeds, keys):
     """Generators bit-identical to ``Generator(PCG64(SeedSequence(seeds[r],
     spawn_key=keys[r])))``, made one a row as they are consumed. ``keys`` is
-    an ``(n, width)`` integer array of 32-bit words, one key a row. Each
-    distinct seed is checked before anything is derived and its pool taken
-    from numpy's ``SeedSequence(seed).pool`` once; the key words of all rows
-    are absorbed a column at a time; then ``generate_state(4, uint64)``."""
+    an ``(n, width)`` integer array of 32-bit words, one key a row; both are
+    trusted (seeds have passed a gate, keys are grid indices). Each distinct
+    seed's pool is numpy's ``SeedSequence(seed).pool``, taken once; the key
+    words of all rows are absorbed a column at a time; then ``generate_state``."""
     keys = np.asarray(keys)
-    if keys.size and (keys.dtype.kind not in "iu" or keys.min() < 0
-                      or keys.max() > _M32):
-        raise ValueError("spawn key entries must be integers in [0, 2**32)")
     index = {}
     rows = [index.setdefault(operator.index(s), len(index)) for s in seeds]
-    # a seed's words (at least four, zero-padded) took 4 hashmix steps each
-    hc = _HC_FIRST * np.array([pow(_MULT_A, 4 * max(len(_words(s)), 4), 1 << 32)
-                               for s in index], np.uint32)[rows]
+    # a seed's 32-bit words (at least four, zero-padded) took 4 hashmix steps each
+    hc = _HC_FIRST * np.array([pow(_MULT_A, 4 * max(s.bit_length() + 31 >> 5, 4),
+                               1 << 32) for s in index], np.uint32)[rows]
     pool = np.array([np.random.SeedSequence(s).pool for s in index],
                     np.uint32).reshape(-1, 4)[rows].T
     for col in keys.astype(np.uint32).T:
@@ -213,12 +200,11 @@ def _grids(dims, seeds):
 
 
 def generate(dims, seed):
-    """Draw a random network, a pure function of ``(dims, seed)``; a
-    ``bool`` seed raises ValueError."""
+    """Draw a random network, a pure function of ``(dims, seed)``; a seed
+    that is not an integer >= 0 (``bool`` is not) raises ValueError."""
     _instance("dims", dims, NetworkDims)
-    if isinstance(seed, bool):
-        raise ValueError(f"seed must be >= 0 and integral, got {seed!r}")
-    return InterferenceNetwork(dims, _grids(dims, [seed])[0], seed=int(seed))
+    seed = _count("seed", seed, 0)
+    return InterferenceNetwork(dims, _grids(dims, [seed])[0], seed=seed)
 
 
 def serialize(net):

@@ -534,8 +534,9 @@ def solution_from_document(data):
     MalformedDocument
         On anything :func:`eigenalign.channel.deserialize` refuses in the
         shared header (bytes, JSON, ``format``, ``k/nt/nr``) and entries,
-        and on a bad ``users`` list, ``lambda``, ``residual`` or
-        ``method``.
+        and on a bad ``users`` list, ``lambda`` or ``method``, or a
+        ``residual`` or ``rank_metric`` that is neither a finite number
+        nor absent (``null``).
     """
     doc, dims = _read_document(data, SOLUTION_FORMAT, "solution")
     users = doc.get("users")
@@ -551,8 +552,9 @@ def solution_from_document(data):
     lam = doc.get("lambda")
     eigenvalue = (None if lam is None
                   else complex(_parse_vector([lam], 1, "lambda")[0]))
-    if (residual := doc.get("residual")) is not None:
-        _real(residual, "residual")   # checked, not kept: verify recomputes it
+    for name in ("residual", "rank_metric"):   # checked, not kept: verify
+        if (value := doc.get(name)) is not None:   # recomputes them
+            _real(value, name)
     method = doc.get("method", "")
     if type(method) is not str:
         raise MalformedDocument("field 'method' must be a string", "method")

@@ -74,6 +74,18 @@ class TestVerify:
                            " numbers$"):
             analysis.verify(net, AlignmentSolution(**filters, eigenvalue=None))
 
+    @pytest.mark.parametrize("name", ["precoders", "combiners"])
+    def test_out_of_range_int_refused(self, name):
+        # an int past the float range is no finite number: a ValueError
+        # naming the filters, never an OverflowError from the conversion
+        net = generate(NetworkDims(3, 2, 2), 42)
+        sol = closed_form.solve_eigen_method(net)
+        filters = {"precoders": sol.precoders.tolist(),
+                   "combiners": sol.combiners.tolist()}
+        filters[name][1][0] = 10 ** 400
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            analysis.verify(net, AlignmentSolution(**filters, eigenvalue=None))
+
     @pytest.mark.parametrize("dims", [(3, 2, 2), (4, 3, 3)])
     @pytest.mark.parametrize("name", ["precoders", "combiners"])
     @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0, -np.inf)])
@@ -153,13 +165,13 @@ class TestVerify:
         other = generate(NetworkDims(4, 3, 3), 0)
         with pytest.raises(ShapeMismatch) as err:
             analysis.verify(other, sol)
-        assert str(err.value) == ("precoders have shape (3, 2),"
+        assert str(err.value) == ("precoders: shape (3, 2),"
                                   " expected (4, 3)")
         # right precoders, combiners of the wrong width
         wide = manual_solution(sol.precoders, np.ones((3, 3)))
         with pytest.raises(ShapeMismatch) as err:
             analysis.verify(net, wide)
-        assert str(err.value) == ("combiners have shape (3, 3),"
+        assert str(err.value) == ("combiners: shape (3, 3),"
                                   " expected (3, 2)")
 
 
@@ -485,6 +497,18 @@ class TestFeasibilitySweep:
         assert [(r.n_t, r.seed) for r in seen] == [(2, 0), (2, 1), (3, 0),
                                                    (3, 1)]
 
+    @pytest.mark.parametrize("progress", [1.5, "print", [print]])
+    def test_rejects_bad_progress(self, progress, monkeypatch):
+        # refused before any network is drawn, not at the first record
+        def draw(*args):
+            raise AssertionError("a network was drawn")
+
+        monkeypatch.setattr(analysis, "_grids", draw)
+        with pytest.raises(ValueError, match=re.escape(
+                f"progress must be None or callable, got"
+                f" {type(progress).__name__}")):
+            analysis.feasibility_sweep([2], [3], 2, progress=progress)
+
     @pytest.mark.parametrize("max_iters", [0, True, 1.5])
     def test_rejects_bad_iteration_cap(self, max_iters):
         with pytest.raises(ValueError, match=re.escape(
@@ -590,6 +614,13 @@ class TestFeasibilitySweep:
                                                        f" {missing}")):
             analysis.render_feasibility_table(result, n_values, k_values)
 
+    @pytest.mark.parametrize("result", [None, {"cells": {}}, []])
+    def test_render_table_refuses_other_results(self, result):
+        # named as the argument, not an AttributeError on .cells
+        with pytest.raises(ValueError, match="^result must be a SweepResult,"
+                           f" got {type(result).__name__}$"):
+            analysis.render_feasibility_table(result, [2], [3])
+
     def test_records_table_format(self):
         result = analysis.feasibility_sweep([2], [3], seeds=1, max_iters=500)
         text = analysis.records_table(result.records)
@@ -622,6 +653,20 @@ def _sweep_batch(n, seeds=(0, 1, 2), k_values=(3, 4), max_iters=60):
           for h in channel._grids(NetworkDims(k, n, n), list(seeds))]
     pre = _random_precoders(n, [len(h) for h in hs], list(seeds) * len(k_values))
     return _run_batch(hs, pre, max_iters, 1e-6)
+
+
+def _assert_one_cpu_sweep(got, grid, monkeypatch):
+    """``got`` is bitwise the sweep of ``grid`` run in this process alone,
+    records, cells and traces."""
+    monkeypatch.undo()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    alone = analysis.feasibility_sweep(*grid, max_iters=60, keep_traces=True)
+    assert got.records == alone.records
+    assert [r.final_leakage.hex() for r in got.records] == [
+        r.final_leakage.hex() for r in alone.records]
+    assert got.cells == alone.cells
+    assert [t.tobytes() for t in got.traces] == [
+        t.tobytes() for t in alone.traces]
 
 
 @pytest.mark.parametrize("unsafe", ["one cpu", "no fork", "no affinity",
@@ -725,15 +770,27 @@ class TestForkedSweep:
         assert here == [3, 2]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        alone = analysis.feasibility_sweep(*grid, max_iters=60,
-                                           keep_traces=True)
-        assert got.records == alone.records
-        assert [r.final_leakage.hex() for r in got.records] == [
-            r.final_leakage.hex() for r in alone.records]
-        assert got.cells == alone.cells
-        assert [t.tobytes() for t in got.traces] == [
-            t.tobytes() for t in alone.traces]
+        _assert_one_cpu_sweep(got, grid, monkeypatch)
+
+    def test_failed_fork_runs_here(self, monkeypatch):
+        # no process to spare: every batch runs in this process, as on one
+        # CPU, and both pipe ends are closed (no_descriptor_left)
+        pipes, real_pipe = [], os.pipe
+
+        def pipe():
+            pipes.append(real_pipe())
+            return pipes[-1]
+
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        grid = ([2, 3], [3, 4], [4, 1, 0])
+        monkeypatch.setattr(analysis, "_may_fork", lambda: True)
+        monkeypatch.setattr(os, "pipe", pipe)
+        monkeypatch.setattr(os, "fork", fork)
+        got = analysis.feasibility_sweep(*grid, max_iters=60, keep_traces=True)
+        assert len(pipes) == 1
+        _assert_one_cpu_sweep(got, grid, monkeypatch)
 
     def test_own_error_while_a_child_runs(self, monkeypatch):
         # this process's batch fails while the child's is still running:

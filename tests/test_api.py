@@ -77,6 +77,15 @@ WRONG_ARGUMENT = {
     "n_values": lambda net, sol: eigenalign.feasibility_sweep(None, [3], 2),
     "k_values": lambda net, sol: eigenalign.feasibility_sweep([2], 3, 2),
     "seeds": lambda net, sol: eigenalign.feasibility_sweep([2], [3], None),
+    "progress": lambda net, sol: eigenalign.feasibility_sweep(
+        [2], [3], 2, progress=1.5),
+    "result": lambda net, sol: eigenalign.render_feasibility_table(
+        None, [2], [3]),
+    "seed": lambda net, sol: eigenalign.generate(net.dims, 1.5),
+    "seed/IterativeConfig": lambda net, sol: eigenalign.IterativeConfig(
+        d=(1, 1, 1), seed=None),
+    "k": lambda net, sol: eigenalign.NetworkDims(1, 2, 2),
+    "n_t": lambda net, sol: eigenalign.NetworkDims(3, 0, 2),
     "sol": lambda net, sol: eigenalign.verify(net, None),
     "sol/warm_start_check": lambda net, sol: eigenalign.warm_start_check(
         net, None),

@@ -45,7 +45,7 @@ class TestGen:
         code, _, err = run(capsys, ["gen", "--users", "1", "--nt", "2",
                                     "--nr", "2", "--seed", "0"])
         assert code == 2
-        assert "2 users" in err
+        assert err == "error: k must be >= 2 and integral, got 1\n"
 
     def test_unallocatable_request_exits_2(self, tmp_path, capsys):
         # 12.8 PiB of channels lies past any 64-bit address space, so the
@@ -86,7 +86,8 @@ class TestGen:
     def test_negative_seed_exits_2(self, capsys):
         code, out, err = run(capsys, ["gen", "--users", "2", "--nt", "1",
                                       "--nr", "1", "--seed", "-1"])
-        assert (code, out, err) == (2, "", "error: expected non-negative integer\n")
+        assert (code, out, err) == (2, "", "error: seed must be >= 0"
+                                     " and integral, got -1\n")
 
     def test_env_malformed_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EIGENALIGN_SEED", "abc")
@@ -368,6 +369,15 @@ class TestInfeasible:
         dist = float(text.split("min_chordal_distance=")[1].split()[0])
         assert dist > 0.01
 
+    def test_compatible_eigenvectors_exit_0(self, capsys):
+        # seed 48's closest pair lies under INCOMPATIBILITY_TOL
+        code, text, _ = run(capsys, ["infeasible", "--seed", "48"])
+        assert code == 0
+        assert "min_chordal_distance=8.235964e-03 closest_pair=0,0" in text
+        assert text.endswith("\nCOMPATIBLE eigenvectors found; alignment"
+                             " not ruled out\n")
+        assert "INFEASIBLE" not in text
+
     def test_deterministic_output(self, capsys):
         _, a, _ = run(capsys, ["infeasible", "--seed", "7"])
         _, b, _ = run(capsys, ["infeasible", "--seed", "7"])
@@ -385,6 +395,16 @@ class TestSweep:
         assert "n k seed final_leakage iterations verdict" in text
         assert "N\\K" in text
         assert out.exists()
+
+    def test_inconclusive_cell_exits_1(self, capsys):
+        # five iterations leave seed 1 between the thresholds, and the cell
+        # without a quorum
+        code, text, _ = run(capsys, ["sweep", "--n-range", "2",
+                                     "--k-range", "3", "--seeds", "3",
+                                     "--max-iters", "5"])
+        assert code == 1
+        assert "2 3 1 4.871219e-04 5 inconclusive\n" in text
+        assert "   2 | ?  | K <= 3\n" in text
 
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run(capsys, ["sweep", "--n-range", "4:2",

@@ -868,10 +868,20 @@ class TestSolutionDocument:
         with pytest.raises(MalformedDocument, match=r"users\[1\]"):
             closed_form.solution_from_document(json.dumps(bad))
 
-        null_residual = dict(doc, residual=None)
-        parsed, _, _ = closed_form.solution_from_document(
-            json.dumps(null_residual))
-        np.testing.assert_array_equal(parsed.precoders, sol.precoders)
+        # residual and rank_metric are finite numbers or absent
+        for edit in ({"residual": None}, {"rank_metric": None}):
+            parsed, _, _ = closed_form.solution_from_document(
+                json.dumps(dict(doc, **edit)))
+            np.testing.assert_array_equal(parsed.precoders, sol.precoders)
+        absent = {k: v for k, v in doc.items()
+                  if k not in ("residual", "rank_metric")}
+        closed_form.solution_from_document(json.dumps(absent))
+        for name in ("residual", "rank_metric"):
+            for value in ("oops", False, [1.0], float("nan")):
+                with pytest.raises(MalformedDocument, match=re.escape(
+                        f"expected a finite number (at {name})")):
+                    closed_form.solution_from_document(
+                        json.dumps(dict(doc, **{name: value})))
 
         # booleans are not numbers; NaN, Infinity, dimensions NetworkDims
         # refuses and a non-string method are malformed too
@@ -888,10 +898,11 @@ class TestSolutionDocument:
             with pytest.raises(MalformedDocument):
                 closed_form.solution_from_document(json.dumps(dict(doc, **edit)))
         # a JSON integer past the float range is no finite number
-        with pytest.raises(MalformedDocument, match=re.escape(
-                "expected a finite number (at residual)")):
-            closed_form.solution_from_document(
-                json.dumps(dict(doc, residual=10 ** 400)))
+        for name in ("residual", "rank_metric"):
+            with pytest.raises(MalformedDocument, match=re.escape(
+                    f"expected a finite number (at {name})")):
+                closed_form.solution_from_document(
+                    json.dumps(dict(doc, **{name: 10 ** 400})))
         data = closed_form.solution_to_document(net, sol, "eigen")
         with pytest.raises(MalformedDocument, match="UTF-8"):
             closed_form.solution_from_document(
@@ -907,6 +918,7 @@ class TestSolutionDocument:
                                   sol.combiners.__setitem__((1, 0), 1e308))),
         ("lambda text", lambda sol: setattr(sol, "eigenvalue", "abc")),
         ("lambda object", lambda sol: setattr(sol, "eigenvalue", object())),
+        ("lambda int", lambda sol: setattr(sol, "eigenvalue", 10 ** 400)),
         ("lambda list", lambda sol: setattr(sol, "eigenvalue", [1, 2])),
         ("lambda array", lambda sol: setattr(sol, "eigenvalue",
                                              np.array([1 + 1j, 2]))),
@@ -925,10 +937,10 @@ class TestSolutionDocument:
             "residual": (ValueError, "residual must be finite"),
             "lambda text": (ValueError, "lambda must be an array of numbers"),
             "lambda object": (ValueError, "lambda must be an array of numbers"),
-            "lambda list": (ShapeMismatch,
-                            "lambda have shape (2,), expected ()"),
+            "lambda int": (ValueError, "lambda must be finite"),
+            "lambda list": (ShapeMismatch, "lambda: shape (2,), expected ()"),
             "lambda array": (ShapeMismatch,
-                             "lambda have shape (2,), expected ()")}[field]
+                             "lambda: shape (2,), expected ()")}[field]
         with warnings.catch_warnings():   # the residual's gain overflows
             warnings.simplefilter("ignore")
             with pytest.raises(error, match="^" + re.escape(message) + "$"):

@@ -763,7 +763,7 @@ class TestWarmStart:
         # no config to refuse, so the precoders' shape is, as verify does
         net = generate(NetworkDims(3, 4, 4), 0)
         sol = closed_form.solve_eigen_method(generate(NetworkDims(3, 2, 2), 0))
-        with pytest.raises(ShapeMismatch, match=r"^precoders have shape"
+        with pytest.raises(ShapeMismatch, match=r"^precoders: shape"
                            r" \(3, 2\), expected \(3, 4\)$"):
             warm_start_check(net, sol)
 
