@@ -552,8 +552,9 @@ def solution_from_document(data):
     lam = doc.get("lambda")
     eigenvalue = (None if lam is None
                   else complex(_parse_vector([lam], 1, "lambda")[0]))
-    for name in ("residual", "rank_metric"):   # checked, not kept: verify
-        if (value := doc.get(name)) is not None:   # recomputes them
+    # checked, not kept: verify recomputes both
+    for name in ("residual", "rank_metric"):
+        if (value := doc.get(name)) is not None:
             _real(value, name)
     method = doc.get("method", "")
     if type(method) is not str:
