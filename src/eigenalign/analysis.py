@@ -304,7 +304,8 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=DEFAULT_MAX_ITERS,
     ------
     ValueError
         If a grid value, a seed, the count or ``max_iters`` is not integral
-        or out of range (N < 1, K < 2, seed < 0, count < 1, max_iters < 1),
+        or out of range (N < 1, K < 2, seed < 0, count < 1, max_iters < 1,
+        more values than a list holds),
         if ``n_values``, ``k_values`` or ``seeds`` names no value (checked
         before anything is drawn), if the grid or the seeds repeat a value,
         if a tolerance is not a number > 0 (``bool`` is not) or exceeds
@@ -327,6 +328,8 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=DEFAULT_MAX_ITERS,
         except TypeError:
             raise ValueError(f"{name} must be an iterable of integers,"
                              f" got {values!r}") from None
+        except OverflowError:   # more values than a list can index
+            raise ValueError(f"{name} has too many values, got {values!r}") from None
         checked.append(sorted(_count(name, x, least) for x in values))
         if len(set(checked[-1])) != len(checked[-1]):
             raise ValueError(f"{name} must be distinct, got {checked[-1]}")

@@ -21,7 +21,7 @@ import json
 import numbers
 import operator
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -228,16 +228,16 @@ def serialize(net):
 
 #: Exact types a JSON number parses to; ``bool`` (``true``/``false``) is
 #: a subclass of ``int`` and is refused by comparing types, not instances.
-_REAL = (int, float)
+_REAL = frozenset({int, float})
 
 
 def _read_document(data, fmt, kind):
     """Decode and parse a versioned JSON document and check its header.
 
     Shared by the channel and the solution documents: UTF-8 bytes (or
-    text), a top-level object, ``"format": fmt`` and integer ``k/nt/nr``
-    that make valid :class:`NetworkDims`. Returns ``(doc, dims)``;
-    ValueError if ``data`` is neither bytes nor text.
+    text), a top-level object, ``"format": fmt`` and ``k/nt/nr`` that make
+    valid :class:`NetworkDims`. Returns ``(doc, dims)``; ValueError if
+    ``data`` is neither bytes nor text.
     """
     if not isinstance(_instance("data", data, (bytes, bytearray, str),
                                 "bytes or text"), str):
@@ -251,6 +251,9 @@ def _read_document(data, fmt, kind):
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"invalid JSON: {exc.msg}",
                                 f"line {exc.lineno}") from exc
+    except ValueError:   # an integer past Python's digit limit
+        raise MalformedDocument("integer with too many digits",
+                                "document root") from None
     except RecursionError:
         raise MalformedDocument("JSON nested too deeply",
                                 "document root") from None
@@ -259,11 +262,8 @@ def _read_document(data, fmt, kind):
     if type(doc.get("format")) is not int or doc["format"] != fmt:
         raise MalformedDocument(
             f"unsupported {kind} format {doc.get('format')!r}", "format")
-    for key in ("k", "nt", "nr"):
-        if type(doc.get(key)) is not int:
-            raise MalformedDocument(f"field '{key}' must be an integer", key)
     try:
-        dims = NetworkDims(doc["k"], doc["nt"], doc["nr"])
+        dims = NetworkDims(doc.get("k"), doc.get("nt"), doc.get("nr"))
     except ValueError as exc:
         raise MalformedDocument(str(exc), "k/nt/nr") from exc
     return doc, dims
@@ -280,37 +280,39 @@ def _real(value, where):
     return out
 
 
-def _parse_vector(items, length, where):
-    """A length-``length`` list of ``[re, im]`` pairs of finite numbers as
-    a complex vector holding exactly the numbers read."""
-    if type(items) is not list or len(items) != length:
-        raise MalformedDocument(
-            f"expected a length-{length} list of [re, im] pairs", where)
-    for c, e in enumerate(items):
-        if (type(e) is not list or len(e) != 2
-                or type(e[0]) not in _REAL or type(e[1]) not in _REAL):
-            raise MalformedDocument("entry must be a [re, im] pair",
-                                    f"{where}[{c}]")
+def _entries(items, shape, where):
+    """Lists nested ``shape`` deep whose leaves are ``[re, im]`` pairs of
+    finite JSON numbers, as a complex array of ``shape`` holding exactly
+    the numbers read. One ``np.array`` and one pass over the leaves' types
+    (``np.array`` reads "1.5", true and null as numbers) check them all;
+    only input that fails is walked, to name its first bad node: a list of
+    the wrong length raises ShapeMismatch, any other fault
+    MalformedDocument."""
     try:
         out = np.array(items, dtype=np.float64)
-    except OverflowError:
-        raise MalformedDocument("number out of range", where) from None
-    if not np.isfinite(out).all():
-        raise MalformedDocument("entries must be finite", where)
-    return out.view(np.complex128)[:, 0]
+    except (ValueError, TypeError, OverflowError):
+        out = None
+    if out is not None and out.shape == shape + (2,) and np.isfinite(out).all():
+        leaves = items
+        for _ in shape:
+            leaves = chain.from_iterable(leaves)
+        if set(map(type, leaves)) <= _REAL:
+            return out.view(np.complex128)[..., 0]
+    _walk(items, shape + (2,), where)
+    raise AssertionError(f"{where} failed the one-pass check but not the walk")
 
 
-def _parse_matrix(m, n_r, n_t, where):
-    if not isinstance(m, list):
-        raise MalformedDocument("matrix must be an array of rows", where)
-    if len(m) != n_r:
-        raise ShapeMismatch(f"matrix at {where} has {len(m)} rows, expected {n_r}")
-    for r, row in enumerate(m):
-        if not isinstance(row, list) or len(row) != n_t:
-            got = f"has length {len(row)}" if isinstance(row, list) else "is not a list"
-            raise ShapeMismatch(f"row {where}[{r}] {got}, expected length {n_t}")
-    return np.stack([_parse_vector(row, n_t, f"{where}[{r}]")
-                     for r, row in enumerate(m)])
+def _walk(node, shape, where):
+    """Raise at the first node of ``node`` that :func:`_entries` refuses."""
+    if not shape:
+        _real(node, where)
+        return
+    if type(node) is not list:
+        raise MalformedDocument(f"expected a list of length {shape[0]}", where)
+    if len(node) != shape[0]:
+        raise ShapeMismatch(f"{where} has length {len(node)}, expected {shape[0]}")
+    for i, item in enumerate(node):
+        _walk(item, shape[1:], f"{where}[{i}]")
 
 
 def deserialize(data):
@@ -323,27 +325,13 @@ def deserialize(data):
         field types (``true``/``false`` are not numbers) or non-finite
         entries; the message names the offending location.
     ShapeMismatch
-        When a matrix disagrees with the declared dimensions.
+        When a list in ``h`` (the grid, a matrix, a row or an ``[re, im]``
+        pair) has another length than the declared dimensions give; the
+        message names the list.
     """
     doc, dims = _read_document(data, CHANNEL_FORMAT, "channel")
     seed = doc.get("seed")
     if seed is not None and type(seed) is not int:
         raise MalformedDocument("field 'seed' must be an integer or null", "seed")
-    grid = doc.get("h")
-    if (not isinstance(grid, list) or len(grid) != dims.k
-            or any(not isinstance(row, list) or len(row) != dims.k for row in grid)):
-        raise MalformedDocument(f"'h' must be a {dims.k}x{dims.k} grid", "h")
-    # One pass checks the grid, leaf types too (np.array reads "1.5", true and
-    # null as numbers); only a grid that fails is walked, to name the location.
-    try:
-        h = np.array(grid, dtype=np.float64)
-    except (ValueError, TypeError, OverflowError):
-        h = np.empty(0)
-    if (h.shape == (dims.k, dims.k, dims.n_r, dims.n_t, 2) and np.isfinite(h).all()
-            and {type(v) for a in grid for m in a for r in m for e in r
-                 for v in e}.issubset(_REAL)):
-        h = h.view(np.complex128)[..., 0]
-    else:
-        h = np.array([[_parse_matrix(m, dims.n_r, dims.n_t, f"h[{i}][{j}]")
-                       for j, m in enumerate(row)] for i, row in enumerate(grid)])
+    h = _entries(doc.get("h"), (dims.k, dims.k, dims.n_r, dims.n_t), "h")
     return InterferenceNetwork(dims, h, seed=seed)

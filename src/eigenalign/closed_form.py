@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channel import (InterferenceNetwork, _array, _instance, _parse_vector,
+from .channel import (InterferenceNetwork, _array, _entries, _instance,
                       _read_document, _real)
 from .errors import (DimensionMismatch, MalformedDocument, NoUsableEigenpair,
                      RankDeficientSolution, SingularChannel)
@@ -537,21 +537,21 @@ def solution_from_document(data):
         and on a bad ``users`` list, ``lambda`` or ``method``, or a
         ``residual`` or ``rank_metric`` that is neither a finite number
         nor absent (``null``).
+    ShapeMismatch
+        When a user's ``v`` or ``u``, or one of their ``[re, im]`` pairs
+        or ``lambda``'s, has another length than ``nt``, ``nr`` or 2.
     """
     doc, dims = _read_document(data, SOLUTION_FORMAT, "solution")
     users = doc.get("users")
     if (not isinstance(users, list) or len(users) != dims.k
             or any(not isinstance(u, dict) for u in users)):
         raise MalformedDocument(f"'users' must list {dims.k} objects", "users")
-    precoders = np.stack([
-        _parse_vector(u.get("v"), dims.n_t, f"users[{i}].v")
-        for i, u in enumerate(users)])
-    combiners = np.stack([
-        _parse_vector(u.get("u"), dims.n_r, f"users[{i}].u")
-        for i, u in enumerate(users)])
+    precoders, combiners = (
+        np.stack([_entries(u.get(key), (n,), f"users[{i}].{key}")
+                  for i, u in enumerate(users)])
+        for key, n in (("v", dims.n_t), ("u", dims.n_r)))
     lam = doc.get("lambda")
-    eigenvalue = (None if lam is None
-                  else complex(_parse_vector([lam], 1, "lambda")[0]))
+    eigenvalue = None if lam is None else complex(_entries(lam, (), "lambda"))
     # checked, not kept: verify recomputes both
     for name in ("residual", "rank_metric"):
         if (value := doc.get(name)) is not None:

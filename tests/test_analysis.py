@@ -520,6 +520,19 @@ class TestFeasibilitySweep:
         with pytest.raises(ValueError):
             analysis.feasibility_sweep([2], [3], seeds, max_iters=10)
 
+    @pytest.mark.parametrize("k_values, seeds, name, values", [
+        ([3], 2 ** 63, "seeds", range(2 ** 63)),
+        ([3], 2 ** 70, "seeds", range(2 ** 70)),
+        (range(2, 2 ** 64), 1, "k_values", range(2, 2 ** 64)),
+    ])
+    def test_rejects_more_values_than_a_list_holds(self, k_values, seeds,
+                                                   name, values):
+        # a ValueError, not the OverflowError of list(range(2 ** 63)); no
+        # count here is one the host could try to allocate
+        with pytest.raises(ValueError) as err:
+            analysis.feasibility_sweep([2], k_values, seeds)
+        assert str(err.value) == f"{name} has too many values, got {values!r}"
+
     @pytest.mark.parametrize("n_values, k_values, seeds, message", [
         ([], [4], 2, "the sweep needs at least one N"),
         ([2], [], 2, "the sweep needs at least one K"),

@@ -1,5 +1,8 @@
+import ast
 import dataclasses
 import inspect
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -128,3 +131,40 @@ def test_entry_points_name_a_wrong_argument(name):
     sol = eigenalign.solve_eigen_method(net)
     with pytest.raises(ValueError, match=f"^{name.split('/')[0]} must be "):
         WRONG_ARGUMENT[name](net, sol)
+
+
+def _reads(node):
+    """How often each name is read in ``node``, as a name or an
+    attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute))
+                   and isinstance(n.ctx, ast.Load))
+
+
+def test_every_definition_is_read_or_public():
+    # each module-level function, class and constant of the package is
+    # read in the package beyond its own definition, or is public: nothing
+    # is built that only the tests read, and a helper whose last caller
+    # goes goes with it
+    trees = {path.name: ast.parse(path.read_text()) for path in
+             sorted(Path(eigenalign.__file__).parent.glob("*.py"))}
+    total = sum(map(_reads, trees.values()), Counter())
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = _reads(node)
+            unread += [f"{module}: {name}" for name in names
+                       if not name.startswith("__")
+                       and name not in eigenalign.__all__
+                       and total[name] == own[name]]
+    assert unread == []

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from eigenalign import channel, iterative
+from eigenalign import channel, closed_form, iterative
 from eigenalign.errors import MalformedDocument, ShapeMismatch
 
 
@@ -264,7 +264,10 @@ class TestSerialization:
         assert data == _oracle(net)
         back = channel.deserialize(data)
         assert (back.dims, back.seed) == (net.dims, net.seed)
+        assert back.h.dtype == np.complex128
+        assert np.array_equal(back.h, net.h)
         assert back.h.tobytes() == net.h.tobytes()
+        assert channel.serialize(back) == data
 
     def test_round_trip_exact(self):
         net = channel.generate(channel.NetworkDims(3, 2, 2), 42)
@@ -296,7 +299,8 @@ class TestSerialization:
         net = channel.generate(channel.NetworkDims(2, 2, 2), 0)
         doc = json.loads(channel.serialize(net))
         doc["h"][0][1] = [[[1.0, 0.0]] * 3] * 2   # 2x3 under nt=nr=2
-        with pytest.raises(ShapeMismatch, match=r"h\[0\]\[1\]"):
+        with pytest.raises(ShapeMismatch, match="^" + re.escape(
+                "h[0][1][0] has length 3, expected 2") + "$"):
             channel.deserialize(json.dumps(doc))
 
     def test_invalid_json(self):
@@ -309,8 +313,19 @@ class TestSerialization:
             channel.deserialize("[" * 100000)
 
     def test_missing_field(self):
-        with pytest.raises(MalformedDocument, match="nr"):
+        with pytest.raises(MalformedDocument, match="^" + re.escape(
+                "n_r must be >= 1 and integral, got None (at k/nt/nr)") + "$"):
             channel.deserialize(json.dumps({"format": 1, "k": 2, "nt": 2}))
+
+    @pytest.mark.parametrize("field", ["k", "seed"])
+    def test_integer_past_the_digit_limit(self, field):
+        # Python refuses to read an integer of more than 4300 digits
+        net = channel.generate(channel.NetworkDims(2, 1, 1), 0)
+        data = channel.serialize(net).replace(
+            f'"{field}": '.encode(), f'"{field}": 1{"0" * 5000}'.encode(), 1)
+        with pytest.raises(MalformedDocument, match="^" + re.escape(
+                "integer with too many digits (at document root)") + "$"):
+            channel.deserialize(data)
 
     def test_bad_format_version(self):
         with pytest.raises(MalformedDocument, match="format"):
@@ -323,59 +338,135 @@ class TestSerialization:
             "h": [[[[[1.0, 0.0]]], [[["x", 0.0]]]],
                   [[[[1.0, 0.0]]], [[[1.0, 0.0]]]]],
         }
-        with pytest.raises(MalformedDocument, match=r"h\[0\]\[1\]"):
+        with pytest.raises(MalformedDocument, match="^" + re.escape(
+                "expected a finite number (at h[0][1][0][0][0])") + "$"):
             channel.deserialize(json.dumps(doc))
 
     def test_wrong_grid_size(self):
         doc = {"format": 1, "k": 3, "nt": 1, "nr": 1, "seed": 0,
                "h": [[[[1.0, 0.0]]]]}
-        with pytest.raises(MalformedDocument, match="'h'"):
+        with pytest.raises(ShapeMismatch, match="^" + re.escape(
+                "h has length 1, expected 3") + "$"):
             channel.deserialize(json.dumps(doc))
+
+
+#: Small documents whose every node the cases below break in turn; the
+#: network is not square, so a swapped n_t and n_r would show.
+_DIMS = channel.NetworkDims(2, 3, 2)
+_DOCS = {
+    "channel": (channel.deserialize,
+                channel.serialize(channel.generate(_DIMS, 0))),
+    "solution": (closed_form.solution_from_document,
+                 closed_form.solution_to_document(
+                     channel.generate(_DIMS, 0), closed_form.AlignmentSolution(
+                         np.full((2, 3), 1 + 0.5j), np.full((2, 2), 1 - 0.25j),
+                         1 + 2j), "eigen")),
+}
+#: What each number in turn is replaced with: np.array alone would read
+#: the text, the bool and null as 1.5, 1.0 and nan.
+_BAD = {"true": True, "text": "1.5", "null": None, "nan": float("nan"),
+        "huge": 10 ** 400}
+
+
+def _nodes(node, path=()):
+    """``(path, node)`` of ``node`` and of every node below it."""
+    yield path, node
+    children = (node.items() if isinstance(node, dict) else
+                enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _where(path):
+    """The location the readers name for ``path``: users[1].v[0][1]."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                   for key in path)[1:]
+
+
+def _edit(path, value=None, drop=False):
+    """Set the node at ``path`` to ``value``, or drop its last item."""
+    def mutate(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        if drop:
+            doc[path[-1]].pop()
+        else:
+            doc[path[-1]] = value
+    return mutate
+
+
+def _every_node():
+    """Cases that break one node of a document: every number in the
+    ``[re, im]`` lists, ``residual`` and ``rank_metric`` replaced by each
+    bad value, and every list with its last item dropped. Each message
+    names exactly that node."""
+    for kind, (_, data) in _DOCS.items():
+        for path, node in _nodes(json.loads(data)):
+            if path[:1] not in [("h",), ("users",), ("lambda",),
+                                ("residual",), ("rank_metric",)]:
+                continue
+            where = _where(path)
+            if isinstance(node, list):
+                yield pytest.param(
+                    kind, _edit(path, drop=True), *(
+                        (MalformedDocument, "'users' must list 2 objects"
+                         " (at users)") if path == ("users",) else
+                        (ShapeMismatch, f"{where} has length {len(node) - 1},"
+                         f" expected {len(node)}")), id=f"{kind}-drop-{where}")
+            elif not isinstance(node, dict):
+                for name, value in _BAD.items():
+                    if value is None and len(path) == 1:
+                        continue   # a null residual or rank_metric is valid
+                    yield pytest.param(
+                        kind, _edit(path, value), MalformedDocument,
+                        f"expected a finite number (at {where})",
+                        id=f"{kind}-{where}={name}")
 
 
 def _set_entry(doc, value):
     doc["h"][0][1][0][0] = value
 
 
-def _drop_last(doc):
-    doc["h"][1][0][1].pop()
+_NUMBER = "expected a finite number (at h[0][1][0][0][0])"
 
 
-_PAIR = "entry must be a [re, im] pair (at h[0][1][0][0])"
-
-
-# Each full message names the first bad location, as the matrix-by-matrix
-# walk words it. The numeric string, null and bool entries are traps for the
-# one-pass grid check: np.array alone would read them as 1.5, nan and 1.0.
-@pytest.mark.parametrize("mutate, error, message", [
-    (lambda d: d.update(nt=True), MalformedDocument,
-     "field 'nt' must be an integer (at nt)"),
-    (lambda d: d.update(format=True), MalformedDocument,
-     "unsupported channel format True (at format)"),
-    (lambda d: d.update(seed=False), MalformedDocument,
-     "field 'seed' must be an integer or null (at seed)"),
-    (lambda d: _set_entry(d, [True, False]), MalformedDocument, _PAIR),
-    (lambda d: _set_entry(d, [float("nan"), 0.0]), MalformedDocument,
-     "entries must be finite (at h[0][1][0])"),
-    (lambda d: _set_entry(d, [0.0, float("inf")]), MalformedDocument,
-     "entries must be finite (at h[0][1][0])"),
-    (lambda d: _set_entry(d, [10 ** 400, 0]), MalformedDocument,
-     "number out of range (at h[0][1][0])"),
-    (lambda d: _set_entry(d, ["1.5", 0.0]), MalformedDocument, _PAIR),
-    (lambda d: _set_entry(d, [None, 0.0]), MalformedDocument, _PAIR),
-    (lambda d: _set_entry(d, [1.0, 0.0, 2.0]), MalformedDocument, _PAIR),
-    (lambda d: _set_entry(d, [[1.0, 0.0], [2.0, 0.0]]), MalformedDocument,
-     _PAIR),
-    (_drop_last, ShapeMismatch, "row h[1][0][1] has length 1, expected length 2"),
-], ids=["bool-nt", "bool-format", "bool-seed", "bool-entry",
-        "nan-entry", "inf-entry", "huge-entry", "str-entry", "null-entry",
-        "three-entry", "deep-entry", "short-row"])
-def test_malformed_values_rejected(mutate, error, message):
-    doc = json.loads(channel.serialize(
-        channel.generate(channel.NetworkDims(2, 2, 2), 0)))
+# Each full message names the first bad node. The header cases are the
+# count gate's and the document's own; the entry cases are the grid
+# reader's, whose one-pass check the text, null and bool entries would
+# pass without its type pass.
+@pytest.mark.parametrize("kind, mutate, error, message", [
+    pytest.param("channel", *case[1:], id=case[0]) for case in [
+        ("bool-nt", lambda d: d.update(nt=True), MalformedDocument,
+         "n_t must be >= 1 and integral, got True (at k/nt/nr)"),
+        ("bool-format", lambda d: d.update(format=True), MalformedDocument,
+         "unsupported channel format True (at format)"),
+        ("bool-seed", lambda d: d.update(seed=False), MalformedDocument,
+         "field 'seed' must be an integer or null (at seed)"),
+        ("bool-entry", lambda d: _set_entry(d, [True, False]), MalformedDocument,
+         _NUMBER),
+        ("nan-entry", lambda d: _set_entry(d, [float("nan"), 0.0]),
+         MalformedDocument, _NUMBER),
+        ("inf-entry", lambda d: _set_entry(d, [0.0, float("inf")]),
+         MalformedDocument, "expected a finite number (at h[0][1][0][0][1])"),
+        ("huge-entry", lambda d: _set_entry(d, [10 ** 400, 0]), MalformedDocument,
+         _NUMBER),
+        ("str-entry", lambda d: _set_entry(d, ["1.5", 0.0]), MalformedDocument,
+         _NUMBER),
+        ("null-entry", lambda d: _set_entry(d, [None, 0.0]), MalformedDocument,
+         _NUMBER),
+        ("three-entry", lambda d: _set_entry(d, [1.0, 0.0, 2.0]), ShapeMismatch,
+         "h[0][1][0][0] has length 3, expected 2"),
+        ("deep-entry", lambda d: _set_entry(d, [[1.0, 0.0], [2.0, 0.0]]),
+         MalformedDocument, _NUMBER),
+        ("short-row", lambda d: d["h"][1][0][1].pop(), ShapeMismatch,
+         "h[1][0][1] has length 2, expected 3"),
+    ]] + list(_every_node()))
+def test_malformed_values_rejected(kind, mutate, error, message):
+    read, data = _DOCS[kind]
+    doc = json.loads(data)
     mutate(doc)
     with pytest.raises(error) as info:
-        channel.deserialize(json.dumps(doc))
+        read(json.dumps(doc))
     assert str(info.value) == message
 
 

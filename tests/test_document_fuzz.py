@@ -11,7 +11,7 @@ import copy
 import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigenalign import channel, closed_form
@@ -23,8 +23,11 @@ CHANNEL_DOC = json.loads(channel.serialize(generate(NetworkDims(3, 3, 2), 1)))
 SOLUTION_DOC = json.loads(closed_form.solution_to_document(
     _NET, closed_form.solve_eigen_method(_NET), "eigen"))
 
+#: Stands in for an integer of 5000 digits, past the 4300 Python reads
+#: and writes: ``text`` puts the digits in its place.
+LONG = "<5000-digit integer>"
 HUGE = [10 ** 400, -10 ** 400, 2 ** 63, -2 ** 64, 1e308, -1e308, 5e-324,
-        float("inf"), float("-inf"), float("nan")]
+        float("inf"), float("-inf"), float("nan"), LONG]
 REPLACEMENTS = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3), st.sampled_from(HUGE),
     st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3),
@@ -80,10 +83,16 @@ def mutated(draw, valid):
         kind = draw(st.sampled_from(["replace", "wrap", "unwrap", "drop",
                                      "duplicate", "as_object"]))
         doc = mutate(doc, path, kind, draw(REPLACEMENTS))
-    text = json.dumps(doc, indent=1)
+    data = text(doc)
     if draw(st.booleans()):
-        text = text[:draw(st.integers(0, len(text)))]
-    return text.encode("utf-8")
+        data = data[:draw(st.integers(0, len(data)))]
+    return data.encode("utf-8")
+
+
+def text(doc):
+    """``doc`` as JSON text, a 5000-digit integer in place of ``LONG``."""
+    return json.dumps(doc, indent=1).replace(json.dumps(LONG),
+                                             "1" + "0" * 4999)
 
 
 FUZZ = settings(derandomize=True, max_examples=400, deadline=None)
@@ -91,6 +100,7 @@ FUZZ = settings(derandomize=True, max_examples=400, deadline=None)
 
 @FUZZ
 @given(mutated(CHANNEL_DOC))
+@example(text(dict(CHANNEL_DOC, seed=LONG)).encode())
 def test_channel_mutations_refused_typed(data):
     try:
         net = channel.deserialize(data)
@@ -103,6 +113,7 @@ def test_channel_mutations_refused_typed(data):
 
 @FUZZ
 @given(mutated(SOLUTION_DOC))
+@example(text(dict(SOLUTION_DOC, residual=LONG)).encode())
 def test_solution_mutations_refused_typed(data):
     try:
         sol, dims, _ = closed_form.solution_from_document(data)
