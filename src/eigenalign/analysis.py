@@ -12,16 +12,11 @@ The sweep hands the alternating minimizer bare channel grids, one draw per
 (N, K) cell over many seeds, and reduces each cell to feasible /
 infeasible / inconclusive by fixed leakage thresholds, next to the
 dimension-count prediction that single-stream alignment works iff
-``n_r + n_t - 1 >= k``. Its per-N batches share nothing, so all but the
-largest N's run in one forked child on another CPU, with the same bits.
+``n_r + n_t - 1 >= k``.
 """
 
 import math
 import numbers
-import os
-import pickle
-import sys
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -223,65 +218,6 @@ def predicted_feasible(n_r, n_t, k):
     return n_r + n_t - 1 >= k
 
 
-def _may_fork():
-    """Whether this process may fork a child onto another CPU: not where
-    ``os.fork`` or ``sched_getaffinity`` is missing, where another Python
-    thread runs (a child would inherit the locks it holds), from Python
-    3.12, which warns on forking a process with native threads such as
-    OpenBLAS's, or on one CPU."""
-    return (sys.version_info < (3, 12) and hasattr(os, "fork")
-            and hasattr(os, "sched_getaffinity")
-            and threading.active_count() == 1
-            and len(os.sched_getaffinity(0)) > 1)
-
-
-def _forked(job, items):
-    """``[job(x) for x in items]``: this process computes the last item
-    while one forked child computes the others in order. The child pickles
-    their list into a pipe and exits 0, or exits 1 having sent nothing;
-    it ends in ``os._exit``, so it flushes none of this process's stdio and
-    never returns to the caller. On any exit status but 0 this process
-    computes the child's items itself, so their error is raised here as it
-    is and a killed child costs time only; if the fork fails, it computes
-    every item, as on one CPU. No child outlives the call: if this process
-    raises, the child is killed; either way it is reaped."""
-    if len(items) < 2 or not _may_fork():
-        return [job(x) for x in items]
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return [job(x) for x in items]
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            data = pickle.dumps([job(x) for x in items[:-1]],
-                                pickle.HIGHEST_PROTOCOL)
-            with open(write, "wb") as out:
-                out.write(data)
-            status = 0
-        finally:
-            os._exit(status)
-    try:
-        os.close(write)
-        last = job(items[-1])
-        with open(read, "rb", closefd=False) as pipe:
-            data = pipe.read()
-    except BaseException:
-        import signal   # here: its enums cost about 1 ms of every start-up
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:   # closed first: a child blocked on a full pipe gets EPIPE
-        os.close(read)
-        status = os.waitpid(pid, 0)[1]
-    if status != 0:
-        return [job(x) for x in items[:-1]] + [last]
-    return pickle.loads(data) + [last]
-
-
 def feasibility_sweep(n_values, k_values, seeds, max_iters=DEFAULT_MAX_ITERS,
                       feasible_tol=DEFAULT_LEAKAGE_TOL, infeasible_tol=1e-3,
                       keep_traces=False, progress=None):
@@ -295,10 +231,8 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=DEFAULT_MAX_ITERS,
     Records are produced in sorted (n, k, seed) order, so the result does
     not depend on how the work is scheduled. Each N draws a cell's channel
     grids at once and runs all its cells as one engine batch, each run
-    bitwise its seed's ``iterate``. The batches of all N but the largest
-    run in one forked child, in order, while this process runs the largest
-    (see :func:`_forked`); ``progress`` is called once per record, in
-    record order, after the last batch.
+    bitwise its seed's ``iterate``, in ascending N; ``progress`` is called
+    once per record, in record order, after the last batch.
 
     Raises
     ------
@@ -346,7 +280,7 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=DEFAULT_MAX_ITERS,
     records = []
     traces = [] if keep_traces else None
     cells = {}
-    for n, batch in zip(n_values, _forked(job, n_values)):
+    for n, batch in zip(n_values, [job(n) for n in n_values]):
         batch = iter(batch)
         for k in k_values:
             counts = {"feasible": 0, "infeasible": 0, "inconclusive": 0}

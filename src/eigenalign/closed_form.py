@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .channel import (InterferenceNetwork, _array, _entries, _instance,
-                      _read_document, _real)
+                      _read_document, _real, _walk)
 from .errors import (DimensionMismatch, MalformedDocument, NoUsableEigenpair,
                      RankDeficientSolution, SingularChannel)
 
@@ -534,18 +534,21 @@ def solution_from_document(data):
     MalformedDocument
         On anything :func:`eigenalign.channel.deserialize` refuses in the
         shared header (bytes, JSON, ``format``, ``k/nt/nr``) and entries,
-        and on a bad ``users`` list, ``lambda`` or ``method``, or a
-        ``residual`` or ``rank_metric`` that is neither a finite number
-        nor absent (``null``).
+        on a ``users`` value that is not a list of objects, on a bad
+        ``lambda`` or ``method``, or on a ``residual`` or ``rank_metric``
+        that is neither a finite number nor absent (``null``).
     ShapeMismatch
-        When a user's ``v`` or ``u``, or one of their ``[re, im]`` pairs
-        or ``lambda``'s, has another length than ``nt``, ``nr`` or 2.
+        When the ``users`` list, a user's ``v`` or ``u``, or one of their
+        ``[re, im]`` pairs or ``lambda``'s, has another length than ``k``,
+        ``nt``, ``nr`` or 2.
     """
     doc, dims = _read_document(data, SOLUTION_FORMAT, "solution")
     users = doc.get("users")
-    if (not isinstance(users, list) or len(users) != dims.k
-            or any(not isinstance(u, dict) for u in users)):
-        raise MalformedDocument(f"'users' must list {dims.k} objects", "users")
+    if type(users) is not list or len(users) != dims.k:
+        _walk(users, (dims.k,), "users")   # raises at the list itself
+    for i, user in enumerate(users):
+        if type(user) is not dict:
+            raise MalformedDocument("expected an object", f"users[{i}]")
     precoders, combiners = (
         np.stack([_entries(u.get(key), (n,), f"users[{i}].{key}")
                   for i, u in enumerate(users)])

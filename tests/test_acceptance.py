@@ -2,11 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion. The feasibility sweep (criteria 5 and 6) runs the
-full 3 x 6 grid at 20 seeds x 5000 iterations and takes about 8 s on a
-2-core host: the test process runs the N = 4 batch (about 7 s alone)
-while a forked child runs N = 2 and N = 3 (under 1 s and about 3.5 s);
-on one CPU the sweep takes about 11 s. Everything else finishes in
-seconds.
+full 3 x 6 grid at 20 seeds x 5000 iterations and takes 12-15 s on a
+2-core host: its N = 2, 3 and 4 batches (under 1 s, about 3.5 s and
+about 7 s) run one after another. Everything else finishes in seconds.
 """
 
 import os

@@ -1,20 +1,11 @@
-import itertools
-import os
 import re
-import signal
-import subprocess
-import sys
-import threading
-import time
 import traceback
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import eigenalign
 from eigenalign import analysis, channel, closed_form
 from eigenalign.channel import InterferenceNetwork, NetworkDims, generate
 from eigenalign.closed_form import AlignmentSolution
@@ -371,17 +362,6 @@ class TestInfeasibilityDemo:
             analysis.infeasibility_demo(generate(NetworkDims(4, 3, 3), 0))
 
 
-@pytest.fixture
-def one_cpu(monkeypatch):
-    """The one-CPU schedule: the sweep runs every batch in this process."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-
-
-#: Tests of the forked schedule need a CPU to fork onto.
-needs_spare_cpu = pytest.mark.skipif(not analysis._may_fork(),
-                                     reason="no spare CPU to fork onto")
-
-
 class TestFeasibilitySweep:
     def test_two_user_cells(self):
         result = analysis.feasibility_sweep([2], [3, 4], seeds=3,
@@ -409,9 +389,14 @@ class TestFeasibilitySweep:
             assert np.all(np.diff(trace) <= 1e-12)
 
     def test_records_equal_single_runs(self):
-        result = analysis.feasibility_sweep([2], [3, 4], seeds=[2, 0, 1],
-                                            max_iters=200, keep_traces=True)
-        assert {r.iterations for r in result.records} > {200}
+        # each N's batch mixes runs that converge with runs that reach the
+        # cap; N = 2 takes the projector path, N = 3 the 3x3 closed form and
+        # N = 4 eigh
+        result = analysis.feasibility_sweep([2, 3, 4], [3, 4, 5, 8],
+                                            seeds=[2, 0, 1], max_iters=200,
+                                            keep_traces=True)
+        for n in (2, 3, 4):
+            assert {r.iterations for r in result.records if r.n_t == n} > {200}
         for rec, trace in zip(result.records, result.traces):
             net = generate(NetworkDims(rec.k, rec.n_t, rec.n_r), rec.seed)
             alone = iterate(net, IterativeConfig(
@@ -420,10 +405,10 @@ class TestFeasibilitySweep:
             assert rec.final_leakage == float(alone.leakage[-1])
             assert np.array_equal(trace, alone.leakage)
 
-    def test_one_batch_per_n(self, monkeypatch, one_cpu):
+    def test_one_batch_per_n(self, monkeypatch):
         # every cell of an N shares one engine batch, each run from its
         # seed's draw; records and progress keep the sorted (n, k, seed)
-        # order (one CPU: a forked batch would call the spy in its child)
+        # order
         calls, seen = [], []
         run_batch = analysis._run_batch
 
@@ -446,12 +431,10 @@ class TestFeasibilitySweep:
         assert seen == result.records and all(
             a is b for a, b in zip(seen, result.records))
 
-    def test_one_stream_derivation_per_cell_and_batch(self, monkeypatch,
-                                                      one_cpu):
+    def test_one_stream_derivation_per_cell_and_batch(self, monkeypatch):
         # an (n, k) cell's channels come from one stream derivation and the
         # starting precoders of an N's batch from one more; the networks
-        # handed to the probe are bitwise those of generate (one CPU, as
-        # above)
+        # handed to the probe are bitwise those of generate
         derivations, handed = [], []
         streams, run_batch = channel._streams, analysis._run_batch
 
@@ -486,16 +469,37 @@ class TestFeasibilitySweep:
         assert len(seen) == len(result.records) == 4
         assert all(a is b for a, b in zip(seen, result.records))
 
-    def test_progress_after_all_batches(self):
-        # the records are assembled after the last batch, whichever
-        # process ran each one
-        seen = []
-        result = analysis.feasibility_sweep([2, 3], [3], seeds=[1, 0],
+    def test_progress_after_all_batches(self, monkeypatch):
+        # the records are assembled after the last batch
+        seen, run_batch = [], analysis._run_batch
+
+        def spy(hs, vs, max_iters, tol):
+            seen.append(hs[0].shape[-1])
+            return run_batch(hs, vs, max_iters, tol)
+
+        monkeypatch.setattr(analysis, "_run_batch", spy)
+        result = analysis.feasibility_sweep([3, 2], [3], seeds=[1, 0],
                                             max_iters=20,
                                             progress=seen.append)
-        assert seen == result.records
-        assert [(r.n_t, r.seed) for r in seen] == [(2, 0), (2, 1), (3, 0),
-                                                   (3, 1)]
+        assert seen[:2] == [2, 3] and seen[2:] == result.records
+        assert [(r.n_t, r.seed) for r in seen[2:]] == [(2, 0), (2, 1), (3, 0),
+                                                       (3, 1)]
+
+    @pytest.mark.parametrize("failing", [2, 3])
+    def test_batch_error_raised_as_is(self, monkeypatch, failing):
+        # an error in any N's batch leaves the sweep as it was raised,
+        # with the frame that raised it on its traceback
+        def run_batch(hs, vs, max_iters, tol):
+            if hs[0].shape[-1] == failing:
+                raise DimensionMismatch(f"no batch at N = {failing}")
+            return _run_batch(hs, vs, max_iters, tol)
+
+        monkeypatch.setattr(analysis, "_run_batch", run_batch)
+        with pytest.raises(DimensionMismatch,
+                           match=f"^no batch at N = {failing}$") as info:
+            analysis.feasibility_sweep([2, 3], [3], 2, max_iters=10)
+        assert run_batch.__code__ in [
+            frame.f_code for frame, _ in traceback.walk_tb(info.tb)]
 
     @pytest.mark.parametrize("progress", [1.5, "print", [print]])
     def test_rejects_bad_progress(self, progress, monkeypatch):
@@ -652,190 +656,3 @@ class TestFeasibilitySweep:
         assert not analysis.predicted_feasible(3, 3, 6)
         assert analysis.predicted_feasible(4, 4, 7)
         assert not analysis.predicted_feasible(4, 4, 8)
-
-
-# The directory holding the eigenalign this process imported, first on a
-# CLI child's PYTHONPATH so that it runs the same code whatever its cwd.
-PACKAGE_ROOT = str(Path(eigenalign.__file__).resolve().parents[1])
-
-
-def _sweep_batch(n, seeds=(0, 1, 2), k_values=(3, 4), max_iters=60):
-    """The engine batch of one N of a sweep, as ``feasibility_sweep``
-    builds it."""
-    hs = [h for k in k_values
-          for h in channel._grids(NetworkDims(k, n, n), list(seeds))]
-    pre = _random_precoders(n, [len(h) for h in hs], list(seeds) * len(k_values))
-    return _run_batch(hs, pre, max_iters, 1e-6)
-
-
-def _assert_one_cpu_sweep(got, grid, monkeypatch):
-    """``got`` is bitwise the sweep of ``grid`` run in this process alone,
-    records, cells and traces."""
-    monkeypatch.undo()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    alone = analysis.feasibility_sweep(*grid, max_iters=60, keep_traces=True)
-    assert got.records == alone.records
-    assert [r.final_leakage.hex() for r in got.records] == [
-        r.final_leakage.hex() for r in alone.records]
-    assert got.cells == alone.cells
-    assert [t.tobytes() for t in got.traces] == [
-        t.tobytes() for t in alone.traces]
-
-
-@pytest.mark.parametrize("unsafe", ["one cpu", "no fork", "no affinity",
-                                    "a thread", "python 3.12"])
-def test_no_child_forked_where_unsafe(monkeypatch, unsafe):
-    # every item runs in this process, in order
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    if unsafe == "one cpu":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    elif unsafe == "no fork":
-        monkeypatch.delattr(os, "fork")
-    elif unsafe == "no affinity":
-        monkeypatch.delattr(os, "sched_getaffinity")
-    elif unsafe == "a thread":
-        thread.start()
-    else:
-        monkeypatch.setattr(sys, "version_info", (3, 12, 0))
-    try:
-        assert analysis._forked(lambda x: (x, os.getpid()), [1, 2, 3]) == [
-            (x, os.getpid()) for x in (1, 2, 3)]
-    finally:
-        stop.set()
-        if thread.is_alive():
-            thread.join(timeout=10)
-    assert not thread.is_alive()
-
-
-@needs_spare_cpu
-class TestForkedSweep:
-    """The sweep's batches on two CPUs: one child takes every N but the
-    largest, which this process runs."""
-
-    def test_items_run_in_a_child(self):
-        # the child computes items 1 and 2, in order; this process item 3
-        order = itertools.count()
-        got = analysis._forked(lambda x: (x, os.getpid(), next(order)),
-                               [1, 2, 3])
-        assert [x for x, _, _ in got] == [1, 2, 3]
-        assert got[-1][1:] == (os.getpid(), 0)
-        assert got[0][1] == got[1][1] != os.getpid()
-        assert [i for _, _, i in got[:-1]] == [0, 1]
-
-    def test_bitwise_equal_to_one_cpu(self, monkeypatch):
-        grid = ([2, 3, 4], [3, 5], [4, 1, 0])
-        forked = analysis.feasibility_sweep(*grid, max_iters=80,
-                                            keep_traces=True)
-        batches = analysis._forked(_sweep_batch, [2, 3])
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        alone = analysis.feasibility_sweep(*grid, max_iters=80,
-                                           keep_traces=True)
-        assert forked.records == alone.records
-        assert [r.final_leakage.hex() for r in forked.records] == [
-            r.final_leakage.hex() for r in alone.records]
-        assert forked.cells == alone.cells
-        assert [t.tobytes() for t in forked.traces] == [
-            t.tobytes() for t in alone.traces]
-        # the filters of a batch come back from the child bit for bit
-        for got, want in zip(batches, analysis._forked(_sweep_batch, [2, 3])):
-            for a, b in zip(got, want):
-                assert (a.iterations, a.converged) == (b.iterations, b.converged)
-                for x, y in ((a.leakage, b.leakage), (a.precoders, b.precoders),
-                             (a.combiners, b.combiners)):
-                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-
-    def test_no_child_after_a_sweep(self):
-        analysis.feasibility_sweep([2, 3], [3], 2, max_iters=10)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_child_exception_reraised(self, monkeypatch):
-        def run_batch(hs, vs, max_iters, tol):
-            if hs[0].shape[-1] == 2:
-                raise DimensionMismatch("no batch at N = 2")
-            return _run_batch(hs, vs, max_iters, tol)
-
-        monkeypatch.setattr(analysis, "_run_batch", run_batch)
-        with pytest.raises(DimensionMismatch,
-                           match="^no batch at N = 2$") as info:
-            analysis.feasibility_sweep([2, 3], [3], 2, max_iters=10)
-        # raised where it happened, not re-raised from a pickled copy
-        assert run_batch.__code__ in [
-            frame.f_code for frame, _ in traceback.walk_tb(info.tb)]
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_killed_child_costs_time_only(self, monkeypatch):
-        # a child killed by a signal sends nothing: this process runs its
-        # batch itself, and the sweep is bitwise the one-CPU sweep
-        parent, here = os.getpid(), []
-
-        def run_batch(hs, vs, max_iters, tol):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            here.append(hs[0].shape[-1])
-            return _run_batch(hs, vs, max_iters, tol)
-
-        grid = ([2, 3], [3, 4], [4, 1, 0])
-        monkeypatch.setattr(analysis, "_run_batch", run_batch)
-        got = analysis.feasibility_sweep(*grid, max_iters=60, keep_traces=True)
-        assert here == [3, 2]
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        _assert_one_cpu_sweep(got, grid, monkeypatch)
-
-    def test_failed_fork_runs_here(self, monkeypatch):
-        # no process to spare: every batch runs in this process, as on one
-        # CPU, and both pipe ends are closed (no_descriptor_left)
-        pipes, real_pipe = [], os.pipe
-
-        def pipe():
-            pipes.append(real_pipe())
-            return pipes[-1]
-
-        def fork():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-
-        grid = ([2, 3], [3, 4], [4, 1, 0])
-        monkeypatch.setattr(analysis, "_may_fork", lambda: True)
-        monkeypatch.setattr(os, "pipe", pipe)
-        monkeypatch.setattr(os, "fork", fork)
-        got = analysis.feasibility_sweep(*grid, max_iters=60, keep_traces=True)
-        assert len(pipes) == 1
-        _assert_one_cpu_sweep(got, grid, monkeypatch)
-
-    def test_own_error_while_a_child_runs(self, monkeypatch):
-        # this process's batch fails while the child's is still running:
-        # the error comes back at once and the child is gone
-        def run_batch(hs, vs, max_iters, tol):
-            if hs[0].shape[-1] == 2:
-                time.sleep(60)
-            raise SingularChannel("no batch at N = 3")
-
-        monkeypatch.setattr(analysis, "_run_batch", run_batch)
-        start = time.perf_counter()
-        with pytest.raises(SingularChannel, match="^no batch at N = 3$"):
-            analysis.feasibility_sweep([2, 3], [3], 2, max_iters=10)
-        assert time.perf_counter() - start < 20
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_cli_prints_once_through_a_pipe(self, tmp_path, monkeypatch):
-        # a child never flushes the parent's buffered stdout nor returns
-        # into the CLI, so the piped output is the tables once
-        args = ["sweep", "--n-range", "2:3", "--k-range", "3:4", "--seeds",
-                "2", "--max-iters", "40"]
-        env = dict(os.environ)
-        inherited = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (os.pathsep.join([PACKAGE_ROOT, inherited])
-                             if inherited else PACKAGE_ROOT)
-        proc = subprocess.run([sys.executable, "-m", "eigenalign.cli"] + args,
-                              capture_output=True, cwd=tmp_path, env=env,
-                              text=True)
-        assert proc.stderr == ""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        result = analysis.feasibility_sweep([2, 3], [3, 4], 2, max_iters=40)
-        assert proc.stdout == (
-            analysis.records_table(result.records) + "\n"
-            + analysis.render_feasibility_table(result, [2, 3], [3, 4]))

@@ -398,8 +398,9 @@ def _edit(path, value=None, drop=False):
 def _every_node():
     """Cases that break one node of a document: every number in the
     ``[re, im]`` lists, ``residual`` and ``rank_metric`` replaced by each
-    bad value, and every list with its last item dropped. Each message
-    names exactly that node."""
+    bad value, every list with its last item dropped or replaced by an
+    object, and every user object replaced by a list. Each message names
+    exactly that node."""
     for kind, (_, data) in _DOCS.items():
         for path, node in _nodes(json.loads(data)):
             if path[:1] not in [("h",), ("users",), ("lambda",),
@@ -408,12 +409,18 @@ def _every_node():
             where = _where(path)
             if isinstance(node, list):
                 yield pytest.param(
-                    kind, _edit(path, drop=True), *(
-                        (MalformedDocument, "'users' must list 2 objects"
-                         " (at users)") if path == ("users",) else
-                        (ShapeMismatch, f"{where} has length {len(node) - 1},"
-                         f" expected {len(node)}")), id=f"{kind}-drop-{where}")
-            elif not isinstance(node, dict):
+                    kind, _edit(path, drop=True), ShapeMismatch,
+                    f"{where} has length {len(node) - 1}, expected {len(node)}",
+                    id=f"{kind}-drop-{where}")
+                yield pytest.param(
+                    kind, _edit(path, {}), MalformedDocument,
+                    f"expected a list of length {len(node)} (at {where})",
+                    id=f"{kind}-{where}=object")
+            elif isinstance(node, dict):
+                yield pytest.param(
+                    kind, _edit(path, []), MalformedDocument,
+                    f"expected an object (at {where})", id=f"{kind}-{where}=list")
+            else:
                 for name, value in _BAD.items():
                     if value is None and len(path) == 1:
                         continue   # a null residual or rank_metric is valid

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eigenalign import channel, closed_form
+import eigenalign
+from eigenalign import analysis, channel, closed_form
 from eigenalign.cli import MAX_SWEEP_SEEDS, _parse_int_range, main
 
 
@@ -297,6 +302,11 @@ class TestVerifyAndRates:
         code, _, err = run(capsys, ["verify", "--channel", str(channel_file),
                                     "--solution", str(sol)])
         assert code == 2 and "lambda" in err
+        doc["users"].pop()
+        sol.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["verify", "--channel", str(channel_file),
+                                    "--solution", str(sol)])
+        assert (code, err) == (2, "error: users has length 2, expected 3\n")
         bad = tmp_path / "bad.json"
         bad.write_bytes(b"\xff\xfe{}")
         code, _, err = run(capsys, ["solve", "--method", "eigen",
@@ -466,3 +476,22 @@ class TestSweep:
         assert code == 2
         assert out == ""
         assert "seed" in err
+
+    def test_prints_once_through_a_pipe(self, tmp_path):
+        # a child process's piped stdout holds the tables once; the child
+        # runs this process's eigenalign whatever its cwd
+        args = ["sweep", "--n-range", "2:3", "--k-range", "3:4", "--seeds",
+                "2", "--max-iters", "40"]
+        root = str(Path(eigenalign.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        inherited = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = (os.pathsep.join([root, inherited])
+                             if inherited else root)
+        proc = subprocess.run([sys.executable, "-m", "eigenalign.cli"] + args,
+                              capture_output=True, cwd=tmp_path, env=env,
+                              text=True)
+        assert proc.stderr == ""
+        result = analysis.feasibility_sweep([2, 3], [3, 4], 2, max_iters=40)
+        assert proc.stdout == (
+            analysis.records_table(result.records) + "\n"
+            + analysis.render_feasibility_table(result, [2, 3], [3, 4]))
