@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .channel import (InterferenceNetwork, NetworkDims, _count, _grids,
-                      _instance, _positive)
+                      _instance, _positive, _values)
 from .closed_form import (AlignmentSolution, _back_substitute, _channel_ratios,
                           _interference, _power_scaled, verify)
 from .errors import DimensionMismatch, UnverifiedSolution
@@ -61,11 +61,7 @@ def sum_rate_curve(net, sol, snr_db_list):
         H_ii v_i|^2`` is not finite (at any SNR once the strongest gain's
         square overflows).
     """
-    try:
-        snr_db_list = list(snr_db_list)
-    except TypeError:
-        raise ValueError(f"snr_db_list must be an iterable of SNRs in dB,"
-                         f" got {snr_db_list!r}") from None
+    snr_db_list = _values("snr_db_list", snr_db_list, "SNRs in dB")
     report = verify(net, sol)
     if not report.passed:
         raise UnverifiedSolution(
@@ -215,7 +211,7 @@ class SweepResult:
 
 def predicted_feasible(n_r, n_t, k):
     """Dimension-count prediction for single-stream alignment."""
-    return n_r + n_t - 1 >= k
+    return _count("n_r", n_r) + _count("n_t", n_t) - 1 >= _count("k", k, 2)
 
 
 def feasibility_sweep(n_values, k_values, seeds, max_iters=DEFAULT_MAX_ITERS,
@@ -239,15 +235,16 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=DEFAULT_MAX_ITERS,
     ValueError
         If a grid value, a seed, the count or ``max_iters`` is not integral
         or out of range (N < 1, K < 2, seed < 0, count < 1, max_iters < 1,
-        more values than a list holds),
-        if ``n_values``, ``k_values`` or ``seeds`` names no value (checked
-        before anything is drawn), if the grid or the seeds repeat a value,
-        if a tolerance is not a number > 0 (``bool`` is not) or exceeds
-        the other, or if ``progress`` is neither None nor callable.
+        more values than a list holds), if ``n_values``, ``k_values`` or
+        ``seeds`` names no value (checked before anything is drawn), if the
+        grid or the seeds repeat a value, if a tolerance is not a number > 0
+        (``bool`` is not) or exceeds the other, or if ``keep_traces`` is no
+        bool or ``progress`` is neither None nor callable.
     """
     _instance("progress", progress, (type(None), Callable), "None or callable")
+    _instance("keep_traces", keep_traces, bool)
     max_iters = _count("max_iters", max_iters)
-    if _positive("feasible_tol", feasible_tol) > _positive(
+    if (feasible_tol := _positive("feasible_tol", feasible_tol)) > _positive(
             "infeasible_tol", infeasible_tol):
         raise ValueError(f"feasible_tol {feasible_tol!r} exceeds"
                          f" infeasible_tol {infeasible_tol!r}")
@@ -255,21 +252,15 @@ def feasibility_sweep(n_values, k_values, seeds, max_iters=DEFAULT_MAX_ITERS,
         seeds = range(_count("seeds", seeds))
     # the grid first: a count of seeds becomes a list only past it
     checked = []
-    for name, values, least in (("n_values", n_values, 1),
-                                ("k_values", k_values, 2), ("seeds", seeds, 0)):
-        try:
-            values = list(values)
-        except TypeError:
-            raise ValueError(f"{name} must be an iterable of integers,"
-                             f" got {values!r}") from None
-        except OverflowError:   # more values than a list can index
-            raise ValueError(f"{name} has too many values, got {values!r}") from None
-        checked.append(sorted(_count(name, x, least) for x in values))
+    for name, values, least, noun in (
+            ("n_values", n_values, 1, "N"), ("k_values", k_values, 2, "K"),
+            ("seeds", seeds, 0, "seed")):
+        checked.append(sorted(_count(name, x, least) for x in
+                              _values(name, values, "integers")))
+        if not checked[-1]:
+            raise ValueError(f"the sweep needs at least one {noun}")
         if len(set(checked[-1])) != len(checked[-1]):
             raise ValueError(f"{name} must be distinct, got {checked[-1]}")
-    for noun, values in zip(("N", "K", "seed"), checked):
-        if not values:
-            raise ValueError(f"the sweep needs at least one {noun}")
     n_values, k_values, seeds = checked
 
     def job(n):   # one engine batch over all of N's cells and seeds
@@ -315,7 +306,8 @@ _CELL_CHARS = {"feasible": "Y", "infeasible": ".", "inconclusive": "?"}
 def records_table(records):
     """Per-run tabular text: n k seed final_leakage iterations verdict."""
     lines = ["n k seed final_leakage iterations verdict"]
-    for r in records:
+    for r in _values("records", records, "FeasibilityRecords"):
+        _instance("records", r, FeasibilityRecord, "FeasibilityRecords")
         lines.append(f"{r.n_t} {r.k} {r.seed} {r.final_leakage:.6e}"
                      f" {r.iterations} {r.verdict}")
     return "\n".join(lines) + "\n"
@@ -327,10 +319,13 @@ def render_feasibility_table(result, n_values, k_values):
     Y = feasible, . = infeasible, ? = inconclusive; a trailing column
     shows the largest K the dimension count allows, and cells that
     disagree with it are flagged with '!'. ValueError names a ``result``
-    that is not a :class:`SweepResult`, or the first ``(n, k)`` of the grid
-    that it holds no cell for.
+    that is not a :class:`SweepResult`, a grid that is no iterable of counts
+    (N >= 1, K >= 2), or the first ``(n, k)`` that it holds no cell for.
     """
     _instance("result", result, SweepResult)
+    n_values, k_values = ([_count(name, x, least) for x in _values(
+        name, values, "integers")] for name, values, least in (
+            ("n_values", n_values, 1), ("k_values", k_values, 2)))
     header = " N\\K |" + "".join(f" {k:>2}" for k in k_values) + " | predicted"
     lines = [header, "-" * len(header)]
     for n in n_values:

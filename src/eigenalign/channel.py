@@ -20,6 +20,7 @@ wraps its one grid in a network, which keeps a read-only copy.
 import json
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
@@ -40,11 +41,11 @@ def _count(name, x, least=1):
 
 
 def _positive(name, x):
-    """``x``; ``bool``, a non-real number, NaN and ``x <= 0`` raise
-    ValueError."""
+    """``x``, or inf for an int past the float range; ``bool``, a non-real
+    number, NaN and ``x <= 0`` raise ValueError."""
     if isinstance(x, bool) or not (isinstance(x, numbers.Real) and x > 0):
         raise ValueError(f"{name} must be > 0, got {x!r}")
-    return x
+    return np.inf if isinstance(x, int) and x > sys.float_info.max else x
 
 
 def _instance(name, x, kind, what=None):
@@ -57,6 +58,18 @@ def _instance(name, x, kind, what=None):
             what += kind.__name__
         raise ValueError(f"{name} must be {what}, got {type(x).__name__}")
     return x
+
+
+def _values(name, values, what):
+    """``values`` as a list, the one reader of a caller's sequence; ValueError
+    naming ``name`` if it is no iterable of ``what`` or more than a list holds."""
+    try:
+        return list(values)
+    except TypeError:
+        raise ValueError(f"{name} must be an iterable of {what},"
+                         f" got {values!r}") from None
+    except OverflowError:
+        raise ValueError(f"{name} has too many values, got {values!r}") from None
 
 
 def _array(name, x, shape):

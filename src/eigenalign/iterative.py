@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import (InterferenceNetwork, _count, _gaussians, _instance,
-                      _positive)
+                      _positive, _values)
 from .closed_form import _filters, _power_scaled
 from .errors import ConfigMismatch
 
@@ -67,15 +67,11 @@ class IterativeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not np.iterable(self.d):
-            raise ValueError(f"d must be an iterable of stream counts, got"
-                             f" {self.d!r}")
-        object.__setattr__(self, "d", tuple(_count("stream count", x)
-                                            for x in self.d))
-        object.__setattr__(self, "max_iters",
-                           _count("max_iters", self.max_iters))
+        d = _values("d", self.d, "stream counts")
+        object.__setattr__(self, "d", tuple(_count("stream count", x) for x in d))
+        for name, gate in (("max_iters", _count), ("leakage_tol", _positive)):
+            object.__setattr__(self, name, gate(name, getattr(self, name)))
         object.__setattr__(self, "seed", _count("seed", self.seed, 0))
-        _positive("leakage_tol", self.leakage_tol)
 
 
 @dataclass

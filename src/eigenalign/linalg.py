@@ -30,7 +30,8 @@ def eig_general(a):
     Parameters
     ----------
     a : array_like
-        Square, finite complex matrix (else numpy's ``LinAlgError``).
+        Square, finite complex matrix: numpy's ``LinAlgError`` if not, and
+        ValueError if it holds no numbers (or an int past the float range).
 
     Returns
     -------
@@ -39,7 +40,10 @@ def eig_general(a):
         Column ``i`` belongs to ``values[i]``.
     residuals : ndarray of shape (n,)
     """
-    a = np.asarray(a, dtype=np.complex128)
+    try:
+        a = np.asarray(a, dtype=np.complex128)
+    except (TypeError, OverflowError):   # overflow: an int past the float range
+        raise ValueError("a must be an array of numbers") from None
     values, vectors = np.linalg.eig(a)
     order = _order(values)
     values = values[order]

@@ -262,6 +262,16 @@ class TestRates:
                            rf" number of dB, got {re.escape(repr(snr_db))}$"):
             analysis.sum_rate_curve(net, sol, [0.0, snr_db, 10.0])
 
+    def test_too_many_snrs_refused(self):
+        # a ValueError, not the OverflowError of list(range(2 ** 70)); no
+        # count here is one the host could try to allocate
+        net = generate(NetworkDims(3, 2, 2), 42)
+        sol = closed_form.solve_eigen_method(net)
+        with pytest.raises(ValueError) as err:
+            analysis.sum_rate_curve(net, sol, range(2 ** 70))
+        assert str(err.value) == (f"snr_db_list has too many values, got"
+                                  f" {range(2 ** 70)!r}")
+
 
 class TestInfeasibilityDemo:
     def test_gaussian_seeds_incompatible(self):
@@ -638,6 +648,67 @@ class TestFeasibilitySweep:
                            f" got {type(result).__name__}$"):
             analysis.render_feasibility_table(result, [2], [3])
 
+    def test_render_table_reads_any_iterable(self):
+        # a generator grid prints what its list prints: the header no
+        # longer uses the K values up before the rows read them
+        result = analysis.feasibility_sweep([2, 3], [3, 4], seeds=1,
+                                            max_iters=5)
+        listed = analysis.render_feasibility_table(result, [2, 3], [3, 4])
+        assert analysis.render_feasibility_table(
+            result, (n for n in [2, 3]), (k for k in [3, 4])) == listed
+        assert analysis.render_feasibility_table(
+            result, np.array([2, 3]), range(3, 5)) == listed
+        assert listed.count("|") == 2 * 3   # header and two full rows
+
+    @pytest.mark.parametrize("n_values, k_values, message", [
+        (None, [3], "n_values must be an iterable of integers, got None"),
+        ([2], 3, "k_values must be an iterable of integers, got 3"),
+        ([2.0], [3], "n_values must be >= 1 and integral, got 2.0"),
+        ([2], [True], "k_values must be >= 2 and integral, got True"),
+        ([0], [3], "n_values must be >= 1 and integral, got 0"),
+        ([2], range(2 ** 70),
+         f"k_values has too many values, got {range(2 ** 70)!r}"),
+    ])
+    def test_render_table_refuses_bad_grid(self, n_values, k_values,
+                                           message):
+        # the sweep's grid rules, checked before any row is built
+        result = analysis.feasibility_sweep([2], [3], seeds=1, max_iters=5)
+        with pytest.raises(ValueError) as err:
+            analysis.render_feasibility_table(result, n_values, k_values)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("records, message", [
+        (None, "records must be an iterable of FeasibilityRecords, got None"),
+        ([1], "records must be FeasibilityRecords, got int"),
+        ("ab", "records must be FeasibilityRecords, got str"),
+    ])
+    def test_records_table_refuses_other_records(self, records, message):
+        # named as the argument, not a TypeError or AttributeError on .n_t
+        with pytest.raises(ValueError) as err:
+            analysis.records_table(records)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("keep_traces", ["no", 1, None, np.bool_(True)])
+    def test_rejects_bad_keep_traces(self, keep_traces, monkeypatch):
+        # refused before any network is drawn; "no" would keep the traces
+        def draw(*args):
+            raise AssertionError("a network was drawn")
+
+        monkeypatch.setattr(analysis, "_grids", draw)
+        with pytest.raises(ValueError, match=re.escape(
+                f"keep_traces must be a bool, got"
+                f" {type(keep_traces).__name__}")):
+            analysis.feasibility_sweep([2], [3], 2, keep_traces=keep_traces)
+
+    def test_tolerance_past_the_float_range(self):
+        # an int past the float range is a tolerance of inf: every run is
+        # feasible at once, not an OverflowError against the leakages
+        result = analysis.feasibility_sweep([2], [3], 2, max_iters=5,
+                                            feasible_tol=10 ** 400,
+                                            infeasible_tol=10 ** 400)
+        assert [r.iterations for r in result.records] == [0, 0]
+        assert {r.verdict for r in result.records} == {"feasible"}
+
     def test_records_table_format(self):
         result = analysis.feasibility_sweep([2], [3], seeds=1, max_iters=500)
         text = analysis.records_table(result.records)
@@ -656,3 +727,17 @@ class TestFeasibilitySweep:
         assert not analysis.predicted_feasible(3, 3, 6)
         assert analysis.predicted_feasible(4, 4, 7)
         assert not analysis.predicted_feasible(4, 4, 8)
+
+    @pytest.mark.parametrize("counts, message", [
+        ((None, 2, 3), "n_r must be >= 1 and integral, got None"),
+        ((2.5, 2, 3), "n_r must be >= 1 and integral, got 2.5"),
+        ((2, 0, 3), "n_t must be >= 1 and integral, got 0"),
+        ((True, True, 2), "n_r must be >= 1 and integral, got True"),
+        ((2, 2, 1), "k must be >= 2 and integral, got 1"),
+        ((2, 2, "3"), "k must be >= 2 and integral, got '3'"),
+    ])
+    def test_prediction_refuses_other_counts(self, counts, message):
+        # the count gate: 2.5 antennas predicted True, True + True None
+        with pytest.raises(ValueError) as err:
+            analysis.predicted_feasible(*counts)
+        assert str(err.value) == message

@@ -73,6 +73,24 @@ class TestConfig:
             d=(1,) * 4, max_iters=np.int64(2), leakage_tol=1e-30))
         assert trace.iterations == 2 and len(trace.leakage) == 3
 
+    def test_too_many_stream_counts_refused(self):
+        # a ValueError, never the OverflowError of tuple(range(2 ** 70)); no
+        # count here is one the host could try to allocate
+        with pytest.raises(ValueError) as err:
+            IterativeConfig(d=range(2 ** 70))
+        assert str(err.value) == f"d has too many values, got {range(2 ** 70)!r}"
+
+    def test_leakage_tol_past_the_float_range(self):
+        # an int past the float range reads as inf, not an OverflowError
+        # against the leakages: the run stops at its first leakage; any
+        # other tolerance is kept as given
+        tol = np.float32(0.5)
+        assert IterativeConfig(d=(1, 1, 1), leakage_tol=tol).leakage_tol is tol
+        cfg = IterativeConfig(d=(1, 1, 1), leakage_tol=10 ** 400)
+        assert cfg.leakage_tol == np.inf
+        trace = iterate(generate(NetworkDims(3, 2, 2), 0), cfg)
+        assert trace.iterations == 0 and trace.converged
+
     @pytest.mark.parametrize("d", [(2, 2, 2), (1, 2, 1)])
     def test_one_stream_per_user(self, d):
         # refuses streams the network's 4 antennas could carry

@@ -79,6 +79,29 @@ class TestEigGeneral:
         with pytest.raises(ValueError):
             linalg.eig_general(a)
 
+    @pytest.mark.parametrize("a", [
+        [[1.0, 2.0]], [[np.inf, 0], [0, 1]], np.ones(3), 2.0])
+    def test_non_square_or_non_finite_is_linalg_error(self, a):
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg.eig_general(a)
+
+    @pytest.mark.parametrize("a", [
+        (row for row in [[1, 0], [0, 1]]), {"a": 1}, object(),
+        range(2 ** 70), [[1, object()], [0, 1]], [[10 ** 400, 0], [0, 1]]])
+    def test_non_numbers_named(self, a):
+        # numpy's conversion raises TypeError (OverflowError for the int
+        # past the float range); the caller sees which argument it was
+        with pytest.raises(ValueError, match="^a must be an array of numbers$"):
+            linalg.eig_general(a)
+
+    def test_numeric_input_keeps_its_bits(self):
+        # lists, real and integer arrays read as the complex matrix they hold
+        a = np.array([[2, 1], [1, 3]])
+        expected = linalg.eig_general(a.astype(np.complex128))
+        for given in (a, a.tolist(), a.astype(float)):
+            for got, want in zip(linalg.eig_general(given), expected):
+                assert np.array_equal(got, want)
+
 
 class TestEigenvector:
     @pytest.mark.parametrize("n", range(2, 8))
