@@ -221,22 +221,34 @@ def generate(dims, seed):
 
 
 def serialize(net):
-    """Serialize a network to the versioned JSON channel document.
-
-    Writes the bytes of ``json.dumps(doc, indent=1)`` and a newline, the
-    grid as that layout's template filled in one ``%`` call: ``%r`` of a
-    finite float is the shortest round-trip form ``json`` writes, so
-    ``deserialize(serialize(net))`` reproduces the entries exactly.
-    """
+    """The versioned JSON channel document of ``net``, written by
+    :func:`_dumps`; :func:`deserialize` reads its entries back exactly."""
     _instance("net", net, InterferenceNetwork)
-    head = json.dumps({"format": CHANNEL_FORMAT, "k": net.dims.k, "nt": net.dims.n_t,
-                       "nr": net.dims.n_r, "seed": net.seed}, indent=1)
-    body = "%r"
-    for d, n in reversed(list(enumerate(net.h.shape + (2,), start=1))):
-        sep = "\n" + " " * (d + 1)   # items at indent d + 1, brackets at d
-        body = "[" + sep + ("," + sep).join([body] * n) + "\n" + " " * d + "]"
-    body %= tuple(net.h.ravel().view(np.float64).tolist())
-    return (head[:-2] + ',\n "h": ' + body + "\n}\n").encode("utf-8")
+    return _dumps({"format": CHANNEL_FORMAT, "k": net.dims.k, "nt": net.dims.n_t,
+                   "nr": net.dims.n_r, "seed": net.seed, "h": net.h})
+
+
+def _dumps(doc):
+    """The one document writer: the bytes of ``json.dumps(doc, indent=1)``
+    and a newline, each complex array in ``doc`` as ``[re, im]`` lists. Keys,
+    text and other scalars go through ``json``; an array fills one template
+    of the layout, as ``%r`` of a finite float is what ``json`` writes."""
+    def block(items, d, ends="[]"):   # items at indent d + 1, ends at d
+        sep = "\n" + " " * (d + 1)
+        return ends[0] + sep + ("," + sep).join(items) + "\n" + " " * d + ends[1]
+    def text(x, d):
+        if isinstance(x, np.ndarray):   # the template, filled in one % call
+            body = "%r"
+            for i in range(x.ndim, -1, -1):
+                body = block([body] * (x.shape + (2,))[i], d + i)
+            return body % tuple(x.ravel().view(np.float64).tolist())
+        if isinstance(x, dict) and x:
+            return block([json.dumps(k) + ": " + text(v, d + 1)
+                          for k, v in x.items()], d, "{}")
+        if isinstance(x, (list, tuple)) and x:
+            return block([text(v, d + 1) for v in x], d)
+        return json.dumps(x)   # a scalar, or an empty list or object
+    return (text(doc, 0) + "\n").encode("utf-8")
 
 
 #: Exact types a JSON number parses to; ``bool`` (``true``/``false``) is

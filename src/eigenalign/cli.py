@@ -12,7 +12,6 @@ too), 3 no usable eigenpair, 4 I/O failure.
 
 import argparse
 import functools
-import json
 import os
 import sys
 from dataclasses import asdict
@@ -216,7 +215,7 @@ def cmd_sweep(args):
                 for r in result.records],
             "cells": [asdict(c) for c in result.cells.values()],
         }
-        _write_bytes(args.out, (json.dumps(doc, indent=1) + "\n").encode())
+        _write_bytes(args.out, channel._dumps(doc))
     if any(c.verdict == "inconclusive" for c in result.cells.values()):
         return EXIT_NEGATIVE
     return EXIT_OK

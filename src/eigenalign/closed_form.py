@@ -19,13 +19,12 @@ must land on the spectrum of the loop matrix).
 the rank gate of the solve routes and the solution documents read it.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .channel import (InterferenceNetwork, _array, _entries, _instance,
+from .channel import (InterferenceNetwork, _array, _dumps, _entries, _instance,
                       _read_document, _real, _walk)
 from .errors import (DimensionMismatch, MalformedDocument, NoUsableEigenpair,
                      RankDeficientSolution, SingularChannel)
@@ -493,37 +492,27 @@ def cube_relation_check(net):
 
 
 def solution_to_document(net, sol, method):
-    """Serialize a solution to the versioned JSON solution document; its
-    ``residual`` and ``rank_metric`` are :func:`verify`'s
-    ``alignment_residual`` and weakest relative gain on ``net``. The
-    filters meet :func:`verify`'s checks first; ``lambda``, ``residual``
-    and ``rank_metric`` meet the same array gate as one number each, so
-    NaN or infinity, which the reader refuses, text or a non-number raises
-    ValueError naming the field, and more than one number ShapeMismatch. A
-    ``method`` that is not a string, which the reader refuses too, raises
-    ValueError."""
+    """Serialize a solution to the versioned JSON solution document, written
+    by :func:`eigenalign.channel._dumps`; its ``residual`` and ``rank_metric``
+    are :func:`verify`'s ``alignment_residual`` and weakest relative gain on
+    ``net``. The filters meet :func:`verify`'s checks first; ``lambda``,
+    ``residual`` and ``rank_metric`` meet the same array gate as one number
+    each, so NaN or infinity, which the reader refuses, text or a non-number
+    raises ValueError naming the field, and more than one number
+    ShapeMismatch. A ``method`` that is not a string, which the reader
+    refuses too, raises ValueError."""
     _instance("method", method, str, "a string")
     filters = _filters(net, sol)
     report = _verified(net, *filters)
-    pre, comb = (np.stack((x.real, x.imag), axis=-1).tolist() for x in filters)
-    users = [{"v": v, "u": u} for v, u in zip(pre, comb)]
-    lam, residual, rank_metric = (
-        x if x is None else _array(name, x, ()).item() for name, x in (
+    lam, res, gain = (
+        x if x is None else _array(name, x, ()) for name, x in (
             ("lambda", sol.eigenvalue),
             ("residual", report.alignment_residual),
             ("rank_metric", np.min(report.relative_gains))))
-    doc = {
-        "format": SOLUTION_FORMAT,
-        "k": net.dims.k,
-        "nt": net.dims.n_t,
-        "nr": net.dims.n_r,
-        "method": method,
-        "lambda": None if lam is None else [lam.real, lam.imag],
-        "residual": residual.real,
-        "rank_metric": rank_metric.real,
-        "users": users,
-    }
-    return (json.dumps(doc, indent=1) + "\n").encode("utf-8")
+    return _dumps({"format": SOLUTION_FORMAT, "k": net.dims.k, "nt": net.dims.n_t,
+                   "nr": net.dims.n_r, "method": method, "lambda": lam,
+                   "residual": float(res.real), "rank_metric": float(gain.real),
+                   "users": [{"v": v, "u": u} for v, u in zip(*filters)]})
 
 
 def solution_from_document(data):

@@ -246,6 +246,60 @@ def _networks(draw):
     return _network(x, k, n_t, n_r, draw(st.none() | st.integers()))
 
 
+def _pairs(a):
+    """``json.dumps``' fallback for a complex array: nested ``[re, im]`` lists."""
+    return np.stack((a.real, a.imag), -1).tolist()
+
+
+def _json_oracle(doc):
+    return (json.dumps(doc, indent=1, default=_pairs) + "\n").encode()
+
+
+class TestOneWriter:
+    """Every document is written by ``channel._dumps``, which must give the
+    bytes ``json.dumps(doc, indent=1)`` gives with arrays as ``[re, im]``
+    lists."""
+
+    @pytest.mark.parametrize("dims", [(2, 1, 1), (3, 2, 3), (8, 7, 7)])
+    def test_channel_documents(self, dims):
+        net = channel.generate(channel.NetworkDims(*dims), 9)
+        doc = {"format": channel.CHANNEL_FORMAT, "k": dims[0], "nt": dims[1],
+               "nr": dims[2], "seed": 9, "h": net.h}
+        assert channel._dumps(doc) == _json_oracle(doc) == channel.serialize(net)
+
+    @pytest.mark.parametrize("method", ["eigen", "loop", "iterative"])
+    def test_solution_documents(self, method):
+        net = channel.generate(channel.NetworkDims(3, 2, 2), 4)
+        if method == "iterative":
+            trace = iterative.iterate(net, iterative.IterativeConfig(
+                d=(1, 1, 1), max_iters=50, seed=1))
+            sol = closed_form.AlignmentSolution(trace.precoders,
+                                                trace.combiners, None)
+        else:
+            sol = {"eigen": closed_form.solve_eigen_method,
+                   "loop": closed_form.solve_loop_method}[method](net)
+        report = closed_form.verify(net, sol)
+        doc = {"format": closed_form.SOLUTION_FORMAT, "k": 3, "nt": 2, "nr": 2,
+               "method": method,
+               "lambda": None if sol.eigenvalue is None
+               else np.asarray(sol.eigenvalue),
+               "residual": report.alignment_residual,
+               "rank_metric": float(np.min(report.relative_gains)),
+               "users": [{"v": v, "u": u}
+                         for v, u in zip(sol.precoders, sol.combiners)]}
+        data = closed_form.solution_to_document(net, sol, method)
+        assert channel._dumps(doc) == _json_oracle(doc) == data
+        assert (b'"lambda": null' in data) == (method == "iterative")
+
+    def test_plain_values(self):
+        # what the sweep document holds, and empty and tuple containers
+        doc = {"records": [{"n": 2, "seed": 0, "final_leakage": 1.5e-300,
+                            "verdict": "feasible", "x": float("nan")}],
+               "cells": [{"predicted_feasible": True, "none": None}],
+               "empty": [], "nothing": {}, "pair": (1, "é\n")}
+        assert channel._dumps(doc) == (json.dumps(doc, indent=1) + "\n").encode()
+
+
 class TestSerialization:
     @pytest.mark.parametrize("net", [
         channel.generate(channel.NetworkDims(3, 2, 2), 42),

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -292,7 +293,6 @@ class TestVerifyAndRates:
                            " but the channel file has (k=3, nt=2, nr=2)\n")
 
     def test_malformed_documents_exit_2(self, channel_file, tmp_path, capsys):
-        import json
         sol = tmp_path / "sol.json"
         run(capsys, ["solve", "--method", "eigen", "--in", str(channel_file),
                      "--out", str(sol)])
@@ -405,6 +405,15 @@ class TestSweep:
         assert "n k seed final_leakage iterations verdict" in text
         assert "N\\K" in text
         assert out.exists()
+
+    def test_out_document_is_json_dumps(self, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        run(capsys, ["sweep", "--n-range", "2", "--k-range", "3:4",
+                     "--seeds", "2", "--max-iters", "40", "--out", str(out)])
+        data = out.read_bytes()
+        doc = json.loads(data)
+        assert [c["k"] for c in doc["cells"]] == [3, 4]
+        assert data == (json.dumps(doc, indent=1) + "\n").encode()
 
     def test_inconclusive_cell_exits_1(self, capsys):
         # five iterations leave seed 1 between the thresholds, and the cell

@@ -825,6 +825,14 @@ class TestSolutionDocument:
             data = closed_form.solution_to_document(net, sol, name)
             assert closed_form.solution_from_document(data)[2] == name
 
+    @pytest.mark.parametrize("method", ["\x00", '"\\u0000"', "é", "a\nb"])
+    def test_method_text_written_with_json_escapes(self, method):
+        net = generate(NetworkDims(3, 2, 2), 42)
+        sol = closed_form.solve_eigen_method(net)
+        data = closed_form.solution_to_document(net, sol, method)
+        assert b'\n "method": ' + json.dumps(method).encode() + b",\n" in data
+        assert closed_form.solution_from_document(data)[2] == method
+
     def test_one_filter_gate_per_document(self, monkeypatch):
         # the writer and its verify share one pass through the array gate
         net = generate(NetworkDims(3, 2, 2), 4)
